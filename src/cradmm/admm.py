@@ -1,22 +1,46 @@
 """Row-partitioned consensus ADMM for the complex-valued lasso.
 
 Solves min_u 0.5 ||H u - g||^2 + lam ||u||_1 by giving each row block
-(H_i, g_i) its own local unknown u_i tied to a shared consensus variable v.
-Every iteration runs the N independent block solves (ridge-regularized least
-squares, reduced to an m_i x m_i solve by the matrix inversion lemma), then
-soft-thresholds the block average into v, then lets the scaled duals absorb
-the remaining disagreement.
+(H_i, g_i) its own local unknown u_i tied to a shared consensus variable v:
+every iteration runs the N block solves (ridge-regularized least squares,
+reduced to an m_i x m_i solve by the matrix inversion lemma), soft-thresholds
+the block average into v, and lets the scaled duals s_i absorb the remaining
+disagreement (Boyd et al. 2011, sections 7.1 and 8.2).
+
+The solver never stores the N local iterates. From the zero start every
+scaled dual keeps the form
+
+    s_i = w + H_i^H e_i
+
+with one shared n_p-vector w and one M-vector e (e_i its block-i rows), and
+every local iterate is u_i = (v - w) + H_i^H (c_i - e_i). With G and S the
+M x M block-diagonal Gram (G_ii = H_i H_i^H) and Woodbury inverse
+(S_ii = (I + G_ii / rho)^-1), one iteration is
+
+    c = g / rho - S (G g + rho H (v - w) - rho G e) / rho^2
+    v <- soft(v + H^H c / N, lam / (rho N))
+    w <- v_old - v,  e <- c
+
+Carrying H v from one iteration to the next makes that one forward and one
+adjoint product with H per iteration; the objective and the stacked primal
+and dual norms follow from Gram identities at O(n_p + M^2) cost.
+``update_u``, ``update_v`` and ``update_s`` are the same steps written per
+block; they are kept as the reference the collapsed form is tested against.
 """
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
+from .linop import SensingOperator, adjoint, block_diagonal
 from .scene import matrix_array, vector_array
+
+# Gram-form squared norms below this fraction of their summed term magnitudes
+# have lost too many digits to cancellation and are recomputed block by block.
+CANCELLATION_RATIO = 1e-6
 
 
 def soft_threshold(a, kappa):
@@ -101,8 +125,9 @@ class AdmmParams:
 class BlockSolver:
     """One row block plus the cached small-matrix inverse its updates reuse.
 
-    ``small_inverse`` holds (I_m + H_i H_i^H / rho)^-1, m x m with m the block
-    row count; the N_p x N_p regularized normal matrix is never formed.
+    ``gram`` holds H_i H_i^H and ``small_inverse`` (I_m + gram / rho)^-1,
+    both m x m with m the block row count; the N_p x N_p regularized normal
+    matrix is never formed.
     """
 
     h_block: np.ndarray
@@ -110,11 +135,12 @@ class BlockSolver:
     hg: np.ndarray
     small_inverse: np.ndarray
     rho: float
+    gram: np.ndarray
 
     def apply_inverse(self, b):
         """Return (H_i^H H_i + rho I)^-1 b via the low-rank identity."""
         t = self.small_inverse @ (self.h_block @ b)
-        return b / self.rho - self.h_block.conj().T @ t / self.rho**2
+        return b / self.rho - adjoint(self.h_block, t) / self.rho**2
 
 
 def precompute_block_solver(h_i, g_i, rho):
@@ -127,17 +153,17 @@ def precompute_block_solver(h_i, g_i, rho):
         raise ValueError(f"block has {h.shape[0]} rows but {gv.shape[0]} measurements")
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(gv))):
         raise ValueError("block contains non-finite entries")
-    m = h.shape[0]
-    gram = np.eye(m, dtype=np.complex128) + h @ h.conj().T / rho
-    small_inverse = np.linalg.inv(gram)
+    gram = h @ h.conj().T
+    small_inverse = np.linalg.inv(np.eye(h.shape[0], dtype=np.complex128) + gram / rho)
     # the exact inverse is Hermitian; symmetrize away LU round-off
     small_inverse = 0.5 * (small_inverse + small_inverse.conj().T)
     return BlockSolver(
         h_block=h,
         g_block=gv,
-        hg=h.conj().T @ gv,
+        hg=adjoint(h, gv),
         small_inverse=small_inverse,
         rho=float(rho),
+        gram=gram,
     )
 
 
@@ -184,10 +210,16 @@ class IterationRecord:
 
 
 class ConvergenceTrace:
-    """Per-iteration objective, residual norms, and wall-clock timestamps."""
+    """Per-iteration objective, residual norms, and wall-clock timestamps.
 
-    def __init__(self, records=None):
+    ``stop_reason`` is set by the solver that produced the trace: "converged"
+    when its stopping rule fired (possibly on the last allowed iteration),
+    "max_iter" when the budget ran out first, None for a trace read from disk.
+    """
+
+    def __init__(self, records=None, stop_reason=None):
         self.records = list(records) if records is not None else []
+        self.stop_reason = stop_reason
 
     def append(self, record):
         self.records.append(record)
@@ -208,25 +240,33 @@ class ConvergenceTrace:
 
 @dataclass
 class AdmmState:
-    """Iterate container; u_blocks / s_blocks hold one row per block."""
+    """Iterate container; u_blocks / s_blocks hold one row per block.
+
+    ``eps_pri`` and ``eps_dual`` are the stopping thresholds of the last
+    iteration, to be read against its primal and dual residuals.
+    """
 
     u_blocks: np.ndarray
     v: np.ndarray
     s_blocks: np.ndarray
     k: int
+    eps_pri: float = math.nan
+    eps_dual: float = math.nan
+
+
+def lasso_objective(resid, u, lam):
+    """0.5 ||resid||^2 + lam * sum_p |u_p|, with resid = H u - g already formed."""
+    return 0.5 * float(np.real(np.vdot(resid, resid))) + lam * float(np.abs(u).sum())
 
 
 def evaluate_objective(h, g, u, lam):
     """Value of 0.5 ||H u - g||^2 + lam * sum_p |u_p| (complex modulus)."""
-    entries = matrix_array(h)
+    op = SensingOperator(h)
     gv = vector_array(g)
     uv = vector_array(u)
-    if entries.shape[0] != gv.shape[0] or entries.shape[1] != uv.shape[0]:
-        raise ValueError(
-            f"shapes do not match: H {entries.shape}, g {gv.shape}, u {uv.shape}"
-        )
-    resid = entries @ uv - gv
-    return 0.5 * float(np.real(np.vdot(resid, resid))) + lam * float(np.abs(uv).sum())
+    if op.shape != (gv.shape[0], uv.shape[0]):
+        raise ValueError(f"shapes do not match: H {op.shape}, g {gv.shape}, u {uv.shape}")
+    return lasso_objective(op.forward(uv) - gv, uv, lam)
 
 
 def evaluate_augmented_lagrangian(block_solvers, state, params):
@@ -242,23 +282,48 @@ def evaluate_augmented_lagrangian(block_solvers, state, params):
 
 
 class ConsensusLassoSolver:
-    """Consensus ADMM engine over a fixed row partition.
+    """Consensus ADMM engine over a fixed row partition, in collapsed form.
 
-    The N u-updates are independent and may run on a thread pool. Block
-    averages are always reduced in block-index order, so solutions and traces
-    are bit-identical for any worker count.
+    ``block_solvers`` holds the per-block Woodbury factors; ``gram`` and
+    ``woodbury`` are the same blocks assembled into M x M block-diagonal
+    matrices for the collapsed iteration (see the module docstring).
+    ``workers`` is accepted for compatibility and has no effect: an iteration
+    is two products with H and O(n_p + M^2) vector work, with nothing left to
+    spread across threads, so results are the same for any worker count.
     """
 
     def __init__(self, h, g, params, n_blocks, workers=1):
-        self.entries = matrix_array(h)
+        self.operator = SensingOperator(h)
+        self.entries = self.operator.h
         self.g = vector_array(g)
         self.params = params
         self.partition = partition_rows(self.entries, self.g, n_blocks)
+        blocks = self.partition.blocks
         self.block_solvers = [
             precompute_block_solver(self.entries[start:stop], self.g[start:stop], params.rho)
-            for start, stop in self.partition.blocks
+            for start, stop in blocks
         ]
-        self.workers = max(1, int(workers))
+        self.gram = block_diagonal(blocks, [b.gram for b in self.block_solvers])
+        self.woodbury = block_diagonal(blocks, [b.small_inverse for b in self.block_solvers])
+
+    def _stacked_sq_norm(self, a, h_a, x, gram_x):
+        """sum_i ||a + H_i^H x_i||^2 from H a and G x, with no product by H.
+
+        Falls back to forming each H_i^H x_i when the Gram form cancels.
+        """
+        n = self.partition.n_blocks
+        common = n * float(np.real(np.vdot(a, a)))
+        cross = 2.0 * float(np.real(np.vdot(h_a, x)))
+        quad = float(np.real(np.vdot(x, gram_x)))
+        total = common + cross + quad
+        if total >= CANCELLATION_RATIO * (common + abs(cross) + quad):
+            return total
+        return sum(float(np.real(np.vdot(y, y))) for y in self._block_rows(a, x))
+
+    def _block_rows(self, common, x):
+        """Yield common + H_i^H x_i for each block in turn."""
+        for start, stop in self.partition.blocks:
+            yield common + adjoint(self.entries[start:stop], x[start:stop])
 
     def run(self, on_iteration=None):
         """Iterate from the zero start until the stopping rule or max_iter.
@@ -267,61 +332,63 @@ class ConsensusLassoSolver:
         objective at v, the stacked primal residual sqrt(sum_i ||u_i - v||^2),
         the dual residual rho * sqrt(N) * ||v - v_prev||, and elapsed seconds.
         Stops early once both residuals fall below their tolerances
-        (eps_pri, eps_dual built from eps_abs / eps_rel in the usual way).
-        ``on_iteration``, when given, receives each IterationRecord as it
-        completes (e.g. a streaming CSV writer).
+        (eps_pri, eps_dual built from eps_abs / eps_rel in the usual way);
+        ``trace.stop_reason`` says which way it ended. ``on_iteration``, when
+        given, receives each IterationRecord as it completes (e.g. a streaming
+        CSV writer). The per-block u_i and s_i of the final iterate are formed
+        only once, for the returned state.
         """
         params = self.params
+        rho = params.rho
         n = self.partition.n_blocks
-        n_p = self.entries.shape[1]
-        u = np.zeros((n, n_p), dtype=np.complex128)
-        s = np.zeros((n, n_p), dtype=np.complex128)
-        v = np.zeros(n_p, dtype=np.complex128)
-        trace = ConvergenceTrace()
-        solvers = self.block_solvers
-        pool = ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
+        op, g, gram, woodbury = self.operator, self.g, self.gram, self.woodbury
+        m, n_p = op.shape
+        kappa = params.lam / (rho * n)
+        scale = math.sqrt(n * n_p) * params.eps_abs
+        # zero tolerances mean a fixed budget, even at an exact fixed point
+        stopping = params.eps_abs > 0 or params.eps_rel > 0
+        gram_g = gram @ g
+        # v, w (length n_p); H v, H w, e, G e (length M)
+        v = w = np.zeros(n_p, dtype=np.complex128)
+        h_v = h_w = e = gram_e = np.zeros(m, dtype=np.complex128)
+        trace = ConvergenceTrace(stop_reason="max_iter")
         start_time = time.perf_counter()
-        try:
-            for k in range(params.max_iter):
-                # u-updates are independent per block; gather in block order
-                if pool is not None:
-                    rows = list(pool.map(lambda i, v=v: update_u(solvers[i], v, s[i]), range(n)))
-                else:
-                    rows = [update_u(solvers[i], v, s[i]) for i in range(n)]
-                for i, row in enumerate(rows):
-                    u[i] = row
-                u_bar = u.mean(axis=0)
-                s_bar = s.mean(axis=0)
-                v_prev = v
-                v = update_v(u_bar, s_bar, params, n)
-                gap = u - v  # row-wise broadcast
-                s += gap
-                primal = float(np.linalg.norm(gap))
-                dual = params.rho * math.sqrt(n) * float(np.linalg.norm(v - v_prev))
-                objective = evaluate_objective(self.entries, self.g, v, params.lam)
-                elapsed = time.perf_counter() - start_time
-                if not (math.isfinite(objective) and math.isfinite(primal) and math.isfinite(dual)):
-                    raise DivergenceError(f"non-finite iterate at iteration {k}")
-                record = IterationRecord(k, objective, primal, dual, elapsed)
-                trace.append(record)
-                if on_iteration is not None:
-                    on_iteration(record)
-                scale = math.sqrt(n * n_p)
-                eps_pri = scale * params.eps_abs + params.eps_rel * max(
-                    float(np.linalg.norm(u)), math.sqrt(n) * float(np.linalg.norm(v))
-                )
-                eps_dual = scale * params.eps_abs + params.eps_rel * params.rho * float(
-                    np.linalg.norm(s)
-                )
-                if primal <= eps_pri and dual <= eps_dual:
-                    break
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        state = AdmmState(u_blocks=u, v=v, s_blocks=s, k=len(trace))
+        for k in range(params.max_iter):
+            z, h_z = v - w, h_v - h_w  # u_i = z + H_i^H d_i
+            c = g / rho - woodbury @ (gram_g + rho * h_z - rho * gram_e) / rho**2
+            d = c - e
+            v_next = soft_threshold(v + op.adjoint(c) / n, kappa)
+            h_v_next = op.forward(v_next)
+            gram_c = gram @ c
+            gram_d = gram_c - gram_e
+            primal = math.sqrt(self._stacked_sq_norm(z - v_next, h_z - h_v_next, d, gram_d))
+            dual = rho * math.sqrt(n) * float(np.linalg.norm(v_next - v))
+            objective = lasso_objective(h_v_next - g, v_next, params.lam)
+            elapsed = time.perf_counter() - start_time
+            if not (math.isfinite(objective) and math.isfinite(primal) and math.isfinite(dual)):
+                raise DivergenceError(f"non-finite iterate at iteration {k}")
+            record = IterationRecord(k, objective, primal, dual, elapsed)
+            trace.append(record)
+            if on_iteration is not None:
+                on_iteration(record)
+            w, h_w = v - v_next, h_v - h_v_next
+            v, h_v, e, gram_e = v_next, h_v_next, c, gram_c
+            u_norm = math.sqrt(self._stacked_sq_norm(z, h_z, d, gram_d))
+            s_norm = math.sqrt(self._stacked_sq_norm(w, h_w, e, gram_e))
+            eps_pri = scale + params.eps_rel * max(u_norm, math.sqrt(n) * float(np.linalg.norm(v)))
+            eps_dual = scale + params.eps_rel * rho * s_norm
+            if stopping and primal <= eps_pri and dual <= eps_dual:
+                trace.stop_reason = "converged"
+                break
+        state = AdmmState(u_blocks=np.stack(list(self._block_rows(z, d))), v=v,
+                          s_blocks=np.stack(list(self._block_rows(w, e))),
+                          k=len(trace), eps_pri=eps_pri, eps_dual=eps_dual)
         return v, trace, state
 
 
 def solve_consensus_lasso(h, g, params, n_blocks, workers=1, on_iteration=None):
-    """One-call front end to ConsensusLassoSolver; returns (v, trace, state)."""
+    """One-call front end to ConsensusLassoSolver; returns (v, trace, state).
+
+    ``workers`` has no effect (see ConsensusLassoSolver).
+    """
     return ConsensusLassoSolver(h, g, params, n_blocks, workers=workers).run(on_iteration)

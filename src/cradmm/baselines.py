@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import ConvergenceTrace, IterationRecord, evaluate_objective, soft_threshold
+from .admm import ConvergenceTrace, IterationRecord, lasso_objective, soft_threshold
+from .linop import SensingOperator
 from .scene import matrix_array, vector_array
 
 
@@ -36,53 +37,45 @@ def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
     return vh[keep].conj().T @ coeff
 
 
-def _power_iteration_gram(a, n_iter=30, seed=0):
-    # largest eigenvalue of A^H A from a fixed-seed start vector
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-    est = 0.0
-    for _ in range(n_iter):
-        y = a.conj().T @ (a @ x)
-        est = float(np.linalg.norm(y))
-        if est == 0.0:
-            return 0.0
-        x = y / est
-    return est
-
-
 def solve_fista(h, g, lam, max_iter=500, tol=1e-10):
     """Accelerated proximal gradient for the complex lasso; returns (u, trace).
 
-    The step is 1 / L with L a power-iteration estimate of ||H||_2^2 (30
-    iterations, fixed seed) inflated by 1%. The trace records the objective
-    and the step norm per iteration; iteration stops once the relative
-    objective change drops below tol, or at max_iter.
+    The step is 1 / L with L = ||H||_2^2, computed exactly from the smaller
+    Gram of H. The trace records the objective and the step norm per
+    iteration; iteration stops once the relative objective change drops
+    below tol (``trace.stop_reason`` "converged"), or at max_iter
+    ("max_iter"). H x is carried along with x, and H y is formed from it by
+    the same extrapolation as y, so an iteration costs one product with H and
+    one with H^H.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    a = matrix_array(h)
+    op = SensingOperator(h)
     b = vector_array(g)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"matrix has {a.shape[0]} rows but measurement has {b.shape[0]}")
-    est = _power_iteration_gram(a)
-    lips = 1.01 * est if est > 0.0 else 1.0
-    n = a.shape[1]
-    x = np.zeros(n, dtype=np.complex128)
-    y = x
+    if op.shape[0] != b.shape[0]:
+        raise ValueError(f"matrix has {op.shape[0]} rows but measurement has {b.shape[0]}")
+    lips = op.norm_squared() or 1.0
+    x = np.zeros(op.shape[1], dtype=np.complex128)
+    h_x = np.zeros(op.shape[0], dtype=np.complex128)
+    y, h_y = x, h_x
     t = 1.0
-    trace = ConvergenceTrace()
+    trace = ConvergenceTrace(stop_reason="max_iter")
     prev_obj = None
     start = time.perf_counter()
     for k in range(max_iter):
-        grad = a.conj().T @ (a @ y - b)
+        grad = op.adjoint(h_y - b)
         x_new = soft_threshold(y - grad / lips, lam / lips)
+        h_x_new = op.forward(x_new)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        beta = (t - 1.0) / t_new
+        y = x_new + beta * (x_new - x)
+        h_y = h_x_new + beta * (h_x_new - h_x)
         step = float(np.linalg.norm(x_new - x))
-        x, t = x_new, t_new
-        obj = evaluate_objective(a, b, x, lam)
+        x, h_x, t = x_new, h_x_new, t_new
+        obj = lasso_objective(h_x - b, x, lam)
         trace.append(IterationRecord(k, obj, step, 0.0, time.perf_counter() - start))
         if prev_obj is not None and abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-300):
+            trace.stop_reason = "converged"
             break
         prev_obj = obj
     return x, trace
@@ -108,12 +101,12 @@ def check_lasso_kkt(h, g, lam, v, tol):
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    a = matrix_array(h)
+    op = SensingOperator(h)
     b = vector_array(g)
     vv = vector_array(v)
-    if a.shape[0] != b.shape[0] or a.shape[1] != vv.shape[0]:
-        raise ValueError(f"shapes do not match: H {a.shape}, g {b.shape}, v {vv.shape}")
-    grad = a.conj().T @ (a @ vv - b)
+    if op.shape != (b.shape[0], vv.shape[0]):
+        raise ValueError(f"shapes do not match: H {op.shape}, g {b.shape}, v {vv.shape}")
+    grad = op.adjoint(op.forward(vv) - b)
     vmax = float(np.max(np.abs(vv))) if vv.size else 0.0
     cutoff = 1e-12 * vmax if vmax > 0.0 else 1e-14
     active = np.abs(vv) > cutoff

@@ -6,8 +6,13 @@ Subcommands:
     compare  --config cfg.json [--workers N] [--output DIR]
 
 Exit status: 0 on success, 2 on configuration or input-file problems, 3 on
-solver failure. ``--output`` overrides the config's output_dir; ``--workers``
-controls the ADMM thread pool (results are worker-count independent).
+solver failure. ``--output`` overrides the config's output_dir. ``--workers``
+is accepted for compatibility and has no effect: the collapsed ADMM iteration
+is two products with H and has no per-block work to spread over threads.
+
+``metrics_<tag>.json`` records why an iterative solve stopped: ``stop_reason``
+is "converged" or "max_iter", and ADMM adds its final primal and dual
+residuals next to their thresholds ``eps_pri`` and ``eps_dual``.
 """
 
 import argparse
@@ -104,6 +109,7 @@ def _run_method(cfg, method, h, u_true, g, workers, lam=None, rho=None, tag=None
     tag = tag or method
     t0 = time.perf_counter()
     trace = None
+    stop = {}
     row = {name: None for name in SUMMARY_COLUMNS}
     if method == "admm":
         params = cfg.admm
@@ -115,17 +121,25 @@ def _run_method(cfg, method, h, u_true, g, workers, lam=None, rho=None, tag=None
             )
         # trace rows stream to disk as iterations complete
         with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
-            estimate, trace, _ = solve_consensus_lasso(
+            estimate, trace, state = solve_consensus_lasso(
                 h, g, params, cfg.admm_blocks, workers=workers, on_iteration=writer.write_row
             )
         row.update({"lambda": params.lam, "rho": params.rho, "N": cfg.admm_blocks})
         objective_lam = params.lam
+        stop = {
+            "stop_reason": trace.stop_reason,
+            "primal_residual": trace[-1].primal_residual,
+            "eps_pri": state.eps_pri,
+            "dual_residual": trace[-1].dual_residual,
+            "eps_dual": state.eps_dual,
+        }
     elif method == "fista":
         estimate, trace = baselines.solve_fista(
             h, g, cfg.fista_lam, max_iter=cfg.fista_max_iter, tol=cfg.fista_tol
         )
         row["lambda"] = cfg.fista_lam
         objective_lam = cfg.fista_lam
+        stop = {"stop_reason": trace.stop_reason}
     elif method == "pinv":
         estimate = baselines.solve_pseudoinverse(h, g, cfg.pinv_trunc_rel_tol)
         objective_lam = 0.0  # data-fit term only; no 1-norm weight applies
@@ -152,6 +166,7 @@ def _run_method(cfg, method, h, u_true, g, workers, lam=None, rho=None, tag=None
         "wall_seconds": wall,
         "iterations": len(trace) if trace is not None else 0,
         "final_objective": final_objective,
+        **stop,
     }
     with open(out / f"metrics_{tag}.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -213,7 +228,7 @@ def build_parser():
         sp.add_argument("--config", required=True, help="path to the JSON experiment config")
         sp.add_argument("--output", default=None, help="override the config output_dir")
         sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="thread count for the ADMM block updates")
+                        help="accepted for compatibility; has no effect on any command")
     sub.choices["solve"].add_argument("--method", required=True, choices=("admm", "fista", "pinv"))
     return parser
 

@@ -85,6 +85,14 @@ class TestFista:
         running_min = np.minimum.accumulate(objectives)
         assert np.all(np.diff(running_min) <= 0.0 + 1e-18)
 
+    def test_first_step_is_exact_inverse_lipschitz(self, rng):
+        # from x = 0 with lam = 0 the first iterate is H^H g / ||H||_2^2
+        for shape in ((5, 17), (17, 5)):
+            h = rand_complex(rng, *shape)
+            g = rand_complex(rng, shape[0])
+            u, _ = solve_fista(h, g, 0.0, max_iter=1, tol=0.0)
+            np.testing.assert_allclose(u, h.conj().T @ g / np.linalg.norm(h, 2) ** 2, rtol=1e-12)
+
     def test_trace_iterations_and_stop(self, rng):
         h = rand_complex(rng, 4, 4)
         g = rand_complex(rng, 4)

@@ -222,6 +222,27 @@ class TestSolve:
         assert (out / "estimate_admm.cvec").read_bytes() == estimate_1
         assert read_trace_without_timing(out / "trace_admm.csv") == trace_1
 
+    def test_metrics_record_the_stop(self, tmp_path):
+        path, out = write_config(
+            tmp_path,
+            overrides={"admm": {"max_iter": 5000, "eps_abs": 1e-4, "eps_rel": 1e-4},
+                       "fista": {"max_iter": 7, "tol": 0.0}},
+        )
+        assert main(["generate", "--config", str(path)]) == 0
+        for method in ("admm", "fista", "pinv"):
+            assert main(["solve", "--config", str(path), "--method", method]) == 0
+        admm = json.loads((out / "metrics_admm.json").read_text())
+        assert admm["stop_reason"] == "converged"
+        assert admm["iterations"] < 5000
+        assert admm["primal_residual"] <= admm["eps_pri"]
+        assert admm["dual_residual"] <= admm["eps_dual"]
+        last = (out / "trace_admm.csv").read_text().splitlines()[-1].split(",")
+        assert float(last[2]) == admm["primal_residual"]
+        assert float(last[3]) == admm["dual_residual"]
+        fista = json.loads((out / "metrics_fista.json").read_text())
+        assert fista["stop_reason"] == "max_iter" and fista["iterations"] == 7
+        assert "stop_reason" not in json.loads((out / "metrics_pinv.json").read_text())
+
     def test_divergence_exits_3(self, tmp_path):
         path, out = write_config(
             tmp_path,
