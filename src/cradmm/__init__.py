@@ -10,6 +10,7 @@ from .admm import (
     AdmmState,
     BlockSolver,
     ConsensusLassoSolver,
+    ConsensusSetup,
     ConvergenceTrace,
     IterationRecord,
     Partition,
@@ -60,6 +61,7 @@ __all__ = [
     "BlockSolver",
     "ConfigError",
     "ConsensusLassoSolver",
+    "ConsensusSetup",
     "ConvergenceTrace",
     "DivergenceError",
     "ExperimentConfig",

@@ -26,6 +26,10 @@ adjoint product with H per iteration; the objective and the stacked primal
 and dual norms follow from Gram identities at O(n_p + M^2) cost.
 ``update_u``, ``update_v`` and ``update_s`` are the same steps written per
 block; they are kept as the reference the collapsed form is tested against.
+
+Only S depends on rho. ``ConsensusSetup`` holds the rest (the operator, the
+partition, the block Grams, G and G g), so the points of a (lam, rho) sweep
+share it and each rebuilds only its m_i x m_i Woodbury blocks.
 """
 
 import math
@@ -132,10 +136,14 @@ class BlockSolver:
 
     h_block: np.ndarray
     g_block: np.ndarray
-    hg: np.ndarray
     small_inverse: np.ndarray
     rho: float
     gram: np.ndarray
+
+    @property
+    def hg(self):
+        """H_i^H g_i, formed on each call: only the per-block ``update_u`` reads it."""
+        return adjoint(self.h_block, self.g_block)
 
     def apply_inverse(self, b):
         """Return (H_i^H H_i + rho I)^-1 b via the low-rank identity."""
@@ -143,28 +151,30 @@ class BlockSolver:
         return b / self.rho - adjoint(self.h_block, t) / self.rho**2
 
 
+def _check_finite(h, g):
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(g))):
+        raise ValueError("block contains non-finite entries")
+
+
+def _woodbury_block(gram, rho):
+    """(I + gram / rho)^-1 for one block's m x m Gram."""
+    small_inverse = np.linalg.inv(np.eye(gram.shape[0], dtype=np.complex128) + gram / rho)
+    # the exact inverse is Hermitian; symmetrize away LU round-off
+    return 0.5 * (small_inverse + small_inverse.conj().T)
+
+
 def precompute_block_solver(h_i, g_i, rho):
-    """Cache H_i^H g_i and the m x m inverse used by every u-update of a block."""
+    """Cache the Gram and the m x m inverse used by every u-update of a block."""
     if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
     h = np.ascontiguousarray(matrix_array(h_i))
     gv = vector_array(g_i)
     if gv.shape[0] != h.shape[0]:
         raise ValueError(f"block has {h.shape[0]} rows but {gv.shape[0]} measurements")
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(gv))):
-        raise ValueError("block contains non-finite entries")
+    _check_finite(h, gv)
     gram = h @ h.conj().T
-    small_inverse = np.linalg.inv(np.eye(h.shape[0], dtype=np.complex128) + gram / rho)
-    # the exact inverse is Hermitian; symmetrize away LU round-off
-    small_inverse = 0.5 * (small_inverse + small_inverse.conj().T)
-    return BlockSolver(
-        h_block=h,
-        g_block=gv,
-        hg=adjoint(h, gv),
-        small_inverse=small_inverse,
-        rho=float(rho),
-        gram=gram,
-    )
+    return BlockSolver(h_block=h, g_block=gv, small_inverse=_woodbury_block(gram, rho),
+                       rho=float(rho), gram=gram)
 
 
 def update_u(solver, v, s_i):
@@ -281,6 +291,27 @@ def evaluate_augmented_lagrangian(block_solvers, state, params):
     return total
 
 
+class ConsensusSetup:
+    """The rho-independent part of the consensus solver for one (H, g, N).
+
+    Holds the operator, the row partition, the per-block Grams H_i H_i^H, the
+    M x M block-diagonal Gram ``gram`` and ``gram_g`` = G g. Solvers for
+    several (lam, rho) points built with ``ConsensusLassoSolver.from_setup``
+    share one set-up and compute only their Woodbury blocks; their results
+    are bit-identical to those of separately constructed solvers.
+    """
+
+    def __init__(self, h, g, n_blocks):
+        self.operator = SensingOperator(h)
+        self.g = vector_array(g)
+        self.partition = partition_rows(self.operator.h, self.g, n_blocks)
+        _check_finite(self.operator.h, self.g)
+        self.block_grams = [self.operator.h[start:stop] @ self.operator.h[start:stop].conj().T
+                            for start, stop in self.partition.blocks]
+        self.gram = block_diagonal(self.partition.blocks, self.block_grams)
+        self.gram_g = self.gram @ self.g
+
+
 class ConsensusLassoSolver:
     """Consensus ADMM engine over a fixed row partition, in collapsed form.
 
@@ -293,18 +324,31 @@ class ConsensusLassoSolver:
     """
 
     def __init__(self, h, g, params, n_blocks, workers=1):
-        self.operator = SensingOperator(h)
-        self.entries = self.operator.h
-        self.g = vector_array(g)
+        self._bind(ConsensusSetup(h, g, n_blocks), params)
+
+    @classmethod
+    def from_setup(cls, setup, params):
+        """A solver for ``params`` on a ConsensusSetup shared with other solvers."""
+        engine = cls.__new__(cls)
+        engine._bind(setup, params)
+        return engine
+
+    def _bind(self, setup, params):
+        self.operator = setup.operator
+        self.entries = setup.operator.h
+        self.g = setup.g
         self.params = params
-        self.partition = partition_rows(self.entries, self.g, n_blocks)
-        blocks = self.partition.blocks
+        self.partition = setup.partition
+        self.gram = setup.gram
+        self.gram_g = setup.gram_g
         self.block_solvers = [
-            precompute_block_solver(self.entries[start:stop], self.g[start:stop], params.rho)
-            for start, stop in blocks
+            BlockSolver(h_block=self.entries[start:stop], g_block=self.g[start:stop],
+                        small_inverse=_woodbury_block(gram, params.rho), rho=float(params.rho),
+                        gram=gram)
+            for (start, stop), gram in zip(self.partition.blocks, setup.block_grams)
         ]
-        self.gram = block_diagonal(blocks, [b.gram for b in self.block_solvers])
-        self.woodbury = block_diagonal(blocks, [b.small_inverse for b in self.block_solvers])
+        self.woodbury = block_diagonal(self.partition.blocks,
+                                       [b.small_inverse for b in self.block_solvers])
 
     def _stacked_sq_norm(self, a, h_a, x, gram_x):
         """sum_i ||a + H_i^H x_i||^2 from H a and G x, with no product by H.
@@ -325,6 +369,13 @@ class ConsensusLassoSolver:
         for start, stop in self.partition.blocks:
             yield common + adjoint(self.entries[start:stop], x[start:stop])
 
+    def _stacked_rows(self, common, x):
+        """The (N, n_p) array of rows common + H_i^H x_i, filled in place."""
+        out = np.empty((self.partition.n_blocks, common.shape[0]), dtype=np.complex128)
+        for row, value in zip(out, self._block_rows(common, x)):
+            row[:] = value
+        return out
+
     def run(self, on_iteration=None):
         """Iterate from the zero start until the stopping rule or max_iter.
 
@@ -341,13 +392,12 @@ class ConsensusLassoSolver:
         params = self.params
         rho = params.rho
         n = self.partition.n_blocks
-        op, g, gram, woodbury = self.operator, self.g, self.gram, self.woodbury
+        op, g, gram, gram_g, woodbury = self.operator, self.g, self.gram, self.gram_g, self.woodbury
         m, n_p = op.shape
         kappa = params.lam / (rho * n)
         scale = math.sqrt(n * n_p) * params.eps_abs
         # zero tolerances mean a fixed budget, even at an exact fixed point
         stopping = params.eps_abs > 0 or params.eps_rel > 0
-        gram_g = gram @ g
         # v, w (length n_p); H v, H w, e, G e (length M)
         v = w = np.zeros(n_p, dtype=np.complex128)
         h_v = h_w = e = gram_e = np.zeros(m, dtype=np.complex128)
@@ -361,9 +411,11 @@ class ConsensusLassoSolver:
             h_v_next = op.forward(v_next)
             gram_c = gram @ c
             gram_d = gram_c - gram_e
-            primal = math.sqrt(self._stacked_sq_norm(z - v_next, h_z - h_v_next, d, gram_d))
-            dual = rho * math.sqrt(n) * float(np.linalg.norm(v_next - v))
-            objective = lasso_objective(h_v_next - g, v_next, params.lam)
+            # an overflow here is reported below as a DivergenceError, not as a warning
+            with np.errstate(over="ignore"):
+                primal = math.sqrt(self._stacked_sq_norm(z - v_next, h_z - h_v_next, d, gram_d))
+                dual = rho * math.sqrt(n) * float(np.linalg.norm(v_next - v))
+                objective = lasso_objective(h_v_next - g, v_next, params.lam)
             elapsed = time.perf_counter() - start_time
             if not (math.isfinite(objective) and math.isfinite(primal) and math.isfinite(dual)):
                 raise DivergenceError(f"non-finite iterate at iteration {k}")
@@ -380,8 +432,7 @@ class ConsensusLassoSolver:
             if stopping and primal <= eps_pri and dual <= eps_dual:
                 trace.stop_reason = "converged"
                 break
-        state = AdmmState(u_blocks=np.stack(list(self._block_rows(z, d))), v=v,
-                          s_blocks=np.stack(list(self._block_rows(w, e))),
+        state = AdmmState(u_blocks=self._stacked_rows(z, d), v=v, s_blocks=self._stacked_rows(w, e),
                           k=len(trace), eps_pri=eps_pri, eps_dual=eps_dual)
         return v, trace, state
 

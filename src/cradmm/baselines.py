@@ -1,7 +1,8 @@
 """Reference solvers and an independent optimality check for the lasso.
 
 These exist to benchmark the consensus solver: a truncated-SVD pseudoinverse
-(the classic non-sparse reconstruction), an accelerated proximal-gradient
+(the classic non-sparse reconstruction, taken from a streamed QR factor of H
+rather than from an SVD of H itself), an accelerated proximal-gradient
 (Nesterov/FISTA-style) lasso solver, and a first-order KKT test that certifies
 a candidate solution without running any solver at all.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import ConvergenceTrace, IterationRecord, lasso_objective, soft_threshold
-from .linop import SensingOperator
+from .linop import SensingOperator, adjoint, triangular_factor
 from .scene import matrix_array, vector_array
 
 
@@ -21,7 +22,12 @@ def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
     """Minimum-norm least-squares estimate via a truncated SVD.
 
     Singular values below trunc_rel_tol * sigma_max are discarded; directions
-    in the (numerical) null space receive zero weight.
+    in the (numerical) null space receive zero weight. The SVD is that of the
+    min(M, n) square streamed QR factor of H (``linop.triangular_factor``),
+    so neither a work copy of H nor its n-long singular vectors are formed:
+    for a wide H the estimate is H^H U_k S_k^-2 U_k^H g, one product with
+    H^H; for a tall H it is V_k S_k^-1 U_k^H (Q^H g), with Q^H g carried
+    through the factorization of [H g].
     """
     if not 0.0 < trunc_rel_tol < 1.0:
         raise ValueError("trunc_rel_tol must lie in (0, 1)")
@@ -29,12 +35,21 @@ def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
     b = vector_array(g)
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"matrix has {a.shape[0]} rows but measurement has {b.shape[0]}")
-    u_svd, sing, vh = np.linalg.svd(a, full_matrices=False)
-    if sing.size == 0 or sing[0] == 0.0:
-        return np.zeros(a.shape[1], dtype=np.complex128)
+    rows, cols = a.shape
+    if min(rows, cols) == 0:
+        return np.zeros(cols, dtype=np.complex128)
+    if rows <= cols:
+        u_r, sing, _ = np.linalg.svd(triangular_factor(a).T)
+    else:
+        factor = triangular_factor(a, b)
+        u_r, sing, vh_r = np.linalg.svd(factor[:cols, :cols])
+    if sing[0] == 0.0:
+        return np.zeros(cols, dtype=np.complex128)
     keep = sing > trunc_rel_tol * sing[0]
-    coeff = (u_svd[:, keep].conj().T @ b) / sing[keep]
-    return vh[keep].conj().T @ coeff
+    u_k, sing = u_r[:, keep], sing[keep]
+    if rows <= cols:
+        return adjoint(a, u_k @ ((u_k.conj().T @ b) / sing**2))
+    return vh_r[keep].conj().T @ ((u_k.conj().T @ factor[:cols, cols]) / sing)
 
 
 def solve_fista(h, g, lam, max_iter=500, tol=1e-10):

@@ -17,6 +17,7 @@ residuals next to their thresholds ``eps_pri`` and ``eps_dual``.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, fileio, metrics, scene
-from .admm import evaluate_objective, solve_consensus_lasso
+from .admm import ConsensusLassoSolver, ConsensusSetup, evaluate_objective
 from .config import experiment_config_to_dict, load_experiment_config
 from .errors import ConfigError, DivergenceError, FileFormatError
 
@@ -74,8 +75,13 @@ def cmd_solve(cfg, method, workers):
 
 
 def cmd_compare(cfg, workers):
-    """Run every configured method (and the lambda/rho sweep) and summarize."""
+    """Run every configured method (and the lambda/rho sweep) and summarize.
+
+    The ADMM points share one rho-independent set-up, built on first use; a
+    set-up that fails is retried, and reported, by every point.
+    """
     h, u_true, g = _load_inputs(cfg)
+    consensus = functools.cache(lambda: ConsensusSetup(h, g, cfg.admm_blocks))
     rows = []
     if cfg.has_sweep:
         admm_runs = [
@@ -86,16 +92,18 @@ def cmd_compare(cfg, workers):
     else:
         admm_runs = [(cfg.admm.lam, cfg.admm.rho, "admm")]
     for lam, rho, tag in admm_runs:
-        rows.append(_guarded_run(cfg, "admm", h, u_true, g, workers, lam=lam, rho=rho, tag=tag))
+        rows.append(_guarded_run(cfg, "admm", h, u_true, g, workers, lam=lam, rho=rho, tag=tag,
+                                 consensus=consensus))
     rows.append(_guarded_run(cfg, "fista", h, u_true, g, workers))
     rows.append(_guarded_run(cfg, "pinv", h, u_true, g, workers))
     _write_summary(Path(cfg.output_dir) / SUMMARY_FILE, rows)
 
 
-def _guarded_run(cfg, method, h, u_true, g, workers, lam=None, rho=None, tag=None):
+def _guarded_run(cfg, method, h, u_true, g, workers, lam=None, rho=None, tag=None, consensus=None):
     # a failing method must not take the other rows down with it
     try:
-        return _run_method(cfg, method, h, u_true, g, workers, lam=lam, rho=rho, tag=tag)
+        return _run_method(cfg, method, h, u_true, g, workers, lam=lam, rho=rho, tag=tag,
+                           consensus=consensus)
     except Exception as exc:  # noqa: BLE001
         row = {name: None for name in SUMMARY_COLUMNS}
         row.update(method=method, status=f"error: {exc}")
@@ -104,7 +112,12 @@ def _guarded_run(cfg, method, h, u_true, g, workers, lam=None, rho=None, tag=Non
         return row
 
 
-def _run_method(cfg, method, h, u_true, g, workers, lam=None, rho=None, tag=None):
+def _run_method(cfg, method, h, u_true, g, workers, lam=None, rho=None, tag=None, consensus=None):
+    """Run one method and write its artifacts; returns its summary row.
+
+    ``consensus``, when given, returns the ConsensusSetup that ADMM runs on.
+    ``workers`` has no effect.
+    """
     out = Path(cfg.output_dir)
     tag = tag or method
     t0 = time.perf_counter()
@@ -119,11 +132,11 @@ def _run_method(cfg, method, h, u_true, g, workers, lam=None, rho=None, tag=None
                 lam=params.lam if lam is None else lam,
                 rho=params.rho if rho is None else rho,
             )
+        setup = consensus() if consensus else ConsensusSetup(h, g, cfg.admm_blocks)
+        engine = ConsensusLassoSolver.from_setup(setup, params)
         # trace rows stream to disk as iterations complete
         with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
-            estimate, trace, state = solve_consensus_lasso(
-                h, g, params, cfg.admm_blocks, workers=workers, on_iteration=writer.write_row
-            )
+            estimate, trace, state = engine.run(writer.write_row)
         row.update({"lambda": params.lam, "rho": params.rho, "N": cfg.admm_blocks})
         objective_lam = params.lam
         stop = {

@@ -15,6 +15,7 @@ significant byte first as the format requires), linearly scaled so the peak
 maps to 65535 with ties rounded half-up; all-zero views stay all-zero.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -37,18 +38,16 @@ def write_matrix(path, data):
     a = np.asarray(data)
     if a.ndim != 2:
         raise ValueError(f"matrix payload must be 2-D, got shape {a.shape}")
-    a = np.ascontiguousarray(a, dtype="<c16")
+    a = np.ascontiguousarray(a, dtype="<c16")  # no copy of a contiguous complex128 array
     with open(path, "wb") as fh:
         fh.write(_MATRIX_HEADER.pack(MATRIX_MAGIC, a.shape[0], a.shape[1]))
-        fh.write(a.tobytes())
+        fh.write(a)  # straight from the array's buffer
 
 
 def read_matrix(path):
     with open(path, "rb") as fh:
-        raw = fh.read()
-    rows, cols = _parse_header(raw, MATRIX_MAGIC, _MATRIX_HEADER)
-    payload = _parse_payload(raw, _MATRIX_HEADER.size, rows * cols)
-    return payload.reshape(rows, cols)
+        rows, cols = _read_header(fh, MATRIX_MAGIC, _MATRIX_HEADER)
+        return _read_payload(fh, _MATRIX_HEADER.size, rows * cols).reshape(rows, cols)
 
 
 def write_vector(path, data):
@@ -59,17 +58,17 @@ def write_vector(path, data):
     a = np.ascontiguousarray(a, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(_VECTOR_HEADER.pack(VECTOR_MAGIC, a.shape[0]))
-        fh.write(a.tobytes())
+        fh.write(a)
 
 
 def read_vector(path):
     with open(path, "rb") as fh:
-        raw = fh.read()
-    (length,) = _parse_header(raw, VECTOR_MAGIC, _VECTOR_HEADER)
-    return _parse_payload(raw, _VECTOR_HEADER.size, length)
+        (length,) = _read_header(fh, VECTOR_MAGIC, _VECTOR_HEADER)
+        return _read_payload(fh, _VECTOR_HEADER.size, length)
 
 
-def _parse_header(raw, magic, header):
+def _read_header(fh, magic, header):
+    raw = fh.read(header.size)
     if len(raw) < len(magic):
         raise FileFormatError(f"truncated header at offset {len(raw)}: need {header.size} bytes")
     if raw[: len(magic)] != magic:
@@ -78,19 +77,27 @@ def _parse_header(raw, magic, header):
         )
     if len(raw) < header.size:
         raise FileFormatError(f"truncated header at offset {len(raw)}: need {header.size} bytes")
-    return header.unpack_from(raw, 0)[1:]
+    return header.unpack(raw)[1:]
 
 
-def _parse_payload(raw, offset, n_values):
+def _read_payload(fh, offset, n_values):
+    """The payload after the header, read straight into a new complex128 array.
+
+    The file size is checked against the header before anything is read.
+    """
     if n_values * _BYTES_PER_VALUE > _MAX_PAYLOAD_BYTES:
         raise FileFormatError(f"dimension overflow at offset 8: {n_values} values")
+    size = os.fstat(fh.fileno()).st_size
     expected = offset + n_values * _BYTES_PER_VALUE
-    if len(raw) < expected:
-        raise FileFormatError(f"truncated payload at offset {len(raw)}: expected {expected} bytes")
-    if len(raw) > expected:
-        raise FileFormatError(f"trailing data at offset {expected}: file has {len(raw)} bytes")
-    data = np.frombuffer(raw, dtype="<c16", count=n_values, offset=offset)
-    return data.astype(np.complex128)  # copy; frombuffer views are read-only
+    if size < expected:
+        raise FileFormatError(f"truncated payload at offset {size}: expected {expected} bytes")
+    if size > expected:
+        raise FileFormatError(f"trailing data at offset {expected}: file has {size} bytes")
+    data = np.empty(n_values, dtype="<c16")
+    got = fh.readinto(data)
+    if got != data.nbytes:  # the file shrank after the size check
+        raise FileFormatError(f"truncated payload at offset {offset + got}: expected {expected} bytes")
+    return data.astype(np.complex128, copy=False)  # a no-op on little-endian hosts
 
 
 def _format_trace_row(r):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cradmm import (
     AdmmParams,
     AdmmState,
     ConsensusLassoSolver,
+    ConsensusSetup,
     DivergenceError,
     check_lasso_kkt,
     evaluate_augmented_lagrangian,
@@ -91,6 +93,13 @@ class TestBlockSolver:
             precompute_block_solver(np.array([[np.nan, 0.0]]), np.array([0.0]), 1.0)
         with pytest.raises(ValueError, match="non-finite"):
             precompute_block_solver(np.array([[1.0, 0.0]]), np.array([np.inf]), 1.0)
+
+    def test_hg_is_formed_on_demand(self, rng):
+        h = rand_complex(rng, 3, 11)
+        g = rand_complex(rng, 3)
+        solver = precompute_block_solver(h, g, 1.0)
+        assert "hg" not in vars(solver)
+        np.testing.assert_allclose(solver.hg, h.conj().T @ g, rtol=1e-13)
 
     def test_rho_must_be_positive(self):
         with pytest.raises(ValueError, match="rho"):
@@ -361,6 +370,32 @@ class TestSolveConsensusLasso:
         engine = ConsensusLassoSolver(h, g, AdmmParams(lam=0.1, rho=1.0, max_iter=5), 3)
         assert len(engine.block_solvers) == 3
         assert all(b.small_inverse.shape == (3, 3) for b in engine.block_solvers)
+
+    def test_shared_setup_is_bit_identical_to_fresh_solvers(self, rng):
+        h = rand_complex(rng, 10, 24)
+        g = rand_complex(rng, 10)
+        setup = ConsensusSetup(h, g, 4)
+        for lam in (0.01, 0.5):
+            for rho in (0.1, 1.0, 10.0):
+                params = AdmmParams(lam=lam, rho=rho, max_iter=60, eps_abs=1e-9, eps_rel=1e-9)
+                shared = ConsensusLassoSolver.from_setup(setup, params)
+                fresh = ConsensusLassoSolver(h, g, params, 4)
+                assert shared.woodbury.tobytes() == fresh.woodbury.tobytes()
+                for a, b, (lo, hi) in zip(shared.block_solvers, fresh.block_solvers, setup.partition.blocks):
+                    ref = precompute_block_solver(h[lo:hi], g[lo:hi], rho)
+                    assert a.small_inverse.tobytes() == b.small_inverse.tobytes() == ref.small_inverse.tobytes()
+                    assert a.gram.tobytes() == ref.gram.tobytes()
+                (v1, t1, s1), (v2, t2, s2) = shared.run(), fresh.run()
+                assert v1.tobytes() == v2.tobytes()
+                assert s1.u_blocks.tobytes() == s2.u_blocks.tobytes()
+                assert s1.s_blocks.tobytes() == s2.s_blocks.tobytes()
+                assert [r[:4] for r in map(astuple, t1)] == [r[:4] for r in map(astuple, t2)]
+
+    def test_setup_rejects_non_finite_input(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            ConsensusSetup(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            ConsensusSetup(np.eye(2), np.array([1.0, np.inf]), 1)
 
     def test_objective_overflow_raises_divergence(self):
         params = AdmmParams(lam=0.0, rho=1.0, max_iter=10, eps_abs=0.0, eps_rel=0.0)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_complex
 from cradmm import (
@@ -51,6 +55,83 @@ class TestPseudoinverse:
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError, match="trunc_rel_tol"):
                 solve_pseudoinverse(h, rand_complex(rng, 2), bad)
+
+
+    def test_tracemalloc_peak_is_a_fraction_of_h(self, rng):
+        # wide, as at the demo scale: only slices of H and its min(M, n) factor are held
+        h = rand_complex(rng, 16, 100_000)
+        g = rand_complex(rng, 16)
+        tracemalloc.start()
+        try:
+            solve_pseudoinverse(h, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < h.nbytes / 4, f"peak {peak} bytes against {h.nbytes} bytes of H"
+
+
+EPS = np.finfo(float).eps
+# singular values this close to the truncation threshold, relatively, straddle it
+STRADDLE = 1e-3
+
+
+def with_singular_values(rng, rows, cols, sing):
+    """rows x cols complex matrix with the given singular values."""
+    left = np.linalg.qr(rand_complex(rng, rows, len(sing)))[0]
+    right = np.linalg.qr(rand_complex(rng, cols, len(sing)))[0]
+    return (left * sing) @ right.conj().T
+
+
+@st.composite
+def pinv_instances(draw):
+    shape = draw(st.sampled_from(["wide", "tall", "square", "one-row"]))
+    small = draw(st.integers(1, 7))
+    large = small + draw(st.integers(1, 8))
+    rows, cols = {"wide": (small, large), "tall": (large, small), "square": (small, small),
+                  "one-row": (1, large)}[shape]
+    kind = draw(st.sampled_from(["random", "rank-deficient", "zero", "straddle"]))
+    tol = draw(st.sampled_from([1e-10, 1e-6, 1e-3, 0.1]))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(rows, cols)
+    if kind == "random":
+        h = rand_complex(rng, rows, cols)
+    elif kind == "rank-deficient":
+        rank = int(rng.integers(0, k)) if k > 1 else 0
+        h = rand_complex(rng, rows, rank) @ rand_complex(rng, rank, cols)
+    elif kind == "zero":
+        h = np.zeros((rows, cols), dtype=complex)
+    else:
+        # sigma_max = 1, the smallest just below the threshold, the next just above it
+        sing = np.sort(np.exp(rng.uniform(np.log(10 * tol), 0.0, k)))[::-1]
+        sing[0] = 1.0
+        if k > 1:
+            sing[-1] = tol * (1 - STRADDLE)
+        if k > 2:
+            sing[-2] = tol * (1 + STRADDLE)
+        h = with_singular_values(rng, rows, cols, sing)
+    return scale * h, scale * rand_complex(rng, rows), tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pinv_instances())
+def test_pseudoinverse_matches_dense_pinv(instance):
+    h, g, tol = instance
+    got = solve_pseudoinverse(h, g, tol)
+    expected = np.linalg.pinv(h, rcond=tol) @ g
+    sing = np.linalg.svd(h, compute_uv=False)
+    if sing[0] == 0.0:
+        assert np.all(got == 0)
+        return
+    # Both sides carry rounding of order eps * cond, cond being that of H on the
+    # kept singular subspace; that subspace is itself determined only up to
+    # eps / relgap, relgap being its relative distance from the dropped values.
+    keep = sing > tol * sing[0]
+    cond = sing[0] / sing[keep][-1]
+    relgap = 1.0 - sing[~keep][0] / sing[keep][-1] if not keep.all() else 1.0
+    bound = 50 * EPS * cond * (1.0 + 1.0 / relgap)
+    assert np.linalg.norm(got - expected) <= bound * np.linalg.norm(expected)
 
 
 class TestFista:

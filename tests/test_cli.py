@@ -295,6 +295,67 @@ class TestCompare:
         lines = (out / "summary.csv").read_text().splitlines()
         assert len(lines) == 12  # header + 9 admm + fista + pinv
 
+    def test_sweep_matches_fresh_solver_per_point(self, tmp_path):
+        # the sweep shares one ADMM set-up; each point must come out as from its own solver
+        sweep = {"lambda": [0.001, 0.1], "rho": [0.1, 1.0, 10.0]}
+        admm = {"max_iter": 60, "eps_abs": 1e-8, "eps_rel": 1e-8}
+        path, out = write_config(tmp_path, overrides={"sweep": sweep, "admm": admm})
+        assert main(["generate", "--config", str(path)]) == 0
+        assert main(["compare", "--config", str(path)]) == 0
+        swept = read_summary_without_timing(out / "summary.csv")
+        for lam in sweep["lambda"]:
+            for rho in sweep["rho"]:
+                point = tmp_path / f"lam{lam:g}_rho{rho:g}"
+                point.mkdir()
+                single, single_out = write_config(
+                    point, overrides={"admm": dict(admm, **{"lambda": lam, "rho": rho})}
+                )
+                single_out.mkdir()
+                for name in ("H.cmat", "u_true.cvec", "g.cvec"):
+                    (single_out / name).write_bytes((out / name).read_bytes())
+                assert main(["compare", "--config", str(single)]) == 0
+                tag = f"admm_lam{lam:g}_rho{rho:g}"
+                assert (out / f"estimate_{tag}.cvec").read_bytes() == (
+                    single_out / "estimate_admm.cvec").read_bytes()
+                assert read_trace_without_timing(out / f"trace_{tag}.csv") == read_trace_without_timing(
+                    single_out / "trace_admm.csv")
+                row = read_summary_without_timing(single_out / "summary.csv")[1]
+                assert row in swept, (row, swept)
+
+    def test_sweep_builds_one_admm_setup(self, tmp_path, monkeypatch):
+        import cradmm.cli as cli_mod
+
+        built = []
+
+        class CountingSetup(cli_mod.ConsensusSetup):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(cli_mod, "ConsensusSetup", CountingSetup)
+        path, out = write_config(
+            tmp_path,
+            overrides={"sweep": {"lambda": [0.01, 0.1], "rho": [0.1, 1.0, 10.0]}, "admm": {"max_iter": 5}},
+        )
+        assert main(["generate", "--config", str(path)]) == 0
+        assert main(["compare", "--config", str(path)]) == 0
+        assert len(built) == 1
+        assert len(list(out.glob("estimate_admm_lam*_rho*.cvec"))) == 6
+
+    def test_failing_setup_marks_every_sweep_row(self, tmp_path):
+        path, out = write_config(
+            tmp_path, overrides={"sweep": {"lambda": [0.01], "rho": [0.1, 1.0]}}
+        )
+        assert main(["generate", "--config", str(path)]) == 0
+        g = read_vector(out / "g.cvec")
+        g[0] = np.nan
+        write_vector(out / "g.cvec", g)
+        assert main(["compare", "--config", str(path)]) == 0
+        lines = (out / "summary.csv").read_text().splitlines()[1:]
+        admm_rows = [line for line in lines if line.startswith("admm,")]
+        assert len(admm_rows) == 2
+        assert all("error: block contains non-finite entries" in line for line in admm_rows)
+
     def test_method_failure_marks_row_and_keeps_others(self, tmp_path, monkeypatch):
         path, out = write_config(tmp_path)
         assert main(["generate", "--config", str(path)]) == 0

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,36 @@ class TestMatrixVectorFormats:
         path.write_bytes(path.read_bytes() + b"!")
         with pytest.raises(FileFormatError, match="trailing data"):
             read_vector(path)
+
+
+    def test_vector_file_size_checked_before_reading(self, tmp_path):
+        path = tmp_path / "short.cvec"
+        path.write_bytes(struct.pack("<8sQ", b"CLNSVEC1", 3) + b"\x00" * 40)
+        with pytest.raises(FileFormatError, match="truncated payload at offset 56: expected 64 bytes"):
+            read_vector(path)
+
+    def test_read_matrix_traced_peak_is_one_payload(self, rng, tmp_path):
+        a = rand_complex(rng, 64, 4096)
+        path = tmp_path / "big.cmat"
+        write_matrix(path, a)
+        tracemalloc.start()
+        try:
+            b = read_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert b.tobytes() == a.tobytes()
+        assert peak < 1.1 * a.nbytes, f"peak {peak} bytes for a {a.nbytes}-byte payload"
+
+    def test_write_matrix_makes_no_payload_copy(self, rng, tmp_path):
+        a = rand_complex(rng, 64, 4096)
+        tracemalloc.start()
+        try:
+            write_matrix(tmp_path / "big.cmat", a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * a.nbytes, f"peak {peak} bytes for a {a.nbytes}-byte payload"
 
 
 class TestTraceCsv:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import rand_complex
 from cradmm import AdmmParams, ConsensusLassoSolver
-from cradmm.linop import GRAM_CHUNK_ENTRIES, SensingOperator, block_diagonal, gram
+from cradmm.linop import GRAM_CHUNK_ENTRIES, SensingOperator, block_diagonal, gram, triangular_factor
 
 
 def rank_deficient(rng, rows, cols, rank):
@@ -43,6 +43,49 @@ class TestNormSquared:
         h = rand_complex(rng, *shape)
         expected = h @ h.conj().T if shape[0] <= shape[1] else h.conj().T @ h
         np.testing.assert_allclose(gram(h), expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+
+
+class TestTriangularFactor:
+    @pytest.mark.parametrize(
+        "shape",
+        [(12, 40), (40, 12), (17, 17), (1, 25), (25, 1),
+         (3, GRAM_CHUNK_ENTRIES // 3 + 5), (GRAM_CHUNK_ENTRIES // 2 + 7, 2), (400, 900)],
+        ids=["wide", "tall", "square", "one-row", "one-column", "wide-sliced", "tall-sliced",
+             "slices-shorter-than-r"],
+    )
+    def test_square_triangular_with_the_gram_of_h(self, rng, shape):
+        h = rand_complex(rng, *shape)
+        r = triangular_factor(h)
+        k = min(shape)
+        assert r.shape == (k, k)
+        assert np.all(np.tril(r, -1) == 0)
+        # H^T = Q R for a wide H, H = Q R for a tall one
+        expected = h @ h.conj().T if shape[0] <= shape[1] else h.conj().T @ h
+        got = (r.T @ r.conj()) if shape[0] <= shape[1] else r.conj().T @ r
+        np.testing.assert_allclose(got, expected, atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_allclose(np.linalg.svd(r, compute_uv=False), np.linalg.svd(h, compute_uv=False),
+                                   rtol=1e-12)
+
+    def test_rank_deficient_singular_values(self, rng):
+        h = rank_deficient(rng, 9, 30, 2)
+        sing = np.linalg.svd(triangular_factor(h), compute_uv=False)
+        assert np.all(sing[2:] <= 1e-12 * sing[0])
+        np.testing.assert_allclose(sing[:2], np.linalg.svd(h, compute_uv=False)[:2], rtol=1e-12)
+
+    @pytest.mark.parametrize("rows", [40, GRAM_CHUNK_ENTRIES // 3 + 7])
+    def test_rhs_column_carries_q_adjoint(self, rng, rows):
+        # the factor of [H g] is [[R, Q^H g], [0, rho]] with ||g||^2 = ||Q^H g||^2 + rho^2
+        h = rand_complex(rng, rows, 3)
+        g = rand_complex(rng, rows)
+        aug = triangular_factor(h, g)
+        assert aug.shape == (4, 4)
+        r, z = aug[:3, :3], aug[:3, 3]
+        np.testing.assert_allclose(r.conj().T @ z, h.conj().T @ g, rtol=1e-10)
+        assert np.vdot(aug[:, 3], aug[:, 3]).real == pytest.approx(np.vdot(g, g).real, rel=1e-12)
+
+    def test_rhs_needs_a_tall_matrix(self, rng):
+        with pytest.raises(ValueError, match="tall"):
+            triangular_factor(rand_complex(rng, 3, 5), rand_complex(rng, 3))
 
 
 class TestProducts:
