@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import ConvergenceTrace, IterationRecord, lasso_objective, soft_threshold
+from .errors import DivergenceError
 from .linop import SensingOperator, adjoint, triangular_factor
 from .scene import matrix_array, vector_array
 
@@ -52,16 +53,18 @@ def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
     return vh_r[keep].conj().T @ ((u_k.conj().T @ factor[:cols, cols]) / sing)
 
 
-def solve_fista(h, g, lam, max_iter=500, tol=1e-10):
+def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     """Accelerated proximal gradient for the complex lasso; returns (u, trace).
 
     The step is 1 / L with L = ||H||_2^2, computed exactly from the smaller
     Gram of H. The trace records the objective and the step norm per
     iteration; iteration stops once the relative objective change drops
     below tol (``trace.stop_reason`` "converged"), or at max_iter
-    ("max_iter"). H x is carried along with x, and H y is formed from it by
-    the same extrapolation as y, so an iteration costs one product with H and
-    one with H^H.
+    ("max_iter"). A non-finite objective raises DivergenceError.
+    ``on_iteration``, when given, receives each IterationRecord as it
+    completes, as in ``ConsensusLassoSolver.run``. H x is carried along with
+    x, and H y is formed from it by the same extrapolation as y, so an
+    iteration costs one product with H and one with H^H.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -85,15 +88,35 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10):
         beta = (t - 1.0) / t_new
         y = x_new + beta * (x_new - x)
         h_y = h_x_new + beta * (h_x_new - h_x)
-        step = float(np.linalg.norm(x_new - x))
+        # an overflow here ends as a rescaled step or a DivergenceError, not as a warning
+        with np.errstate(over="ignore"):
+            step = _norm(x_new - x)
+            obj = lasso_objective(h_x_new - b, x_new, lam)
         x, h_x, t = x_new, h_x_new, t_new
-        obj = lasso_objective(h_x - b, x, lam)
-        trace.append(IterationRecord(k, obj, step, 0.0, time.perf_counter() - start))
+        if not math.isfinite(obj):
+            raise DivergenceError(f"non-finite objective at iteration {k}")
+        record = IterationRecord(k, obj, step, 0.0, time.perf_counter() - start)
+        trace.append(record)
+        if on_iteration is not None:
+            on_iteration(record)
         if prev_obj is not None and abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-300):
             trace.stop_reason = "converged"
             break
         prev_obj = obj
     return x, trace
+
+
+def _norm(a):
+    """||a||_2, rescaled by max|a_p| when the plain sum of squares overflows.
+
+    Call it with overflow warnings off.
+    """
+    norm = float(np.linalg.norm(a))
+    if math.isfinite(norm):
+        return norm
+    magnitudes = np.abs(a)
+    scale = float(magnitudes.max())
+    return scale * float(np.linalg.norm(magnitudes / scale))
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,18 @@ Subcommands:
     solve    --config cfg.json --method admm|fista|pinv [--workers N] [--output DIR]
     compare  --config cfg.json [--workers N] [--output DIR]
 
-Exit status: 0 on success, 2 on configuration or input-file problems, 3 on
+Exit status: 0 on success, 2 on configuration or input-file problems (an
+input file that is missing, malformed or holds a non-finite value), 3 on
 solver failure. ``--output`` overrides the config's output_dir. ``--workers``
 is accepted for compatibility and has no effect: the collapsed ADMM iteration
 is two products with H and has no per-block work to spread over threads.
 
-``metrics_<tag>.json`` records why an iterative solve stopped: ``stop_reason``
-is "converged" or "max_iter", and ADMM adds its final primal and dual
-residuals next to their thresholds ``eps_pri`` and ``eps_dual``.
+ADMM and FISTA stream ``trace_<tag>.csv`` as they iterate. Every run writes
+one record as ``metrics_<tag>.json``: the method's own parameters (``lambda``;
+ADMM adds ``rho`` and ``N``), the quality metrics and, for an iterative solve,
+``stop_reason`` ("converged" or "max_iter"); ADMM adds its final primal and
+dual residuals next to their thresholds ``eps_pri`` and ``eps_dual``. A run's
+``summary.csv`` row is its record cut to the summary columns.
 """
 
 import argparse
@@ -63,142 +67,94 @@ def cmd_generate(cfg):
         "noise_power": measured.noise_power,
         "realized_snr_db": None if math.isinf(measured.realized_snr_db) else measured.realized_snr_db,
     }
-    with open(out / MANIFEST_FILE, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def cmd_solve(cfg, method, workers):
+def cmd_solve(cfg, method):
     """Run one method against the generated files and write its artifacts."""
-    h, u_true, g = _load_inputs(cfg)
-    _run_method(cfg, method, h, u_true, g, workers)
+    _run(cfg, _load_inputs(cfg), method, method, cfg.admm)
 
 
-def cmd_compare(cfg, workers):
+def cmd_compare(cfg):
     """Run every configured method (and the lambda/rho sweep) and summarize.
 
     The ADMM points share one rho-independent set-up, built on first use; a
-    set-up that fails is retried, and reported, by every point.
+    set-up that fails is retried, and reported, by every point. A run that
+    raises becomes an error row, and the remaining runs still go.
     """
-    h, u_true, g = _load_inputs(cfg)
-    consensus = functools.cache(lambda: ConsensusSetup(h, g, cfg.admm_blocks))
-    rows = []
     if cfg.has_sweep:
-        admm_runs = [
-            (lam, rho, f"admm_lam{lam:g}_rho{rho:g}")
-            for lam in cfg.sweep_lambdas
-            for rho in cfg.sweep_rhos
-        ]
+        runs = [("admm", f"admm_lam{lam:g}_rho{rho:g}", dataclasses.replace(cfg.admm, lam=lam, rho=rho))
+                for lam in cfg.sweep_lambdas for rho in cfg.sweep_rhos]
     else:
-        admm_runs = [(cfg.admm.lam, cfg.admm.rho, "admm")]
-    for lam, rho, tag in admm_runs:
-        rows.append(_guarded_run(cfg, "admm", h, u_true, g, workers, lam=lam, rho=rho, tag=tag,
-                                 consensus=consensus))
-    rows.append(_guarded_run(cfg, "fista", h, u_true, g, workers))
-    rows.append(_guarded_run(cfg, "pinv", h, u_true, g, workers))
+        runs = [("admm", "admm", cfg.admm)]
+    inputs = _load_inputs(cfg)
+    rows = []
+    for method, tag, params in runs + [("fista", "fista", None), ("pinv", "pinv", None)]:
+        try:
+            rows.append({**_run(cfg, inputs, method, tag, params), "status": "ok"})
+        except Exception as exc:  # noqa: BLE001
+            rows.append({**_own_keys(cfg, method, params), "status": f"error: {exc}"})
     _write_summary(Path(cfg.output_dir) / SUMMARY_FILE, rows)
 
 
-def _guarded_run(cfg, method, h, u_true, g, workers, lam=None, rho=None, tag=None, consensus=None):
-    # a failing method must not take the other rows down with it
-    try:
-        return _run_method(cfg, method, h, u_true, g, workers, lam=lam, rho=rho, tag=tag,
-                           consensus=consensus)
-    except Exception as exc:  # noqa: BLE001
-        row = {name: None for name in SUMMARY_COLUMNS}
-        row.update(method=method, status=f"error: {exc}")
-        if method == "admm":
-            row.update({"lambda": lam, "rho": rho, "N": cfg.admm_blocks})
-        return row
-
-
-def _run_method(cfg, method, h, u_true, g, workers, lam=None, rho=None, tag=None, consensus=None):
-    """Run one method and write its artifacts; returns its summary row.
-
-    ``consensus``, when given, returns the ConsensusSetup that ADMM runs on.
-    ``workers`` has no effect.
-    """
-    out = Path(cfg.output_dir)
-    tag = tag or method
-    t0 = time.perf_counter()
-    trace = None
-    stop = {}
-    row = {name: None for name in SUMMARY_COLUMNS}
+def _own_keys(cfg, method, params):
+    """The record keys a method run has before it runs: its name and parameters."""
     if method == "admm":
-        params = cfg.admm
-        if lam is not None or rho is not None:
-            params = dataclasses.replace(
-                params,
-                lam=params.lam if lam is None else lam,
-                rho=params.rho if rho is None else rho,
-            )
-        setup = consensus() if consensus else ConsensusSetup(h, g, cfg.admm_blocks)
-        engine = ConsensusLassoSolver.from_setup(setup, params)
-        # trace rows stream to disk as iterations complete
+        return {"method": method, "lambda": params.lam, "rho": params.rho, "N": cfg.admm_blocks}
+    if method == "fista":
+        return {"method": method, "lambda": cfg.fista_lam}
+    return {"method": method}
+
+
+def _run(cfg, inputs, method, tag, params):
+    """Run one method, write its artifacts, and return its record.
+
+    The record is what ``metrics_<tag>.json`` holds; ADMM runs with
+    ``params``. Iterative methods stream ``trace_<tag>.csv`` as they go.
+    """
+    h, u_true, g, setup = inputs
+    out = Path(cfg.output_dir)
+    record = _own_keys(cfg, method, params)
+    t0 = time.perf_counter()
+    if method == "admm":
+        engine = ConsensusLassoSolver.from_setup(setup(), params)
         with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
             estimate, trace, state = engine.run(writer.write_row)
-        row.update({"lambda": params.lam, "rho": params.rho, "N": cfg.admm_blocks})
-        objective_lam = params.lam
-        stop = {
-            "stop_reason": trace.stop_reason,
-            "primal_residual": trace[-1].primal_residual,
-            "eps_pri": state.eps_pri,
-            "dual_residual": trace[-1].dual_residual,
-            "eps_dual": state.eps_dual,
-        }
+        record.update(stop_reason=trace.stop_reason, primal_residual=trace[-1].primal_residual,
+                      eps_pri=state.eps_pri, dual_residual=trace[-1].dual_residual, eps_dual=state.eps_dual)
     elif method == "fista":
-        estimate, trace = baselines.solve_fista(
-            h, g, cfg.fista_lam, max_iter=cfg.fista_max_iter, tol=cfg.fista_tol
-        )
-        row["lambda"] = cfg.fista_lam
-        objective_lam = cfg.fista_lam
-        stop = {"stop_reason": trace.stop_reason}
-    elif method == "pinv":
-        estimate = baselines.solve_pseudoinverse(h, g, cfg.pinv_trunc_rel_tol)
-        objective_lam = 0.0  # data-fit term only; no 1-norm weight applies
+        with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
+            estimate, trace = baselines.solve_fista(h, g, cfg.fista_lam, max_iter=cfg.fista_max_iter,
+                                                    tol=cfg.fista_tol, on_iteration=writer.write_row)
+        record["stop_reason"] = trace.stop_reason
     else:
-        raise ValueError(f"unknown method {method!r}")
+        estimate, trace = baselines.solve_pseudoinverse(h, g, cfg.pinv_trunc_rel_tol), ()
     wall = time.perf_counter() - t0
 
-    final_objective = evaluate_objective(h, g, estimate, objective_lam)
-    reference_nonzero = bool(np.any(u_true))
-    est_nmse = metrics.nmse(estimate, u_true) if reference_nonzero else None
     precision, recall = metrics.support_metrics(estimate, u_true, cfg.support_rel_threshold)
-
-    fileio.write_vector(out / f"estimate_{tag}.cvec", estimate)
-    if method == "fista":
-        fileio.write_trace_csv(trace, out / f"trace_{tag}.csv")
-    views = metrics.project_views(estimate, cfg.scenario.grid)
-    for name in ("top", "front", "side"):
-        fileio.write_view_pgm(getattr(views, name), out / f"{tag}_{name}.pgm")
-    summary = {
-        "method": method,
-        "nmse": est_nmse,
-        "precision": precision,
-        "recall": recall,
-        "wall_seconds": wall,
-        "iterations": len(trace) if trace is not None else 0,
-        "final_objective": final_objective,
-        **stop,
-    }
-    with open(out / f"metrics_{tag}.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    row.update(
-        method=method,
-        iterations=summary["iterations"],
-        final_objective=final_objective,
-        nmse=est_nmse,
+    record.update(
+        iterations=len(trace),
+        # the pseudoinverse has no lambda: its objective is the data-fit term alone
+        final_objective=evaluate_objective(h, g, estimate, record.get("lambda", 0.0)),
+        nmse=metrics.nmse(estimate, u_true) if np.any(u_true) else None,
         precision=precision,
         recall=recall,
         wall_seconds=wall,
-        status="ok",
     )
-    return row
+    fileio.write_vector(out / f"estimate_{tag}.cvec", estimate)
+    views = metrics.project_views(estimate, cfg.scenario.grid)
+    for name in ("top", "front", "side"):
+        fileio.write_view_pgm(getattr(views, name), out / f"{tag}_{name}.pgm")
+    metrics_text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    (out / f"metrics_{tag}.json").write_text(metrics_text, encoding="utf-8")
+    return record
 
 
 def _load_inputs(cfg):
+    """H, u_true, g and a cached ADMM set-up on them, built on first use.
+
+    The files must match the config and hold only finite values.
+    """
     out = Path(cfg.output_dir)
     for name in (MATRIX_FILE, SCENE_FILE, MEASUREMENT_FILE):
         if not (out / name).exists():
@@ -211,7 +167,10 @@ def _load_inputs(cfg):
         raise ConfigError([f"scenario: stored matrix is {h.shape}, config expects {expected}"])
     if u_true.shape[0] != h.shape[1] or g.shape[0] != h.shape[0]:
         raise ConfigError(["scenario: stored vectors do not match the stored matrix"])
-    return h, u_true, g
+    for name, values in ((MATRIX_FILE, h), (SCENE_FILE, u_true), (MEASUREMENT_FILE, g)):
+        if not np.all(np.isfinite(values)):
+            raise FileFormatError(f"{out / name} holds a non-finite value")
+    return h, u_true, g, functools.cache(lambda: ConsensusSetup(h, g, cfg.admm_blocks))
 
 
 def _write_summary(path, rows):
@@ -255,9 +214,9 @@ def main(argv=None):
         if args.command == "generate":
             cmd_generate(cfg)
         elif args.command == "solve":
-            cmd_solve(cfg, args.method, args.workers)
+            cmd_solve(cfg, args.method)
         else:
-            cmd_compare(cfg, args.workers)
+            cmd_compare(cfg)
     except ConfigError as exc:
         for line in exc.violations:
             print(f"config error: {line}", file=sys.stderr)

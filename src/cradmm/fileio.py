@@ -100,33 +100,25 @@ def _read_payload(fh, offset, n_values):
     return data.astype(np.complex128, copy=False)  # a no-op on little-endian hosts
 
 
-def _format_trace_row(r):
-    return (
-        f"{r.k},{r.objective:.17g},{r.primal_residual:.17g},"
-        f"{r.dual_residual:.17g},{r.elapsed_seconds:.17g}\n"
-    )
-
-
 def write_trace_csv(trace, path):
     """One CSV row per iteration, floats printed with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for r in trace:
-            fh.write(_format_trace_row(r))
+    with TraceCsvWriter(path) as writer:
+        for record in trace:
+            writer.write_row(record)
 
 
 class TraceCsvWriter:
-    """Streams trace rows to disk as iterations complete; single owner per file.
-
-    Produces byte-identical output to write_trace_csv over the same records.
-    """
+    """Streams trace rows to disk as iterations complete; single owner per file."""
 
     def __init__(self, path):
         self._fh = open(path, "w", newline="")
         self._fh.write(TRACE_HEADER + "\n")
 
-    def write_row(self, record):
-        self._fh.write(_format_trace_row(record))
+    def write_row(self, r):
+        self._fh.write(
+            f"{r.k},{r.objective:.17g},{r.primal_residual:.17g},"
+            f"{r.dual_residual:.17g},{r.elapsed_seconds:.17g}\n"
+        )
 
     def close(self):
         self._fh.close()

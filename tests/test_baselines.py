@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import rand_complex
 from cradmm import (
     AdmmParams,
+    DivergenceError,
     check_lasso_kkt,
     evaluate_objective,
     soft_threshold,
@@ -181,6 +182,29 @@ class TestFista:
         assert len(trace) == 50
         _, trace_tol = solve_fista(h, g, 0.1, max_iter=5000, tol=1e-6)
         assert len(trace_tol) < 5000
+
+    def test_on_iteration_receives_the_trace_in_order(self, rng):
+        h = rand_complex(rng, 5, 9)
+        g = rand_complex(rng, 5)
+        for max_iter, tol in ((40, 0.0), (5000, 1e-6)):
+            seen = []
+            _, trace = solve_fista(h, g, 0.2, max_iter=max_iter, tol=tol, on_iteration=seen.append)
+            assert len(seen) == len(trace)
+            assert all(got is record for got, record in zip(seen, trace))
+            assert [r.k for r in seen] == list(range(len(trace)))
+
+    def test_step_norm_past_the_float_range_is_finite(self):
+        # ||x_1 - x_0||^2 = 1e616 overflows; the estimate and its step do not
+        u, trace = solve_fista([[1.0]], [1e308], 0.0)
+        assert trace.stop_reason == "converged"
+        assert np.all(np.isfinite(u))
+        assert trace[0].primal_residual == abs(u[0])
+        assert np.all(np.isfinite(trace.column("primal_residual")))
+
+    def test_non_finite_objective_raises(self):
+        # lam * |x| = 2e308 overflows on the first iterate
+        with pytest.raises(DivergenceError, match="iteration 0"):
+            solve_fista([[1.0]], [1e308], 2.0)
 
 
 class TestKkt:

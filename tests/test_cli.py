@@ -243,6 +243,43 @@ class TestSolve:
         assert fista["stop_reason"] == "max_iter" and fista["iterations"] == 7
         assert "stop_reason" not in json.loads((out / "metrics_pinv.json").read_text())
 
+    @pytest.mark.parametrize("name, command", [
+        ("g.cvec", ["solve", "--method", "admm"]),
+        ("g.cvec", ["solve", "--method", "fista"]),
+        ("g.cvec", ["solve", "--method", "pinv"]),
+        ("g.cvec", ["compare"]),
+        ("H.cmat", ["solve", "--method", "pinv"]),
+        ("u_true.cvec", ["compare"]),
+    ])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, name, command):
+        path, out = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        read, write = (read_matrix, write_matrix) if name == "H.cmat" else (read_vector, write_vector)
+        values = read(out / name)
+        values.flat[1] = complex(0.0, np.inf) if name == "H.cmat" else np.nan
+        write(out / name, values)
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        assert f"{name} holds a non-finite value" in capsys.readouterr().err
+        assert not list(out.glob("estimate_*.cvec"))
+        assert not (out / "summary.csv").exists()
+
+    def test_fista_divergence_exits_3(self, tmp_path):
+        path, out = write_config(
+            tmp_path,
+            overrides={
+                "scenario": {"n_theta": 1, "n_freq": 1, "grid": [1, 1, 1], "roi_extent": [1.0, 1.0, 1.0]},
+                "targets": [],
+                "admm": {"n_blocks": 1},
+                "fista": {"lambda": 2.0},
+            },
+        )
+        out.mkdir(parents=True)
+        write_matrix(out / "H.cmat", np.array([[1.0 + 0.0j]]))
+        write_vector(out / "u_true.cvec", np.array([1.0 + 0.0j]))
+        write_vector(out / "g.cvec", np.array([1e308 + 0.0j]))
+        assert main(["solve", "--config", str(path), "--method", "fista"]) == 3
+        assert not (out / "estimate_fista.cvec").exists()
+
     def test_divergence_exits_3(self, tmp_path):
         path, out = write_config(
             tmp_path,
@@ -342,19 +379,55 @@ class TestCompare:
         assert len(built) == 1
         assert len(list(out.glob("estimate_admm_lam*_rho*.cvec"))) == 6
 
-    def test_failing_setup_marks_every_sweep_row(self, tmp_path):
+    def test_failing_setup_marks_every_sweep_row(self, tmp_path, monkeypatch):
+        import cradmm.cli as cli_mod
+
+        attempts = []
+
+        def failing_setup(*args):
+            attempts.append(args)
+            raise ValueError("synthetic set-up failure")
+
+        monkeypatch.setattr(cli_mod, "ConsensusSetup", failing_setup)
         path, out = write_config(
             tmp_path, overrides={"sweep": {"lambda": [0.01], "rho": [0.1, 1.0]}}
         )
         assert main(["generate", "--config", str(path)]) == 0
-        g = read_vector(out / "g.cvec")
-        g[0] = np.nan
-        write_vector(out / "g.cvec", g)
         assert main(["compare", "--config", str(path)]) == 0
         lines = (out / "summary.csv").read_text().splitlines()[1:]
         admm_rows = [line for line in lines if line.startswith("admm,")]
         assert len(admm_rows) == 2
-        assert all("error: block contains non-finite entries" in line for line in admm_rows)
+        assert all("error: synthetic set-up failure" in line for line in admm_rows)
+        assert len(attempts) == 2  # retried by each point, not cached as a failure
+        assert not list(out.glob("trace_admm*.csv"))
+        assert [line.split(",")[0] for line in lines] == ["admm", "admm", "fista", "pinv"]
+        assert lines[2].endswith(",ok") and lines[3].endswith(",ok")
+
+    def test_sweep_metrics_carry_the_row_parameters(self, tmp_path):
+        path, out = write_config(
+            tmp_path,
+            overrides={"sweep": {"lambda": [0.01, 0.1], "rho": [0.5, 2.0]}, "admm": {"max_iter": 20}},
+        )
+        assert main(["generate", "--config", str(path)]) == 0
+        assert main(["compare", "--config", str(path)]) == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 6
+        for row in rows:
+            tag = row["method"]
+            if tag == "admm":
+                tag = f"admm_lam{float(row['lambda']):g}_rho{float(row['rho']):g}"
+            record = json.loads((out / f"metrics_{tag}.json").read_text())
+            assert record["method"] == row["method"]
+            for name in ("lambda", "rho", "N"):
+                if row[name]:
+                    assert float(record[name]) == float(row[name]), (tag, name)
+                else:
+                    assert name not in record, (tag, name)
+        admm = json.loads((out / "metrics_admm_lam0.1_rho2.json").read_text())
+        assert (admm["lambda"], admm["rho"], admm["N"]) == (0.1, 2.0, 3)
+        assert json.loads((out / "metrics_fista.json").read_text())["lambda"] == 0.05
 
     def test_method_failure_marks_row_and_keeps_others(self, tmp_path, monkeypatch):
         path, out = write_config(tmp_path)
