@@ -15,8 +15,11 @@ ADMM and FISTA stream ``trace_<tag>.csv`` as they iterate. Every run writes
 one record as ``metrics_<tag>.json``: the method's own parameters (``lambda``;
 ADMM adds ``rho`` and ``N``), the quality metrics and, for an iterative solve,
 ``stop_reason`` ("converged" or "max_iter"); ADMM adds its final primal and
-dual residuals next to their thresholds ``eps_pri`` and ``eps_dual``. A run's
-``summary.csv`` row is its record cut to the summary columns.
+dual residuals next to their thresholds ``eps_pri`` and ``eps_dual``. Every
+record carries the lasso KKT violation of its estimate at the method's lambda
+(0 for pinv), ``kkt_violation``, and that over lambda, ``kkt_violation_rel``
+(null when lambda is 0). A run's ``summary.csv`` row is its record cut to the
+summary columns.
 """
 
 import argparse
@@ -122,6 +125,7 @@ def _run(cfg, inputs, method, tag, params):
             estimate, trace, state = engine.run(writer.write_row)
         record.update(stop_reason=trace.stop_reason, primal_residual=trace[-1].primal_residual,
                       eps_pri=state.eps_pri, dual_residual=trace[-1].dual_residual, eps_dual=state.eps_dual)
+        del state  # its per-block arrays set the run's memory peak; free them before the KKT check
     elif method == "fista":
         with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
             estimate, trace = baselines.solve_fista(h, g, cfg.fista_lam, max_iter=cfg.fista_max_iter,
@@ -131,15 +135,20 @@ def _run(cfg, inputs, method, tag, params):
         estimate, trace = baselines.solve_pseudoinverse(h, g, cfg.pinv_trunc_rel_tol), ()
     wall = time.perf_counter() - t0
 
+    # the pseudoinverse has no lambda: its objective is the data-fit term alone
+    lam = record.get("lambda", 0.0)
+    kkt = baselines.check_lasso_kkt(h, g, lam, estimate, 0.0)
+    kkt_violation = max(kkt.max_active_violation, kkt.max_inactive_excess)
     precision, recall = metrics.support_metrics(estimate, u_true, cfg.support_rel_threshold)
     record.update(
         iterations=len(trace),
-        # the pseudoinverse has no lambda: its objective is the data-fit term alone
-        final_objective=evaluate_objective(h, g, estimate, record.get("lambda", 0.0)),
+        final_objective=evaluate_objective(h, g, estimate, lam),
         nmse=metrics.nmse(estimate, u_true) if np.any(u_true) else None,
         precision=precision,
         recall=recall,
         wall_seconds=wall,
+        kkt_violation=kkt_violation,
+        kkt_violation_rel=kkt_violation / lam if lam > 0 else None,
     )
     fileio.write_vector(out / f"estimate_{tag}.cvec", estimate)
     views = metrics.project_views(estimate, cfg.scenario.grid)

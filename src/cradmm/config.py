@@ -1,39 +1,28 @@
 """JSON experiment configuration: parsing, validation, and echoing.
 
-The schema (all keys except ``scenario`` optional, defaults in parentheses):
-
-    {
-      "scenario": { "n_theta": 31, "n_freq": 3, "grid": [50, 50, 10],
-                    "voxel_size_l": 1.5, "roi_offset_z0": 195.0,
-                    "roi_extent": [36.0, 36.0, 7.5],
-                    "center_freq_hz": 6.0e10, "bandwidth_hz": 6.0e9,
-                    "rng_seed": 0, "snr_db": null },
-      "targets": [ {"box": [[x0,x1],[y0,y1],[z0,z1]], "amplitude": [re, im]} ],
-      "admm":   { "lambda": 0.01, "rho": 1.0, "n_blocks": 31,
-                  "max_iter": 500, "eps_abs": 1e-6, "eps_rel": 1e-4 },
-      "fista":  { "lambda": <admm lambda>, "max_iter": 500, "tol": 1e-10 },
-      "pinv":   { "trunc_rel_tol": 1e-10 },
-      "sweep":  { "lambda": [...], "rho": [...] },
-      "output_dir": "out",
-      "noise_seed": 0,
-      "support_rel_threshold": 0.2
-    }
-
-``snr_db`` accepts a number, the string "inf", or null (both meaning
-noiseless). Validation is strict: unknown keys and every out-of-range field
-are reported together in one ConfigError.
+Only ``scenario`` is required. Its keys are the fields of ScenarioConfig,
+with that class's defaults; ``snr_db`` accepts a number, the string "inf", or
+null (both meaning noiseless). ``targets`` is a list of
+{"box": [[x0,x1],[y0,y1],[z0,z1]], "amplitude": [re, im] or a number}, and
+the optional ``sweep`` holds the "lambda" and "rho" lists of a compare sweep.
+Every other key is a scalar field listed, with its default and its check, in
+FIELDS below; the README's "Config schema" shows them all. Validation is
+strict: unknown keys and every out-of-range field are reported together in
+one ConfigError.
 """
 
+import dataclasses
+import functools
 import json
 import math
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .admm import AdmmParams
 from .errors import ConfigError
-from .scene import ScenarioConfig
+from .scene import ScenarioConfig, is_integer, is_real
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs: scenario, phantom, solver settings, outputs."""
 
@@ -56,6 +45,51 @@ class ExperimentConfig:
         return bool(self.sweep_lambdas) and bool(self.sweep_rhos)
 
 
+class Check(NamedTuple):
+    """A predicate on a JSON value, the message a failing value gets, and the stored form."""
+
+    accepts: Callable
+    message: str
+    convert: Callable = lambda x: x
+
+
+FINITE_GE0 = Check(lambda x: is_real(x) and math.isfinite(x) and x >= 0, "must be a finite number >= 0", float)
+FINITE_GT0 = Check(lambda x: is_real(x) and math.isfinite(x) and x > 0, "must be a finite number > 0", float)
+IN_UNIT = Check(lambda x: is_real(x) and 0 < x < 1, "must lie in (0, 1)", float)
+INT_GE1 = Check(lambda x: is_integer(x) and x >= 1, "must be an integer >= 1")
+INT_GE0 = Check(lambda x: is_integer(x) and x >= 0, "must be an integer >= 0")
+NONEMPTY_STR = Check(lambda x: isinstance(x, str) and x != "", "must be a nonempty string")
+
+# (JSON key, ExperimentConfig attribute, default, check) per section, in the
+# order their violations are reported; "" is the config root. "admm.lam" is
+# ExperimentConfig.admm.lam. The two cross-section rules are the Nones:
+# fista.lambda defaults to the ADMM lambda, and admm.n_blocks must lie in
+# [1, rows] for the scenario's row count (measurement count).
+FIELDS = {
+    "admm": (
+        ("lambda", "admm.lam", 0.01, FINITE_GE0),
+        ("rho", "admm.rho", 1.0, FINITE_GT0),
+        ("max_iter", "admm.max_iter", AdmmParams.max_iter, INT_GE1),
+        ("eps_abs", "admm.eps_abs", AdmmParams.eps_abs, FINITE_GE0),
+        ("eps_rel", "admm.eps_rel", AdmmParams.eps_rel, FINITE_GE0),
+        ("n_blocks", "admm_blocks", 31, None),
+    ),
+    "fista": (
+        ("lambda", "fista_lam", None, FINITE_GE0),
+        ("max_iter", "fista_max_iter", 500, INT_GE1),
+        ("tol", "fista_tol", 1e-10, FINITE_GE0),
+    ),
+    "pinv": (("trunc_rel_tol", "pinv_trunc_rel_tol", 1e-10, IN_UNIT),),
+    "": (
+        ("output_dir", "output_dir", "out", NONEMPTY_STR),
+        ("noise_seed", "noise_seed", 0, INT_GE0),
+        ("support_rel_threshold", "support_rel_threshold", 0.2, IN_UNIT),
+    ),
+}
+# a sweep list holds values of an ADMM field and is checked like it
+SWEEP_KEYS = {"lambda": ("admm.lam", FINITE_GE0), "rho": ("admm.rho", FINITE_GT0)}
+
+
 def load_experiment_config(path):
     """Parse and validate the JSON config file at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -71,136 +105,97 @@ def experiment_config_from_dict(raw):
     errors = []
     if not isinstance(raw, dict):
         raise ConfigError(["config root: must be a JSON object"])
-    _reject_unknown(raw, {"scenario", "targets", "admm", "fista", "pinv", "sweep",
-                          "output_dir", "noise_seed", "support_rel_threshold"}, "", errors)
+    sections = {"scenario", "targets", "sweep", "admm", "fista", "pinv"}
+    _reject_unknown(raw, sections | {f[0] for f in FIELDS[""]}, "", errors)
 
     scenario = _parse_scenario(raw, errors)
     targets = _parse_targets(raw.get("targets", []), scenario, errors)
-    admm_params, admm_blocks = _parse_admm(raw.get("admm", {}), scenario, errors)
-    fista_lam, fista_max_iter, fista_tol = _parse_fista(raw.get("fista", {}), admm_params, errors)
-    pinv_tol = _parse_pinv(raw.get("pinv", {}), errors)
-    sweep_lams, sweep_rhos = _parse_sweep(raw.get("sweep"), admm_params, errors)
-
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        errors.append("output_dir: must be a nonempty string")
-        output_dir = "out"
-    noise_seed = raw.get("noise_seed", 0)
-    if not _is_int(noise_seed) or noise_seed < 0:
-        errors.append("noise_seed: must be an integer >= 0")
-        noise_seed = 0
-    rel_thr = _as_number(raw.get("support_rel_threshold", 0.2))
-    if rel_thr is None or not 0.0 < rel_thr < 1.0:
-        errors.append("support_rel_threshold: must lie in (0, 1)")
-        rel_thr = 0.2
+    got = {}
+    for name in ("admm", "fista", "pinv"):
+        _parse_fields(raw.get(name, {}), name, scenario.n_measurements, got, errors)
+    sweep = _parse_sweep(raw.get("sweep"), got, errors)
+    _parse_fields(raw, "", scenario.n_measurements, got, errors)
 
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        scenario=scenario,
-        targets=targets,
-        admm=admm_params,
-        admm_blocks=admm_blocks,
-        fista_lam=fista_lam,
-        fista_max_iter=fista_max_iter,
-        fista_tol=fista_tol,
-        pinv_trunc_rel_tol=pinv_tol,
-        sweep_lambdas=sweep_lams,
-        sweep_rhos=sweep_rhos,
-        output_dir=output_dir,
-        noise_seed=noise_seed,
-        support_rel_threshold=rel_thr,
-    )
+    admm = AdmmParams(**{f.name: got.pop(f"admm.{f.name}") for f in dataclasses.fields(AdmmParams)})
+    return ExperimentConfig(scenario=scenario, targets=targets, admm=admm,
+                            sweep_lambdas=sweep["lambda"], sweep_rhos=sweep["rho"], **got)
 
 
 def experiment_config_to_dict(cfg):
     """JSON-ready dict that reproduces ``cfg`` through experiment_config_from_dict."""
-    scenario = {
-        "n_theta": cfg.scenario.n_theta,
-        "n_freq": cfg.scenario.n_freq,
-        "grid": list(cfg.scenario.grid),
-        "voxel_size_l": cfg.scenario.voxel_size_l,
-        "roi_offset_z0": cfg.scenario.roi_offset_z0,
-        "roi_extent": list(cfg.scenario.roi_extent),
-        "center_freq_hz": cfg.scenario.center_freq_hz,
-        "bandwidth_hz": cfg.scenario.bandwidth_hz,
-        "rng_seed": cfg.scenario.rng_seed,
-        "snr_db": None if math.isinf(cfg.scenario.snr_db) else cfg.scenario.snr_db,
-    }
     out = {
-        "scenario": scenario,
+        "scenario": {f.name: _echo(getattr(cfg.scenario, f.name)) for f in dataclasses.fields(ScenarioConfig)},
         "targets": [
             {"box": [list(pair) for pair in box], "amplitude": [amp.real, amp.imag]}
             for box, amp in cfg.targets
         ],
-        "admm": {
-            "lambda": cfg.admm.lam,
-            "rho": cfg.admm.rho,
-            "n_blocks": cfg.admm_blocks,
-            "max_iter": cfg.admm.max_iter,
-            "eps_abs": cfg.admm.eps_abs,
-            "eps_rel": cfg.admm.eps_rel,
-        },
-        "fista": {"lambda": cfg.fista_lam, "max_iter": cfg.fista_max_iter, "tol": cfg.fista_tol},
-        "pinv": {"trunc_rel_tol": cfg.pinv_trunc_rel_tol},
-        "output_dir": cfg.output_dir,
-        "noise_seed": cfg.noise_seed,
-        "support_rel_threshold": cfg.support_rel_threshold,
     }
+    for name, fields in FIELDS.items():
+        section = out.setdefault(name, {}) if name else out
+        for key, attr, _, _ in fields:
+            section[key] = functools.reduce(getattr, attr.split("."), cfg)
     if cfg.has_sweep:
         out["sweep"] = {"lambda": list(cfg.sweep_lambdas), "rho": list(cfg.sweep_rhos)}
     return out
 
 
-# -- section parsers ---------------------------------------------------------
+def _echo(value):
+    if isinstance(value, tuple):
+        return list(value)
+    return None if value == math.inf else value  # a noiseless snr_db is null
+
+
+# -- parsers -----------------------------------------------------------------
+
+
+def _parse_fields(section, name, rows, got, errors):
+    """Parse the FIELDS[name] scalars of ``section`` into ``got``, keyed by attribute.
+
+    Defaults are checked like given values; a failing value falls back to its default.
+    """
+    prefix = f"{name}." if name else ""
+    if not isinstance(section, dict):
+        errors.append(f"{name}: must be a JSON object")
+        section = {}
+    elif name:
+        _reject_unknown(section, {f[0] for f in FIELDS[name]}, prefix, errors)
+    for key, attr, default, check in FIELDS[name]:
+        if default is None:  # fista.lambda: the ADMM lambda
+            default = got["admm.lam"]
+        if check is None:  # admm.n_blocks: at most one block per measurement row
+            check = Check(lambda n: is_integer(n) and 1 <= n <= rows,
+                          f"must be an integer in [1, {rows}] (the measurement count)")
+        value = section.get(key, default)
+        if check.accepts(value):
+            got[attr] = check.convert(value)
+        else:
+            errors.append(f"{prefix}{key}: {check.message}")
+            got[attr] = default
 
 
 def _parse_scenario(raw, errors):
-    fallback = ScenarioConfig()
-    if "scenario" not in raw:
-        errors.append("scenario: required field is missing")
-        return fallback
-    section = raw["scenario"]
+    section = raw.get("scenario")
     if not isinstance(section, dict):
-        errors.append("scenario: must be a JSON object")
-        return fallback
-    allowed = {"n_theta", "n_freq", "grid", "voxel_size_l", "roi_offset_z0", "roi_extent",
-               "center_freq_hz", "bandwidth_hz", "rng_seed", "snr_db"}
-    _reject_unknown(section, allowed, "scenario.", errors)
-    kwargs = {}
-    for key in allowed & section.keys():
-        value = section[key]
-        if key in ("grid", "roi_extent") and isinstance(value, list):
-            value = tuple(value)
-        if key == "snr_db":
-            value = _parse_snr(value, errors)
-            if value is None:
-                continue
-        kwargs[key] = value
-    try:
-        scenario = ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        errors.append(f"scenario: {exc}")
-        return fallback
+        errors.append("scenario: must be a JSON object" if "scenario" in raw
+                      else "scenario: required field is missing")
+        return ScenarioConfig()
+    names = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    _reject_unknown(section, names, "scenario.", errors)
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items() if k in names}
+    if "snr_db" in kwargs:
+        snr = kwargs.pop("snr_db")
+        if snr is None or isinstance(snr, str) and snr.lower() in ("inf", "infinity"):
+            kwargs["snr_db"] = math.inf
+        elif is_real(snr):
+            kwargs["snr_db"] = float(snr)
+        else:
+            errors.append('scenario.snr_db: must be a number, null, or "inf"')
+    scenario = ScenarioConfig(**kwargs)
     violations = scenario.violations()
-    for violation in violations:
-        errors.append(f"scenario.{violation}")
-    return scenario if not violations else fallback
-
-
-def _parse_snr(value, errors):
-    if value is None:
-        return math.inf
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        errors.append('scenario.snr_db: must be a number, null, or "inf"')
-        return None
-    number = _as_number(value)
-    if number is None:
-        errors.append('scenario.snr_db: must be a number, null, or "inf"')
-        return None
-    return number
+    errors.extend(f"scenario.{violation}" for violation in violations)
+    return ScenarioConfig() if violations else scenario
 
 
 def _parse_targets(section, scenario, errors):
@@ -216,134 +211,45 @@ def _parse_targets(section, scenario, errors):
         box = entry.get("box")
         box_ok = (
             isinstance(box, list) and len(box) == 3
-            and all(isinstance(p, list) and len(p) == 2 and all(_is_int(c) for c in p) for p in box)
+            and all(isinstance(p, list) and len(p) == 2 and all(is_integer(c) for c in p) for p in box)
         )
         if not box_ok:
             errors.append(f"{path}.box: must be three [lo, hi] integer pairs")
             continue
         amp = entry.get("amplitude", 1.0)
-        if isinstance(amp, list) and len(amp) == 2 and all(_as_number(c) is not None for c in amp):
-            amplitude = complex(amp[0], amp[1])
-        elif _as_number(amp) is not None:
-            amplitude = complex(amp)
-        else:
+        parts = amp if isinstance(amp, list) and len(amp) == 2 else [amp, 0.0]
+        if not all(is_real(part) for part in parts):
             errors.append(f"{path}.amplitude: must be a number or [re, im] pair")
+            continue
+        if not all(math.isfinite(part) for part in parts):
+            errors.append(f"{path}.amplitude: must be finite")
             continue
         for (lo, hi), limit, axis in zip(box, scenario.grid, "xyz"):
             if not 0 <= lo < hi <= limit:
                 errors.append(f"{path}.box: {axis} range [{lo}, {hi}) outside grid of {limit} voxels")
-        targets.append(((tuple(box[0]), tuple(box[1]), tuple(box[2])), amplitude))
+        targets.append(((tuple(box[0]), tuple(box[1]), tuple(box[2])), complex(*parts)))
     return tuple(targets)
 
 
-def _parse_admm(section, scenario, errors):
-    defaults = {"lambda": 0.01, "rho": 1.0, "n_blocks": 31, "max_iter": 500,
-                "eps_abs": 1e-6, "eps_rel": 1e-4}
-    if not isinstance(section, dict):
-        errors.append("admm: must be a JSON object")
-        section = {}
-    _reject_unknown(section, set(defaults), "admm.", errors)
-    merged = {**defaults, **{k: v for k, v in section.items() if k in defaults}}
-
-    lam = _as_number(merged["lambda"])
-    if lam is None or not math.isfinite(lam) or lam < 0:
-        errors.append("admm.lambda: must be a finite number >= 0")
-        lam = defaults["lambda"]
-    rho = _as_number(merged["rho"])
-    if rho is None or not math.isfinite(rho) or rho <= 0:
-        errors.append("admm.rho: must be a finite number > 0")
-        rho = defaults["rho"]
-    max_iter = merged["max_iter"]
-    if not _is_int(max_iter) or max_iter < 1:
-        errors.append("admm.max_iter: must be an integer >= 1")
-        max_iter = defaults["max_iter"]
-    eps = {}
-    for key in ("eps_abs", "eps_rel"):
-        val = _as_number(merged[key])
-        if val is None or not math.isfinite(val) or val < 0:
-            errors.append(f"admm.{key}: must be a finite number >= 0")
-            val = defaults[key]
-        eps[key] = val
-    n_blocks = merged["n_blocks"]
-    if not _is_int(n_blocks) or not 1 <= n_blocks <= scenario.n_measurements:
-        errors.append(
-            f"admm.n_blocks: must be an integer in [1, {scenario.n_measurements}] (the measurement count)"
-        )
-        n_blocks = 1
-    params = AdmmParams(lam=lam, rho=rho, max_iter=max_iter,
-                        eps_abs=eps["eps_abs"], eps_rel=eps["eps_rel"])
-    return params, n_blocks
-
-
-def _parse_fista(section, admm_params, errors):
-    defaults = {"lambda": admm_params.lam, "max_iter": 500, "tol": 1e-10}
-    if not isinstance(section, dict):
-        errors.append("fista: must be a JSON object")
-        section = {}
-    _reject_unknown(section, set(defaults), "fista.", errors)
-    merged = {**defaults, **{k: v for k, v in section.items() if k in defaults}}
-    lam = _as_number(merged["lambda"])
-    if lam is None or not math.isfinite(lam) or lam < 0:
-        errors.append("fista.lambda: must be a finite number >= 0")
-        lam = defaults["lambda"]
-    max_iter = merged["max_iter"]
-    if not _is_int(max_iter) or max_iter < 1:
-        errors.append("fista.max_iter: must be an integer >= 1")
-        max_iter = defaults["max_iter"]
-    tol = _as_number(merged["tol"])
-    if tol is None or not math.isfinite(tol) or tol < 0:
-        errors.append("fista.tol: must be a finite number >= 0")
-        tol = defaults["tol"]
-    return lam, max_iter, tol
-
-
-def _parse_pinv(section, errors):
-    if not isinstance(section, dict):
-        errors.append("pinv: must be a JSON object")
-        section = {}
-    _reject_unknown(section, {"trunc_rel_tol"}, "pinv.", errors)
-    tol = _as_number(section.get("trunc_rel_tol", 1e-10))
-    if tol is None or not 0.0 < tol < 1.0:
-        errors.append("pinv.trunc_rel_tol: must lie in (0, 1)")
-        tol = 1e-10
-    return tol
-
-
-def _parse_sweep(section, admm_params, errors):
+def _parse_sweep(section, got, errors):
+    """The sweep's lambda and rho lists; a missing list is the single ADMM value."""
     if section is None:
-        return (), ()
+        return {"lambda": (), "rho": ()}
     if not isinstance(section, dict):
         errors.append("sweep: must be a JSON object")
-        return (), ()
-    _reject_unknown(section, {"lambda", "rho"}, "sweep.", errors)
+        return {"lambda": (), "rho": ()}
+    _reject_unknown(section, set(SWEEP_KEYS), "sweep.", errors)
     out = {}
-    for key, fallback, check in (
-        ("lambda", (admm_params.lam,), lambda x: math.isfinite(x) and x >= 0),
-        ("rho", (admm_params.rho,), lambda x: math.isfinite(x) and x > 0),
-    ):
-        if key not in section:
-            out[key] = fallback
-            continue
-        values = section[key]
-        numbers = [_as_number(v) for v in values] if isinstance(values, list) else None
-        if not numbers or any(n is None or not check(n) for n in numbers):
-            errors.append(f"sweep.{key}: must be a nonempty list of valid values")
-            out[key] = fallback
+    for key, (attr, check) in SWEEP_KEYS.items():
+        values = section.get(key, [got[attr]])
+        if isinstance(values, list) and values and all(check.accepts(v) for v in values):
+            out[key] = tuple(float(v) for v in values)
         else:
-            out[key] = tuple(numbers)
-    return out["lambda"], out["rho"]
+            errors.append(f"sweep.{key}: must be a nonempty list of valid values")
+            out[key] = (got[attr],)
+    return out
 
 
 def _reject_unknown(section, allowed, prefix, errors):
-    for key in sorted(set(section) - allowed):
+    for key in sorted(set(section) - set(allowed)):
         errors.append(f"{prefix}{key}: unknown field")
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _as_number(x):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return None
-    return float(x)

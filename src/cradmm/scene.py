@@ -58,14 +58,14 @@ class ScenarioConfig:
     def violations(self):
         """Return a list of invariant violations (empty when valid)."""
         out = []
-        if not (isinstance(self.n_theta, int) and self.n_theta >= 1):
+        if not (is_integer(self.n_theta) and self.n_theta >= 1):
             out.append("n_theta: must be an integer >= 1")
-        if not (isinstance(self.n_freq, int) and self.n_freq >= 1):
+        if not (is_integer(self.n_freq) and self.n_freq >= 1):
             out.append("n_freq: must be an integer >= 1")
         grid_ok = (
             isinstance(self.grid, (tuple, list))
             and len(self.grid) == 3
-            and all(isinstance(n, int) and n >= 1 for n in self.grid)
+            and all(is_integer(n) and n >= 1 for n in self.grid)
         )
         if not grid_ok:
             out.append("grid: must be three integer voxel counts >= 1")
@@ -82,12 +82,11 @@ class ScenarioConfig:
             out.append("roi_offset_z0: must be a finite length > 0")
         if not _finite_positive(self.center_freq_hz):
             out.append("center_freq_hz: must be a finite frequency > 0")
-        if not (isinstance(self.bandwidth_hz, (int, float)) and math.isfinite(self.bandwidth_hz) and self.bandwidth_hz >= 0):
+        if not (is_real(self.bandwidth_hz) and math.isfinite(self.bandwidth_hz) and self.bandwidth_hz >= 0):
             out.append("bandwidth_hz: must be a finite frequency >= 0")
-        if not (isinstance(self.rng_seed, int) and not isinstance(self.rng_seed, bool) and self.rng_seed >= 0):
+        if not (is_integer(self.rng_seed) and self.rng_seed >= 0):
             out.append("rng_seed: must be an integer >= 0")
-        snr_ok = isinstance(self.snr_db, (int, float)) and not math.isnan(self.snr_db) and self.snr_db != -math.inf
-        if not snr_ok:
+        if not _snr_ok(self.snr_db):
             out.append("snr_db: must be a real value or +infinity")
         return out
 
@@ -263,7 +262,7 @@ def forward_measure(h, scene, snr_db, seed):
     u = vector_array(scene)
     if entries.shape[1] != u.shape[0]:
         raise ValueError(f"matrix has {entries.shape[1]} columns but scene has {u.shape[0]} voxels")
-    if isinstance(snr_db, bool) or not isinstance(snr_db, (int, float)) or math.isnan(snr_db) or snr_db == -math.inf:
+    if not _snr_ok(snr_db):
         raise ValueError("snr_db must be a real value or +infinity")
     clean = entries @ u
     signal_power = float(np.real(np.vdot(clean, clean)))
@@ -278,5 +277,19 @@ def forward_measure(h, scene, snr_db, seed):
     return Measurement(g=clean + w, noise_power=noise_power, realized_snr_db=realized_snr)
 
 
+def is_integer(x):
+    """An int that is not a bool: JSON ``true`` is not a count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_real(x):
+    """An int or float that is not a bool: JSON ``true`` is not a number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _finite_positive(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x > 0
+    return is_real(x) and math.isfinite(x) and x > 0
+
+
+def _snr_ok(x):
+    return is_real(x) and not math.isnan(x) and x != -math.inf

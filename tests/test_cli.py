@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cradmm import (
+    check_lasso_kkt,
     experiment_config_from_dict,
     experiment_config_to_dict,
     load_experiment_config,
@@ -127,6 +128,14 @@ class TestGenerate:
         assert main(["generate", "--config", str(path)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf, [1.0, math.nan], [math.inf, 0.0]])
+    def test_non_finite_amplitude_exits_2_and_writes_nothing(self, tmp_path, capsys, amplitude):
+        path, out = write_config(tmp_path, overrides={
+            "targets": [{"box": [[0, 1], [0, 1], [0, 1]], "amplitude": amplitude}]})
+        assert main(["generate", "--config", str(path)]) == 2
+        assert not out.exists()
+        assert "config error: targets[0].amplitude: must be finite" in capsys.readouterr().err
+
     def test_manifest_config_reproduces_run(self, tmp_path):
         path, out = write_config(tmp_path)
         assert main(["generate", "--config", str(path)]) == 0
@@ -242,6 +251,19 @@ class TestSolve:
         fista = json.loads((out / "metrics_fista.json").read_text())
         assert fista["stop_reason"] == "max_iter" and fista["iterations"] == 7
         assert "stop_reason" not in json.loads((out / "metrics_pinv.json").read_text())
+
+    def test_metrics_carry_the_kkt_violation(self, tmp_path):
+        path, out = write_config(tmp_path, overrides={"admm": {"max_iter": 30}, "fista": {"max_iter": 30}})
+        assert main(["generate", "--config", str(path)]) == 0
+        h, g = read_matrix(out / "H.cmat"), read_vector(out / "g.cvec")
+        for method, lam in (("admm", 0.05), ("fista", 0.05), ("pinv", 0.0)):
+            assert main(["solve", "--config", str(path), "--method", method]) == 0
+            record = json.loads((out / f"metrics_{method}.json").read_text())
+            report = check_lasso_kkt(h, g, lam, read_vector(out / f"estimate_{method}.cvec"), 0.0)
+            expected = max(report.max_active_violation, report.max_inactive_excess)
+            assert record["kkt_violation"] == expected, method
+            assert record["kkt_violation_rel"] == (expected / lam if lam else None), method
+        assert record["kkt_violation"] > 0  # the pinv estimate is not a lasso solution at lam = 0.05
 
     @pytest.mark.parametrize("name, command", [
         ("g.cvec", ["solve", "--method", "admm"]),
@@ -428,6 +450,21 @@ class TestCompare:
         admm = json.loads((out / "metrics_admm_lam0.1_rho2.json").read_text())
         assert (admm["lambda"], admm["rho"], admm["N"]) == (0.1, 2.0, 3)
         assert json.loads((out / "metrics_fista.json").read_text())["lambda"] == 0.05
+
+    def test_sweep_metrics_carry_the_kkt_violation(self, tmp_path):
+        path, out = write_config(
+            tmp_path, overrides={"sweep": {"lambda": [0.01, 0.1], "rho": [2.0]}, "admm": {"max_iter": 20}})
+        assert main(["generate", "--config", str(path)]) == 0
+        assert main(["compare", "--config", str(path)]) == 0
+        h, g = read_matrix(out / "H.cmat"), read_vector(out / "g.cvec")
+        for lam in (0.01, 0.1):
+            tag = f"admm_lam{lam:g}_rho2"
+            record = json.loads((out / f"metrics_{tag}.json").read_text())
+            report = check_lasso_kkt(h, g, lam, read_vector(out / f"estimate_{tag}.cvec"), 0.0)
+            expected = max(report.max_active_violation, report.max_inactive_excess)
+            assert (record["kkt_violation"], record["kkt_violation_rel"]) == (expected, expected / lam)
+        header = (out / "summary.csv").read_text().splitlines()[0]
+        assert "kkt" not in header
 
     def test_method_failure_marks_row_and_keeps_others(self, tmp_path, monkeypatch):
         path, out = write_config(tmp_path)

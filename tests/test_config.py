@@ -1,14 +1,18 @@
 """Exact violation lists of the config parser, one representative bad value per field.
 
 Each case applies one change to a small valid config and asserts the full
-``ConfigError.violations`` list, text and order included.
+``ConfigError.violations`` list, text and order included. The README's
+config schema is checked against the parser's defaults.
 """
 
 import copy
+import json
+import math
+from pathlib import Path
 
 import pytest
 
-from cradmm import experiment_config_from_dict
+from cradmm import ScenarioConfig, experiment_config_from_dict, experiment_config_to_dict
 from cradmm.errors import ConfigError
 
 BASE = {
@@ -174,3 +178,48 @@ def test_root_must_be_an_object(root):
 
 def test_errors_of_every_section_in_order():
     assert violations(copy.deepcopy(MULTI_ERROR)) == MULTI_ERROR_VIOLATIONS
+
+
+BOOLEAN_CASES = [
+    ("n_theta", True, "n_theta: must be an integer >= 1"),
+    ("n_freq", False, "n_freq: must be an integer >= 1"),
+    ("grid", [True, 4, 2], "grid: must be three integer voxel counts >= 1"),
+    ("grid", [4, True, 2], "grid: must be three integer voxel counts >= 1"),
+    ("grid", [4, 4, True], "grid: must be three integer voxel counts >= 1"),
+    ("bandwidth_hz", True, "bandwidth_hz: must be a finite frequency >= 0"),
+    ("bandwidth_hz", False, "bandwidth_hz: must be a finite frequency >= 0"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", BOOLEAN_CASES,
+                         ids=[f"{c[0]}={c[1]!r}" for c in BOOLEAN_CASES])
+def test_booleans_are_not_numbers(key, value, message):
+    assert violations(with_change("scenario", key, value)) == [f"scenario.{message}"]
+    fields = {**BASE["scenario"], key: tuple(value) if isinstance(value, list) else value}
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig(**fields).validate()
+    assert err.value.violations == [message]
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, [1.0, -math.inf], [math.nan, 0.0]])
+def test_non_finite_amplitude_is_a_violation(amplitude):
+    targets = [{"box": [[0, 1], [0, 1], [0, 1]], "amplitude": 1.0},
+               {"box": [[0, 1], [0, 1], [0, 1]], "amplitude": amplitude}]
+    assert violations(with_change(None, "targets", targets)) == ["targets[1].amplitude: must be finite"]
+
+
+def readme_schema():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Config schema", 1)[1]
+    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+
+def test_readme_schema_shows_the_parser_defaults():
+    shown = readme_schema()
+    defaults = experiment_config_to_dict(experiment_config_from_dict({"scenario": {}}))
+    assert experiment_config_from_dict(shown).has_sweep
+    for section in ("scenario", "admm", "fista", "pinv"):
+        assert shown[section] == defaults[section], section
+    for key in ("output_dir", "noise_seed", "support_rel_threshold"):
+        assert shown[key] == defaults[key], key
+    assert set(shown) == set(defaults) | {"sweep"}
