@@ -14,7 +14,6 @@ from .admm import (
     ConvergenceTrace,
     IterationRecord,
     Partition,
-    evaluate_augmented_lagrangian,
     evaluate_objective,
     partition_rows,
     precompute_block_solver,
@@ -77,7 +76,6 @@ __all__ = [
     "VolumeViews",
     "build_phantom",
     "check_lasso_kkt",
-    "evaluate_augmented_lagrangian",
     "evaluate_objective",
     "experiment_config_from_dict",
     "experiment_config_to_dict",

@@ -7,8 +7,8 @@ reduced to an m_i x m_i solve by the matrix inversion lemma), soft-thresholds
 the block average into v, and lets the scaled duals s_i absorb the remaining
 disagreement (Boyd et al. 2011, sections 7.1 and 8.2).
 
-The solver never stores the N local iterates. From the zero start every
-scaled dual keeps the form
+The solver never forms the N local iterates or scaled duals, not even for
+its result. From the zero start every scaled dual keeps the form
 
     s_i = w + H_i^H e_i
 
@@ -250,18 +250,16 @@ class ConvergenceTrace:
 
 @dataclass
 class AdmmState:
-    """Iterate container; u_blocks / s_blocks hold one row per block.
+    """Final consensus iterate ``v``, iteration count ``k``, and stopping thresholds.
 
-    ``eps_pri`` and ``eps_dual`` are the stopping thresholds of the last
-    iteration, to be read against its primal and dual residuals.
+    ``eps_pri`` and ``eps_dual`` are the thresholds of the last iteration, to
+    be read against its primal and dual residuals.
     """
 
-    u_blocks: np.ndarray
     v: np.ndarray
-    s_blocks: np.ndarray
     k: int
-    eps_pri: float = math.nan
-    eps_dual: float = math.nan
+    eps_pri: float
+    eps_dual: float
 
 
 def lasso_objective(resid, u, lam):
@@ -279,18 +277,6 @@ def evaluate_objective(h, g, u, lam):
     return lasso_objective(op.forward(uv) - gv, uv, lam)
 
 
-def evaluate_augmented_lagrangian(block_solvers, state, params):
-    """Diagnostic value of the augmented Lagrangian at the current iterate."""
-    total = params.lam * float(np.abs(state.v).sum())
-    for solver, u_i, s_i in zip(block_solvers, state.u_blocks, state.s_blocks):
-        fit = solver.h_block @ u_i - solver.g_block
-        gap = u_i - state.v + s_i
-        total += 0.5 * float(np.real(np.vdot(fit, fit)))
-        total += 0.5 * params.rho * float(np.real(np.vdot(gap, gap)))
-        total -= 0.5 * params.rho * float(np.real(np.vdot(s_i, s_i)))
-    return total
-
-
 class ConsensusSetup:
     """The rho-independent part of the consensus solver for one (H, g, N).
 
@@ -305,11 +291,14 @@ class ConsensusSetup:
         self.operator = SensingOperator(h)
         self.g = vector_array(g)
         self.partition = partition_rows(self.operator.h, self.g, n_blocks)
-        _check_finite(self.operator.h, self.g)
-        self.block_grams = [self.operator.h[start:stop] @ self.operator.h[start:stop].conj().T
-                            for start, stop in self.partition.blocks]
-        self.gram = block_diagonal(self.partition.blocks, self.block_grams)
-        self.gram_g = self.gram @ self.g
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.block_grams = [self.operator.h[start:stop] @ self.operator.h[start:stop].conj().T
+                                for start, stop in self.partition.blocks]
+            self.gram = block_diagonal(self.partition.blocks, self.block_grams)
+            self.gram_g = self.gram @ self.g
+        # a non-finite H_i entry makes diag(H_i H_i^H) non-finite: a finite Gram proves H finite
+        if not (np.all(np.isfinite(self.gram)) and np.all(np.isfinite(self.g))):
+            _check_finite(self.operator.h, self.g)  # a finite H whose Gram overflows runs on
 
 
 class ConsensusLassoSolver:
@@ -369,13 +358,6 @@ class ConsensusLassoSolver:
         for start, stop in self.partition.blocks:
             yield common + adjoint(self.entries[start:stop], x[start:stop])
 
-    def _stacked_rows(self, common, x):
-        """The (N, n_p) array of rows common + H_i^H x_i, filled in place."""
-        out = np.empty((self.partition.n_blocks, common.shape[0]), dtype=np.complex128)
-        for row, value in zip(out, self._block_rows(common, x)):
-            row[:] = value
-        return out
-
     def run(self, on_iteration=None):
         """Iterate from the zero start until the stopping rule or max_iter.
 
@@ -386,8 +368,8 @@ class ConsensusLassoSolver:
         (eps_pri, eps_dual built from eps_abs / eps_rel in the usual way);
         ``trace.stop_reason`` says which way it ended. ``on_iteration``, when
         given, receives each IterationRecord as it completes (e.g. a streaming
-        CSV writer). The per-block u_i and s_i of the final iterate are formed
-        only once, for the returned state.
+        CSV writer). The state holds v, the iteration count and the last
+        thresholds; the per-block u_i and s_i are never formed, for any N.
         """
         params = self.params
         rho = params.rho
@@ -432,9 +414,7 @@ class ConsensusLassoSolver:
             if stopping and primal <= eps_pri and dual <= eps_dual:
                 trace.stop_reason = "converged"
                 break
-        state = AdmmState(u_blocks=self._stacked_rows(z, d), v=v, s_blocks=self._stacked_rows(w, e),
-                          k=len(trace), eps_pri=eps_pri, eps_dual=eps_dual)
-        return v, trace, state
+        return v, trace, AdmmState(v=v, k=len(trace), eps_pri=eps_pri, eps_dual=eps_dual)
 
 
 def solve_consensus_lasso(h, g, params, n_blocks, workers=1, on_iteration=None):

@@ -125,7 +125,6 @@ def _run(cfg, inputs, method, tag, params):
             estimate, trace, state = engine.run(writer.write_row)
         record.update(stop_reason=trace.stop_reason, primal_residual=trace[-1].primal_residual,
                       eps_pri=state.eps_pri, dual_residual=trace[-1].dual_residual, eps_dual=state.eps_dual)
-        del state  # its per-block arrays set the run's memory peak; free them before the KKT check
     elif method == "fista":
         with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
             estimate, trace = baselines.solve_fista(h, g, cfg.fista_lam, max_iter=cfg.fista_max_iter,

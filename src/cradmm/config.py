@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from .admm import AdmmParams
 from .errors import ConfigError
-from .scene import ScenarioConfig, is_integer, is_real
+from .scene import ScenarioConfig, is_finite_real, is_integer, is_real
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,8 +53,8 @@ class Check(NamedTuple):
     convert: Callable = lambda x: x
 
 
-FINITE_GE0 = Check(lambda x: is_real(x) and math.isfinite(x) and x >= 0, "must be a finite number >= 0", float)
-FINITE_GT0 = Check(lambda x: is_real(x) and math.isfinite(x) and x > 0, "must be a finite number > 0", float)
+FINITE_GE0 = Check(lambda x: is_finite_real(x) and x >= 0, "must be a finite number >= 0", float)
+FINITE_GT0 = Check(lambda x: is_finite_real(x) and x > 0, "must be a finite number > 0", float)
 IN_UNIT = Check(lambda x: is_real(x) and 0 < x < 1, "must lie in (0, 1)", float)
 INT_GE1 = Check(lambda x: is_integer(x) and x >= 1, "must be an integer >= 1")
 INT_GE0 = Check(lambda x: is_integer(x) and x >= 0, "must be an integer >= 0")
@@ -188,8 +188,8 @@ def _parse_scenario(raw, errors):
         snr = kwargs.pop("snr_db")
         if snr is None or isinstance(snr, str) and snr.lower() in ("inf", "infinity"):
             kwargs["snr_db"] = math.inf
-        elif is_real(snr):
-            kwargs["snr_db"] = float(snr)
+        elif is_real(snr):  # an int beyond the float range stays one, for violations() to reject
+            kwargs["snr_db"] = float(snr) if is_finite_real(snr) else snr
         else:
             errors.append('scenario.snr_db: must be a number, null, or "inf"')
     scenario = ScenarioConfig(**kwargs)
@@ -221,7 +221,7 @@ def _parse_targets(section, scenario, errors):
         if not all(is_real(part) for part in parts):
             errors.append(f"{path}.amplitude: must be a number or [re, im] pair")
             continue
-        if not all(math.isfinite(part) for part in parts):
+        if not all(is_finite_real(part) for part in parts):
             errors.append(f"{path}.amplitude: must be finite")
             continue
         for (lo, hi), limit, axis in zip(box, scenario.grid, "xyz"):

@@ -82,7 +82,7 @@ class ScenarioConfig:
             out.append("roi_offset_z0: must be a finite length > 0")
         if not _finite_positive(self.center_freq_hz):
             out.append("center_freq_hz: must be a finite frequency > 0")
-        if not (is_real(self.bandwidth_hz) and math.isfinite(self.bandwidth_hz) and self.bandwidth_hz >= 0):
+        if not (is_finite_real(self.bandwidth_hz) and self.bandwidth_hz >= 0):
             out.append("bandwidth_hz: must be a finite frequency >= 0")
         if not (is_integer(self.rng_seed) and self.rng_seed >= 0):
             out.append("rng_seed: must be an integer >= 0")
@@ -287,9 +287,17 @@ def is_real(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def is_finite_real(x):
+    """A real (see is_real) that is a finite float: an int beyond the float range is not."""
+    try:
+        return is_real(x) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _finite_positive(x):
-    return is_real(x) and math.isfinite(x) and x > 0
+    return is_finite_real(x) and x > 0
 
 
 def _snr_ok(x):
-    return is_real(x) and not math.isnan(x) and x != -math.inf
+    return is_finite_real(x) or is_real(x) and x == math.inf

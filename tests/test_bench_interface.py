@@ -39,6 +39,11 @@ def test_benchmark_imports_are_exported(script):
         assert isinstance(value, types.ModuleType) or name in cradmm.__all__, name
 
 
+def test_every_export_resolves():
+    missing = [name for name in cradmm.__all__ if not hasattr(cradmm, name)]
+    assert not missing, f"cradmm.__all__ names {missing}, which cradmm does not define"
+
+
 def test_solver_builds_with_workers_and_exposes_block_solvers(rng):
     h = rand_complex(rng, 9, 20)
     g = rand_complex(rng, 9)

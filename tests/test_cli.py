@@ -136,6 +136,12 @@ class TestGenerate:
         assert not out.exists()
         assert "config error: targets[0].amplitude: must be finite" in capsys.readouterr().err
 
+    def test_integer_beyond_float_range_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        path, out = write_config(tmp_path, overrides={"admm": {"lambda": 10**400}})
+        assert main(["generate", "--config", str(path)]) == 2
+        assert not out.exists()
+        assert "config error: admm.lambda: must be a finite number >= 0" in capsys.readouterr().err
+
     def test_manifest_config_reproduces_run(self, tmp_path):
         path, out = write_config(tmp_path)
         assert main(["generate", "--config", str(path)]) == 0

@@ -208,6 +208,43 @@ def test_non_finite_amplitude_is_a_violation(amplitude):
     assert violations(with_change(None, "targets", targets)) == ["targets[1].amplitude: must be finite"]
 
 
+# an integer JSON literal too large for a float
+HUGE = 10**400
+
+OVERFLOW_CASES = [
+    ("admm", "lambda", HUGE, "admm.lambda: must be a finite number >= 0"),
+    ("admm", "rho", HUGE, "admm.rho: must be a finite number > 0"),
+    ("admm", "eps_abs", HUGE, "admm.eps_abs: must be a finite number >= 0"),
+    ("admm", "eps_rel", HUGE, "admm.eps_rel: must be a finite number >= 0"),
+    ("fista", "lambda", HUGE, "fista.lambda: must be a finite number >= 0"),
+    ("fista", "tol", HUGE, "fista.tol: must be a finite number >= 0"),
+    ("pinv", "trunc_rel_tol", HUGE, "pinv.trunc_rel_tol: must lie in (0, 1)"),
+    (None, "support_rel_threshold", HUGE, "support_rel_threshold: must lie in (0, 1)"),
+    ("sweep", "lambda", [0.1, HUGE], "sweep.lambda: must be a nonempty list of valid values"),
+    ("sweep", "rho", [-HUGE], "sweep.rho: must be a nonempty list of valid values"),
+    ("scenario", "voxel_size_l", HUGE, "scenario.voxel_size_l: must be a finite length > 0"),
+    ("scenario", "roi_offset_z0", HUGE, "scenario.roi_offset_z0: must be a finite length > 0"),
+    ("scenario", "roi_extent", [6.0, HUGE, 3.0], "scenario.roi_extent: must be three finite lengths > 0"),
+    ("scenario", "center_freq_hz", HUGE, "scenario.center_freq_hz: must be a finite frequency > 0"),
+    ("scenario", "bandwidth_hz", HUGE, "scenario.bandwidth_hz: must be a finite frequency >= 0"),
+    ("scenario", "snr_db", HUGE, "scenario.snr_db: must be a real value or +infinity"),
+    ("scenario", "snr_db", -HUGE, "scenario.snr_db: must be a real value or +infinity"),
+    (None, "targets", [{"box": [[0, 1], [0, 1], [0, 1]], "amplitude": HUGE}],
+     "targets[0].amplitude: must be finite"),
+    (None, "targets", [{"box": [[0, 1], [0, 1], [0, 1]], "amplitude": [1.0, -HUGE]}],
+     "targets[0].amplitude: must be finite"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, message", OVERFLOW_CASES,
+                         ids=[f"{c[0] or 'root'}.{c[1]}-{i}" for i, c in enumerate(OVERFLOW_CASES)])
+def test_integer_beyond_float_range_is_a_violation(section, key, value, message):
+    assert violations(with_change(section, key, value)) == [message]
+    if section == "scenario":
+        fields = {**BASE["scenario"], key: tuple(value) if isinstance(value, list) else value}
+        assert ScenarioConfig(**fields).violations() == [message.removeprefix("scenario.")]
+
+
 def readme_schema():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = text.split("### Config schema", 1)[1]
