@@ -21,9 +21,13 @@ M x M block-diagonal Gram (G_ii = H_i H_i^H) and Woodbury inverse
     v <- soft(v + H^H c / N, lam / (rho N))
     w <- v_old - v,  e <- c
 
-Carrying H v from one iteration to the next makes that one forward and one
-adjoint product with H per iteration; the objective and the stacked primal
-and dual norms follow from Gram identities at O(n_p + M^2) cost.
+Carrying H v from one iteration to the next makes that one adjoint product
+with H per iteration and one forward product H v, which reads only the
+columns of H in the support of v while it holds at most n_p / SPARSE_FRACTION
+of them (``linop.SupportForward``); the objective and the stacked primal and
+dual norms follow from Gram identities at O(n_p + M^2) cost. The stopping
+thresholds are formed only when the stopping rule is on, or for the final
+state.
 ``update_u``, ``update_v`` and ``update_s`` are the same steps written per
 block; they are kept as the reference the collapsed form is tested against.
 
@@ -39,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .linop import SensingOperator, adjoint, block_diagonal
-from .scene import matrix_array, vector_array
+from .linop import SensingOperator, SupportForward, adjoint, block_diagonal
+from .scene import is_finite_real, matrix_array, vector_array
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
 # have lost too many digits to cancellation and are recomputed block by block.
@@ -54,12 +58,21 @@ def soft_threshold(a, kappa):
     input it is the proximal operator of kappa * ||.||_1 taken with the modulus.
     Works elementwise on arrays.
     """
+    return soft_threshold_support(a, kappa)[0]
+
+
+def soft_threshold_support(a, kappa):
+    """``soft_threshold(a, kappa)`` and the sorted flat indices of its nonzero entries.
+
+    The indices are those where the shrunk magnitude is positive; every
+    nonzero entry of the result is among them.
+    """
     if kappa < 0:
         raise ValueError("threshold must be >= 0")
     a = np.asarray(a)
     mag = np.abs(a)
     shrunk = np.maximum(mag - kappa, 0.0)
-    return a * (shrunk / np.where(mag > 0.0, mag, 1.0))
+    return a * (shrunk / np.where(mag > 0.0, mag, 1.0)), np.flatnonzero(shrunk > 0.0)
 
 
 @dataclass(frozen=True)
@@ -115,9 +128,9 @@ class AdmmParams:
     eps_rel: float = 1e-4
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0):
+        if not (is_finite_real(self.lam) and self.lam >= 0):
             raise ValueError("lam must be finite and >= 0")
-        if not (math.isfinite(self.rho) and self.rho > 0):
+        if not (is_finite_real(self.rho) and self.rho > 0):
             raise ValueError("rho must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -165,7 +178,7 @@ def _woodbury_block(gram, rho):
 
 def precompute_block_solver(h_i, g_i, rho):
     """Cache the Gram and the m x m inverse used by every u-update of a block."""
-    if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 0):
+    if not (is_finite_real(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
     h = np.ascontiguousarray(matrix_array(h_i))
     gv = vector_array(g_i)
@@ -225,11 +238,14 @@ class ConvergenceTrace:
     ``stop_reason`` is set by the solver that produced the trace: "converged"
     when its stopping rule fired (possibly on the last allowed iteration),
     "max_iter" when the budget ran out first, None for a trace read from disk.
+    ``sparse_forward_iters`` is the number of iterations whose forward product
+    took the support path of ``linop.SupportForward`` (None when read from disk).
     """
 
     def __init__(self, records=None, stop_reason=None):
         self.records = list(records) if records is not None else []
         self.stop_reason = stop_reason
+        self.sparse_forward_iters = None
 
     def append(self, record):
         self.records.append(record)
@@ -308,8 +324,9 @@ class ConsensusLassoSolver:
     ``woodbury`` are the same blocks assembled into M x M block-diagonal
     matrices for the collapsed iteration (see the module docstring).
     ``workers`` is accepted for compatibility and has no effect: an iteration
-    is two products with H and O(n_p + M^2) vector work, with nothing left to
-    spread across threads, so results are the same for any worker count.
+    is at most two products with H and O(n_p + M^2) vector work, with nothing
+    left to spread across threads, so results are the same for any worker
+    count.
     """
 
     def __init__(self, h, g, params, n_blocks, workers=1):
@@ -383,14 +400,15 @@ class ConsensusLassoSolver:
         # v, w (length n_p); H v, H w, e, G e (length M)
         v = w = np.zeros(n_p, dtype=np.complex128)
         h_v = h_w = e = gram_e = np.zeros(m, dtype=np.complex128)
+        forward = SupportForward(op.h)
         trace = ConvergenceTrace(stop_reason="max_iter")
         start_time = time.perf_counter()
         for k in range(params.max_iter):
             z, h_z = v - w, h_v - h_w  # u_i = z + H_i^H d_i
             c = g / rho - woodbury @ (gram_g + rho * h_z - rho * gram_e) / rho**2
             d = c - e
-            v_next = soft_threshold(v + op.adjoint(c) / n, kappa)
-            h_v_next = op.forward(v_next)
+            v_next, support = soft_threshold_support(v + op.adjoint(c) / n, kappa)
+            h_v_next = forward(v_next, support)
             gram_c = gram @ c
             gram_d = gram_c - gram_e
             # an overflow here is reported below as a DivergenceError, not as a warning
@@ -407,6 +425,8 @@ class ConsensusLassoSolver:
                 on_iteration(record)
             w, h_w = v - v_next, h_v - h_v_next
             v, h_v, e, gram_e = v_next, h_v_next, c, gram_c
+            if not stopping and k < params.max_iter - 1:
+                continue  # the thresholds are read only by the rule and the final state
             u_norm = math.sqrt(self._stacked_sq_norm(z, h_z, d, gram_d))
             s_norm = math.sqrt(self._stacked_sq_norm(w, h_w, e, gram_e))
             eps_pri = scale + params.eps_rel * max(u_norm, math.sqrt(n) * float(np.linalg.norm(v)))
@@ -414,6 +434,7 @@ class ConsensusLassoSolver:
             if stopping and primal <= eps_pri and dual <= eps_dual:
                 trace.stop_reason = "converged"
                 break
+        trace.sparse_forward_iters = forward.sparse_calls
         return v, trace, AdmmState(v=v, k=len(trace), eps_pri=eps_pri, eps_dual=eps_dual)
 
 

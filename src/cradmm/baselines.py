@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import ConvergenceTrace, IterationRecord, lasso_objective, soft_threshold
+from .admm import ConvergenceTrace, IterationRecord, lasso_objective, soft_threshold_support
 from .errors import DivergenceError
-from .linop import SensingOperator, adjoint, triangular_factor
+from .linop import SensingOperator, SupportForward, adjoint, triangular_factor
 from .scene import matrix_array, vector_array
 
 
@@ -64,7 +64,8 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     ``on_iteration``, when given, receives each IterationRecord as it
     completes, as in ``ConsensusLassoSolver.run``. H x is carried along with
     x, and H y is formed from it by the same extrapolation as y, so an
-    iteration costs one product with H and one with H^H.
+    iteration costs one product with H^H and one with H, the latter over the
+    support of x only while it is narrow (``linop.SupportForward``).
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -76,14 +77,15 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     x = np.zeros(op.shape[1], dtype=np.complex128)
     h_x = np.zeros(op.shape[0], dtype=np.complex128)
     y, h_y = x, h_x
+    forward = SupportForward(op.h)
     t = 1.0
     trace = ConvergenceTrace(stop_reason="max_iter")
     prev_obj = None
     start = time.perf_counter()
     for k in range(max_iter):
         grad = op.adjoint(h_y - b)
-        x_new = soft_threshold(y - grad / lips, lam / lips)
-        h_x_new = op.forward(x_new)
+        x_new, support = soft_threshold_support(y - grad / lips, lam / lips)
+        h_x_new = forward(x_new, support)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
         y = x_new + beta * (x_new - x)
@@ -103,6 +105,7 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
             trace.stop_reason = "converged"
             break
         prev_obj = obj
+    trace.sparse_forward_iters = forward.sparse_calls
     return x, trace
 
 

@@ -14,12 +14,13 @@ is two products with H and has no per-block work to spread over threads.
 ADMM and FISTA stream ``trace_<tag>.csv`` as they iterate. Every run writes
 one record as ``metrics_<tag>.json``: the method's own parameters (``lambda``;
 ADMM adds ``rho`` and ``N``), the quality metrics and, for an iterative solve,
-``stop_reason`` ("converged" or "max_iter"); ADMM adds its final primal and
-dual residuals next to their thresholds ``eps_pri`` and ``eps_dual``. Every
-record carries the lasso KKT violation of its estimate at the method's lambda
-(0 for pinv), ``kkt_violation``, and that over lambda, ``kkt_violation_rel``
-(null when lambda is 0). A run's ``summary.csv`` row is its record cut to the
-summary columns.
+``stop_reason`` ("converged" or "max_iter") and ``sparse_forward_iters``, the
+number of iterations whose product H x read only the iterate's support; ADMM
+adds its final primal and dual residuals next to their thresholds ``eps_pri``
+and ``eps_dual``. Every record carries the lasso KKT violation of its
+estimate at the method's lambda (0 for pinv), ``kkt_violation``, and that
+over lambda, ``kkt_violation_rel`` (null when lambda is 0). A run's
+``summary.csv`` row is its record cut to the summary columns.
 """
 
 import argparse
@@ -123,13 +124,14 @@ def _run(cfg, inputs, method, tag, params):
         engine = ConsensusLassoSolver.from_setup(setup(), params)
         with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
             estimate, trace, state = engine.run(writer.write_row)
-        record.update(stop_reason=trace.stop_reason, primal_residual=trace[-1].primal_residual,
-                      eps_pri=state.eps_pri, dual_residual=trace[-1].dual_residual, eps_dual=state.eps_dual)
+        record.update(stop_reason=trace.stop_reason, sparse_forward_iters=trace.sparse_forward_iters,
+                      primal_residual=trace[-1].primal_residual, eps_pri=state.eps_pri,
+                      dual_residual=trace[-1].dual_residual, eps_dual=state.eps_dual)
     elif method == "fista":
         with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
             estimate, trace = baselines.solve_fista(h, g, cfg.fista_lam, max_iter=cfg.fista_max_iter,
                                                     tol=cfg.fista_tol, on_iteration=writer.write_row)
-        record["stop_reason"] = trace.stop_reason
+        record.update(stop_reason=trace.stop_reason, sparse_forward_iters=trace.sparse_forward_iters)
     else:
         estimate, trace = baselines.solve_pseudoinverse(h, g, cfg.pinv_trunc_rel_tol), ()
     wall = time.perf_counter() - t0

@@ -8,6 +8,11 @@ matrix. ``triangular_factor`` is a streamed ("tall-skinny") QR factor of H,
 min(M, n) square, with the singular values of H; the pseudoinverse baseline
 takes its SVD instead of one of H.
 
+``SupportForward`` is the forward product of one solver run. ADMM and FISTA
+apply H to the output of a soft threshold, which is mostly zeros for a sparse
+scene, so while the support is narrow it multiplies only the columns of H in
+it, gathered once and reused while the support stays inside them.
+
 The adjoint is evaluated as (r^H H)^H, which walks the row-major H in place;
 neither a conjugate copy nor a transposed copy of H is ever made.
 """
@@ -19,6 +24,17 @@ from .scene import matrix_array
 # entries per slice when a Gram or a triangular factor is accumulated; bounds
 # the per-slice temporaries (~2 MB)
 GRAM_CHUNK_ENTRIES = 1 << 17
+
+# SupportForward takes the dense H x once the support holds more than
+# n / SPARSE_FRACTION columns. Measured on a 2-vCPU Intel Xeon VM with one
+# OpenBLAS thread, random 93 x n complex H, best of 7: the dense H x takes
+# 0.149 ms at n = 2500 and 1.45 ms at n = 25000. At width n / 16 a gather
+# H[:, cols] takes 0.018 and 0.70 ms and the gathered product 0.007 and
+# 0.087 ms, so even an iteration that gathers costs about half a dense
+# product. Gather plus product reaches the dense cost near n / 4 (0.161 ms)
+# at n = 2500 and near n / 8 (1.49 ms) at n = 25000; a product on reused
+# columns stays cheaper up to n / 2.
+SPARSE_FRACTION = 16
 
 
 def adjoint(h, r):
@@ -90,6 +106,41 @@ def triangular_factor(h, rhs=None):
     for part in slices:
         r = np.linalg.qr(np.vstack((r, part)), mode="r")
     return r
+
+
+class SupportForward:
+    """H x for the iterates of one solver run, reading only the columns they use.
+
+    ``__call__(x, support)`` takes the sorted indices ``support`` that hold
+    every nonzero entry of x. While they number at most n / SPARSE_FRACTION,
+    the product is H[:, cols] @ x[cols] over gathered columns ``cols`` kept
+    from one call to the next; they are gathered again, as the new support,
+    only when it has a column outside them. A wider support takes the dense
+    H @ x. ``sparse_calls`` counts the products taken on the support path.
+
+    The gathered columns (at most M n / SPARSE_FRACTION entries) belong to
+    this object, never to the shared operator: each run creates its own, so
+    its results do not depend on what ran before it.
+    """
+
+    def __init__(self, h):
+        self.h = h
+        self.cols = np.zeros(0, dtype=np.intp)
+        self.sparse_calls = 0
+        self._block = h[:, self.cols]
+        self._cached = np.zeros(h.shape[1], dtype=bool)
+
+    def __call__(self, x, support):
+        if len(support) * SPARSE_FRACTION > self.h.shape[1]:
+            return self.h @ x
+        if not self._cached[support].all():
+            self._cached[self.cols] = False
+            self._cached[support] = True
+            self.cols = support
+            del self._block  # the old and the new columns are never held together
+            self._block = self.h[:, support]
+        self.sparse_calls += 1
+        return self._block @ x[self.cols]
 
 
 class SensingOperator:

@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import ConfigError
 
+# the most complex128 entries one array can address
+MAX_MATRIX_ENTRIES = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
+
 SPEED_OF_LIGHT_M_S = 299792458.0
 
 
@@ -58,9 +61,11 @@ class ScenarioConfig:
     def violations(self):
         """Return a list of invariant violations (empty when valid)."""
         out = []
-        if not (is_integer(self.n_theta) and self.n_theta >= 1):
+        theta_ok = is_integer(self.n_theta) and self.n_theta >= 1
+        if not theta_ok:
             out.append("n_theta: must be an integer >= 1")
-        if not (is_integer(self.n_freq) and self.n_freq >= 1):
+        freq_ok = is_integer(self.n_freq) and self.n_freq >= 1
+        if not freq_ok:
             out.append("n_freq: must be an integer >= 1")
         grid_ok = (
             isinstance(self.grid, (tuple, list))
@@ -69,6 +74,9 @@ class ScenarioConfig:
         )
         if not grid_ok:
             out.append("grid: must be three integer voxel counts >= 1")
+        elif theta_ok and freq_ok and self.n_measurements * self.n_voxels > MAX_MATRIX_ENTRIES:
+            out.append("grid: with n_theta * n_freq rows and one column per voxel, "
+                       "the sensing matrix exceeds the addressable size")
         extent_ok = (
             isinstance(self.roi_extent, (tuple, list))
             and len(self.roi_extent) == 3

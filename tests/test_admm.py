@@ -21,6 +21,10 @@ from cradmm import (
     update_u,
     update_v,
 )
+from cradmm.admm import soft_threshold_support
+
+# an integer too large for a float
+HUGE = 10**400
 
 
 class TestPartitionRows:
@@ -104,6 +108,10 @@ class TestBlockSolver:
         with pytest.raises(ValueError, match="rho"):
             precompute_block_solver(np.zeros((1, 2)), np.zeros(1), 0.0)
 
+    def test_rho_beyond_the_float_range_raises_value_error(self):
+        with pytest.raises(ValueError, match="rho"):
+            precompute_block_solver(np.zeros((1, 2)), np.zeros(1), HUGE)
+
 
 class TestUpdateU:
     def test_zero_block_returns_coupling_prox(self, rng):
@@ -167,6 +175,17 @@ class TestSoftThreshold:
     def test_negative_threshold_raises(self):
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
+        with pytest.raises(ValueError):
+            soft_threshold_support(1.0, -0.1)
+
+    @pytest.mark.parametrize("shape", [(300,), (12, 25)])
+    def test_support_lists_the_nonzero_entries(self, rng, shape):
+        a = rand_complex(rng, *shape)
+        a.flat[:7] = [0.0, 0.5, -0.5j, 0.8, 0.8 * (1 + 1e-15), 3.0, 0.8j]
+        out, support = soft_threshold_support(a, 0.8)
+        assert out.tobytes() == soft_threshold(a, 0.8).tobytes()
+        np.testing.assert_array_equal(support, np.flatnonzero(out))
+        assert list(support[:2]) == [4, 5] and 6 not in support
 
     def test_lipschitz_phase_odd_zero(self, rng):
         a = rand_complex(rng, 300)
@@ -380,6 +399,31 @@ class TestSolveConsensusLasso:
         params = AdmmParams(lam=0.0, rho=1.0, max_iter=10, eps_abs=0.0, eps_rel=0.0)
         with pytest.raises(DivergenceError, match="iteration 0"):
             solve_consensus_lasso(np.array([[1.0]]), np.array([1e308]), params, 1)
+
+    def test_lam_beyond_the_float_range_raises_value_error(self):
+        with pytest.raises(ValueError, match="lam"):
+            AdmmParams(lam=HUGE, rho=1.0)
+
+    def test_rho_beyond_the_float_range_raises_value_error(self):
+        with pytest.raises(ValueError, match="rho"):
+            AdmmParams(lam=0.1, rho=HUGE)
+
+    @pytest.mark.parametrize("eps, norms", [(0.0, 25 + 2), (1e-300, 3 * 25)])
+    def test_thresholds_are_formed_only_when_read(self, rng, eps, norms):
+        # the primal residual takes one Gram-form norm per iteration; the thresholds
+        # take two more, every iteration under the stopping rule and once without it
+        counts = []
+
+        class Counting(ConsensusLassoSolver):
+            def _stacked_sq_norm(self, *args):
+                counts.append(1)
+                return super()._stacked_sq_norm(*args)
+
+        h, g = rand_complex(rng, 6, 20), rand_complex(rng, 6)
+        params = AdmmParams(lam=0.1, rho=1.0, max_iter=25, eps_abs=eps, eps_rel=eps)
+        _, trace, state = Counting(h, g, params, 3).run()
+        assert len(trace) == 25
+        assert len(counts) == norms
 
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError):

@@ -142,6 +142,13 @@ class TestGenerate:
         assert not out.exists()
         assert "config error: admm.lambda: must be a finite number >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", [{"n_theta": 10**400}, {"grid": [4, 4, 10**400]}], ids=["n_theta", "grid"])
+    def test_count_beyond_the_addressable_size_exits_2_and_writes_nothing(self, tmp_path, capsys, scenario):
+        path, out = write_config(tmp_path, overrides={"scenario": scenario})
+        assert main(["generate", "--config", str(path)]) == 2
+        assert not out.exists()
+        assert "config error: scenario.grid: with n_theta * n_freq rows" in capsys.readouterr().err
+
     def test_manifest_config_reproduces_run(self, tmp_path):
         path, out = write_config(tmp_path)
         assert main(["generate", "--config", str(path)]) == 0
@@ -257,6 +264,22 @@ class TestSolve:
         fista = json.loads((out / "metrics_fista.json").read_text())
         assert fista["stop_reason"] == "max_iter" and fista["iterations"] == 7
         assert "stop_reason" not in json.loads((out / "metrics_pinv.json").read_text())
+
+    @pytest.mark.parametrize("lam, all_sparse", [(0.05, False), (1e3, True)])
+    def test_metrics_count_the_support_path_iterations(self, tmp_path, lam, all_sparse):
+        # at a lambda past max|H^H g| every iterate is zero, so every product takes the support path
+        path, out = write_config(tmp_path, overrides={"admm": {"lambda": lam, "max_iter": 40},
+                                                      "fista": {"lambda": lam, "max_iter": 40, "tol": 0.0}})
+        assert main(["generate", "--config", str(path)]) == 0
+        for method in ("admm", "fista", "pinv"):
+            assert main(["solve", "--config", str(path), "--method", method]) == 0
+        for method in ("admm", "fista"):
+            record = json.loads((out / f"metrics_{method}.json").read_text())
+            count = record["sparse_forward_iters"]
+            assert isinstance(count, int) and 0 <= count <= record["iterations"], method
+            if all_sparse:
+                assert count == record["iterations"] == 40, method
+        assert "sparse_forward_iters" not in json.loads((out / "metrics_pinv.json").read_text())
 
     def test_metrics_carry_the_kkt_violation(self, tmp_path):
         path, out = write_config(tmp_path, overrides={"admm": {"max_iter": 30}, "fista": {"max_iter": 30}})

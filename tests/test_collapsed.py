@@ -113,6 +113,22 @@ def test_collapsed_matches_per_block_reference(instance):
     assert state.eps_dual == pytest.approx(eps_dual, rel=1e-9)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-6])
+def test_support_path_matches_per_block_reference(eps):
+    # a wide H and a sparse iterate: the forward products take the support path
+    rng = np.random.default_rng(31)
+    h, g = rand_complex(rng, 8, 160), rand_complex(rng, 8)
+    lam = 0.3 * float(np.max(np.abs(h.conj().T @ g)))
+    params = AdmmParams(lam=lam, rho=1.0, max_iter=400, eps_abs=eps, eps_rel=eps)
+    v_ref, rows, eps_pri, eps_dual = reference_consensus_lasso(h, g, params, 4)
+    v, trace, state = solve_consensus_lasso(h, g, params, 4)
+    assert trace.sparse_forward_iters == len(trace) == len(rows)
+    assert_close(v, v_ref, 1e-9)
+    np.testing.assert_allclose(trace.column("objective"), rows[:, 0], rtol=1e-9)
+    assert state.eps_pri == pytest.approx(eps_pri, rel=1e-9)
+    assert state.eps_dual == pytest.approx(eps_dual, rel=1e-9)
+
+
 class GramCheckedSolver(ConsensusLassoSolver):
     """Records each Gram-form stacked norm next to its explicit per-block value."""
 

@@ -14,6 +14,7 @@ import pytest
 
 from cradmm import ScenarioConfig, experiment_config_from_dict, experiment_config_to_dict
 from cradmm.errors import ConfigError
+from cradmm.scene import MAX_MATRIX_ENTRIES
 
 BASE = {
     "scenario": {"n_theta": 3, "n_freq": 2, "grid": [4, 4, 2], "roi_extent": [6.0, 6.0, 3.0]},
@@ -243,6 +244,34 @@ def test_integer_beyond_float_range_is_a_violation(section, key, value, message)
     if section == "scenario":
         fields = {**BASE["scenario"], key: tuple(value) if isinstance(value, list) else value}
         assert ScenarioConfig(**fields).violations() == [message.removeprefix("scenario.")]
+
+
+SIZE_MESSAGE = ("grid: with n_theta * n_freq rows and one column per voxel, "
+                "the sensing matrix exceeds the addressable size")
+
+COUNT_CASES = [
+    ("n_theta", HUGE),
+    ("n_freq", HUGE),
+    ("grid", [4, 4, HUGE]),
+    ("grid", [HUGE, 1, 1]),
+    ("grid", [2**40, 2**40, 1]),
+]
+
+
+@pytest.mark.parametrize("key, value", COUNT_CASES, ids=[f"{c[0]}-{i}" for i, c in enumerate(COUNT_CASES)])
+def test_count_beyond_the_addressable_size_is_a_violation(key, value):
+    assert violations(with_change("scenario", key, value)) == [f"scenario.{SIZE_MESSAGE}"]
+    fields = {**BASE["scenario"], key: tuple(value) if isinstance(value, list) else value}
+    assert ScenarioConfig(**fields).violations() == [SIZE_MESSAGE]
+
+
+def test_addressable_size_boundary():
+    # checked on ScenarioConfig alone: nothing is allocated
+    assert ScenarioConfig(n_theta=1, n_freq=1, grid=(MAX_MATRIX_ENTRIES, 1, 1)).violations() == []
+    assert ScenarioConfig(n_theta=1, n_freq=1, grid=(MAX_MATRIX_ENTRIES + 1, 1, 1)).violations() == [SIZE_MESSAGE]
+    assert ScenarioConfig(n_theta=2, n_freq=1, grid=(MAX_MATRIX_ENTRIES // 2 + 1, 1, 1)).violations() == [SIZE_MESSAGE]
+    # a count that is itself invalid is reported alone
+    assert ScenarioConfig(n_theta=0, grid=(4, 4, HUGE)).violations() == ["n_theta: must be an integer >= 1"]
 
 
 def readme_schema():

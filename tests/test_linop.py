@@ -1,9 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import rand_complex
 from cradmm import AdmmParams, ConsensusLassoSolver
-from cradmm.linop import GRAM_CHUNK_ENTRIES, SensingOperator, block_diagonal, gram, triangular_factor
+from cradmm.admm import soft_threshold_support
+from cradmm.linop import (
+    GRAM_CHUNK_ENTRIES,
+    SPARSE_FRACTION,
+    SensingOperator,
+    SupportForward,
+    block_diagonal,
+    gram,
+    triangular_factor,
+)
 
 
 def rank_deficient(rng, rows, cols, rank):
@@ -126,3 +137,81 @@ class TestBlockFactors:
     def test_block_diagonal_layout(self):
         out = block_diagonal(((0, 1), (1, 3)), [np.array([[2.0]]), np.array([[1.0, 2.0], [3.0, 4.0]])])
         np.testing.assert_array_equal(out, [[2, 0, 0], [0, 1, 2], [0, 3, 4]])
+
+
+class TestSupportForward:
+    """The support path against the dense product, its column cache and its memory."""
+
+    @staticmethod
+    def sparse_vector(rng, n, width):
+        support = np.sort(rng.choice(n, width, replace=False))
+        x = np.zeros(n, dtype=complex)
+        x[support] = rand_complex(rng, width)
+        return x, support
+
+    def test_matches_dense_product_on_random_supports(self, rng):
+        h = rand_complex(rng, 9, 320)
+        forward = SupportForward(h)
+        for width in (1, 3, 7, 19, 20, 2, 20, 11):
+            x, support = self.sparse_vector(rng, 320, width)
+            got, dense = forward(x, support), h @ x
+            assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense), width
+        assert forward.sparse_calls == 8
+
+    def test_empty_support_of_the_all_zero_iterate(self, rng):
+        # at lam >= max|H^H g| the prox maps H^H g to zero
+        h, g = rand_complex(rng, 6, 64), rand_complex(rng, 6)
+        hg = h.conj().T @ g
+        x, support = soft_threshold_support(hg, float(np.max(np.abs(hg))))
+        assert support.size == 0 and not np.any(x)
+        forward = SupportForward(h)
+        got = forward(x, support)
+        assert got.shape == (6,) and not np.any(got)
+        assert forward.sparse_calls == 1
+
+    def test_crossover_width(self, rng):
+        n = 16 * SPARSE_FRACTION
+        h = rand_complex(rng, 5, n)
+        forward = SupportForward(h)
+        x, support = self.sparse_vector(rng, n, n // SPARSE_FRACTION)  # at the crossover
+        got = forward(x, support)
+        assert forward.sparse_calls == 1 and forward.cols is support
+        assert np.linalg.norm(got - h @ x) <= 1e-14 * np.linalg.norm(h @ x)
+        x, support = self.sparse_vector(rng, n, n // SPARSE_FRACTION + 1)  # just past it
+        assert forward(x, support).tobytes() == (h @ x).tobytes()
+        assert forward.sparse_calls == 1
+
+    def test_support_inside_the_cached_columns_reuses_them(self, rng):
+        h = rand_complex(rng, 4, 160)
+        forward = SupportForward(h)
+        x, support = self.sparse_vector(rng, 160, 10)
+        forward(x, support)
+        cols = forward.cols
+        inner = support[::3]
+        y = np.zeros_like(x)
+        y[inner] = x[inner]
+        got = forward(y, inner)
+        assert forward.cols is cols
+        assert np.linalg.norm(got - h @ y) <= 1e-14 * np.linalg.norm(h @ y)
+        new = np.union1d(inner, [int(np.setdiff1d(np.arange(160), support)[0])])
+        y[new] = 1.0
+        got = forward(y, new)
+        assert forward.cols is new
+        assert np.linalg.norm(got - h @ y) <= 1e-14 * np.linalg.norm(h @ y)
+
+    def test_cache_holds_at_most_the_crossover_width(self, rng):
+        m, n = 16, 32000
+        h = rand_complex(rng, m, n)
+        # two full-width gathers in a row, a narrow one, and a dense product
+        vectors = [self.sparse_vector(rng, n, width) for width in (n // SPARSE_FRACTION, n // SPARSE_FRACTION,
+                                                                    100, 3000)]
+        tracemalloc.start()
+        try:
+            forward = SupportForward(h)
+            for x, support in vectors:
+                forward(x, support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cache = 16 * m * n // SPARSE_FRACTION
+        assert peak <= 1.2 * cache, (peak, cache)
