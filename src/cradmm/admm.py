@@ -21,13 +21,16 @@ M x M block-diagonal Gram (G_ii = H_i H_i^H) and Woodbury inverse
     v <- soft(v + H^H c / N, lam / (rho N))
     w <- v_old - v,  e <- c
 
-Carrying H v from one iteration to the next makes that one adjoint product
-with H per iteration and one forward product H v, which reads only the
-columns of H in the support of v while it holds at most n_p / SPARSE_FRACTION
-of them (``linop.SupportForward``); the objective and the stacked primal and
-dual norms follow from Gram identities at O(n_p + M^2) cost. The stopping
-thresholds are formed only when the stopping rule is on, or for the final
-state.
+Carrying H v from one iteration to the next makes that at most one adjoint
+product H^H c and one forward product H v per iteration; the objective and
+the stacked primal and dual norms follow from Gram identities at
+O(n_p + M^2) cost. Both products go through ``linop.SupportProducts``. While
+the support of v holds at most n_p / SPARSE_FRACTION columns, H v reads only
+those columns, and H^H c reads only those plus the columns whose entry a
+safe bound cannot prove the prox will zero (outside supp(v) it zeroes
+(H^H c)_p when |(H^H c)_p| <= N kappa = lam / rho); the dense products run
+otherwise. The stopping thresholds are formed only when the stopping rule
+is on, or for the final state.
 ``update_u``, ``update_v`` and ``update_s`` are the same steps written per
 block; they are kept as the reference the collapsed form is tested against.
 
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .linop import SensingOperator, SupportForward, adjoint, block_diagonal
+from .linop import SensingOperator, SupportProducts, adjoint, block_diagonal
 from .scene import is_finite_real, matrix_array, vector_array
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
@@ -239,13 +242,16 @@ class ConvergenceTrace:
     when its stopping rule fired (possibly on the last allowed iteration),
     "max_iter" when the budget ran out first, None for a trace read from disk.
     ``sparse_forward_iters`` is the number of iterations whose forward product
-    took the support path of ``linop.SupportForward`` (None when read from disk).
+    read only the iterate's support, and ``screened_adjoint_iters`` the number
+    whose adjoint product skipped the columns a safe bound screened (see
+    ``linop.SupportProducts``); both are None for a trace read from disk.
     """
 
     def __init__(self, records=None, stop_reason=None):
         self.records = list(records) if records is not None else []
         self.stop_reason = stop_reason
         self.sparse_forward_iters = None
+        self.screened_adjoint_iters = None
 
     def append(self, record):
         self.records.append(record)
@@ -400,15 +406,18 @@ class ConsensusLassoSolver:
         # v, w (length n_p); H v, H w, e, G e (length M)
         v = w = np.zeros(n_p, dtype=np.complex128)
         h_v = h_w = e = gram_e = np.zeros(m, dtype=np.complex128)
-        forward = SupportForward(op.h)
+        products = SupportProducts(op.h)
+        support = np.zeros(0, dtype=np.intp)  # of v
         trace = ConvergenceTrace(stop_reason="max_iter")
         start_time = time.perf_counter()
         for k in range(params.max_iter):
             z, h_z = v - w, h_v - h_w  # u_i = z + H_i^H d_i
             c = g / rho - woodbury @ (gram_g + rho * h_z - rho * gram_e) / rho**2
             d = c - e
-            v_next, support = soft_threshold_support(v + op.adjoint(c) / n, kappa)
-            h_v_next = forward(v_next, support)
+            # outside supp(v) the prox zeroes (H^H c)_p exactly when |(H^H c)_p| <= N kappa = lam / rho
+            h_c = products.adjoint(c, support, params.lam / rho)
+            v_next, support = soft_threshold_support(v + h_c / n, kappa)
+            h_v_next = products.forward(v_next, support)
             gram_c = gram @ c
             gram_d = gram_c - gram_e
             # an overflow here is reported below as a DivergenceError, not as a warning
@@ -434,7 +443,8 @@ class ConsensusLassoSolver:
             if stopping and primal <= eps_pri and dual <= eps_dual:
                 trace.stop_reason = "converged"
                 break
-        trace.sparse_forward_iters = forward.sparse_calls
+        trace.sparse_forward_iters = products.sparse_forward_calls
+        trace.screened_adjoint_iters = products.screened_adjoint_calls
         return v, trace, AdmmState(v=v, k=len(trace), eps_pri=eps_pri, eps_dual=eps_dual)
 
 

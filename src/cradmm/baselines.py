@@ -15,8 +15,8 @@ import numpy as np
 
 from .admm import ConvergenceTrace, IterationRecord, lasso_objective, soft_threshold_support
 from .errors import DivergenceError
-from .linop import SensingOperator, SupportForward, adjoint, triangular_factor
-from .scene import matrix_array, vector_array
+from .linop import SensingOperator, SupportProducts, adjoint, triangular_factor
+from .scene import is_finite_real, matrix_array, vector_array
 
 
 def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
@@ -64,11 +64,15 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     ``on_iteration``, when given, receives each IterationRecord as it
     completes, as in ``ConsensusLassoSolver.run``. H x is carried along with
     x, and H y is formed from it by the same extrapolation as y, so an
-    iteration costs one product with H^H and one with H, the latter over the
-    support of x only while it is narrow (``linop.SupportForward``).
+    iteration costs at most one product with H^H and one with H, both through
+    ``linop.SupportProducts``. While the supports of x and of the previous x
+    (whose union holds that of y) are narrow, H x reads only the columns in
+    the support of x, and the gradient H^H (H y - g) only those plus the
+    columns whose entry a safe bound cannot prove at most lam, the level at
+    which the prox zeroes an entry outside the support of y.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not (is_finite_real(lam) and lam >= 0):
+        raise ValueError("lam must be finite and >= 0")
     op = SensingOperator(h)
     b = vector_array(g)
     if op.shape[0] != b.shape[0]:
@@ -77,24 +81,28 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     x = np.zeros(op.shape[1], dtype=np.complex128)
     h_x = np.zeros(op.shape[0], dtype=np.complex128)
     y, h_y = x, h_x
-    forward = SupportForward(op.h)
+    products = SupportProducts(op.h)
+    x_support = np.zeros(0, dtype=np.intp)
+    y_supports = (x_support,)  # index arrays whose union holds supp(y)
     t = 1.0
     trace = ConvergenceTrace(stop_reason="max_iter")
     prev_obj = None
     start = time.perf_counter()
     for k in range(max_iter):
-        grad = op.adjoint(h_y - b)
+        # outside supp(y) the prox zeroes grad_p exactly when |grad_p| <= lam
+        grad = products.adjoint(h_y - b, y_supports, lam)
         x_new, support = soft_threshold_support(y - grad / lips, lam / lips)
-        h_x_new = forward(x_new, support)
+        h_x_new = products.forward(x_new, support)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
         y = x_new + beta * (x_new - x)
         h_y = h_x_new + beta * (h_x_new - h_x)
+        y_supports = (support, x_support)
         # an overflow here ends as a rescaled step or a DivergenceError, not as a warning
         with np.errstate(over="ignore"):
             step = _norm(x_new - x)
             obj = lasso_objective(h_x_new - b, x_new, lam)
-        x, h_x, t = x_new, h_x_new, t_new
+        x, h_x, t, x_support = x_new, h_x_new, t_new, support
         if not math.isfinite(obj):
             raise DivergenceError(f"non-finite objective at iteration {k}")
         record = IterationRecord(k, obj, step, 0.0, time.perf_counter() - start)
@@ -105,7 +113,8 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
             trace.stop_reason = "converged"
             break
         prev_obj = obj
-    trace.sparse_forward_iters = forward.sparse_calls
+    trace.sparse_forward_iters = products.sparse_forward_calls
+    trace.screened_adjoint_iters = products.screened_adjoint_calls
     return x, trace
 
 
@@ -140,8 +149,8 @@ def check_lasso_kkt(h, g, lam, v, tol):
     |v_p| <= 1e-12 * max|v| (absolute 1e-14 when v = 0) count as inactive.
     With lam = 0 both conditions collapse to ||r||_inf <= tol.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not (is_finite_real(lam) and lam >= 0):
+        raise ValueError("lam must be finite and >= 0")
     op = SensingOperator(h)
     b = vector_array(g)
     vv = vector_array(v)

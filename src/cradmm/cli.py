@@ -6,21 +6,23 @@ Subcommands:
     compare  --config cfg.json [--workers N] [--output DIR]
 
 Exit status: 0 on success, 2 on configuration or input-file problems (an
-input file that is missing, malformed or holds a non-finite value), 3 on
-solver failure. ``--output`` overrides the config's output_dir. ``--workers``
+input file that is missing, malformed or holds a non-finite value, or a
+scenario whose H does not fit in memory), 3 on solver failure. ``--output`` overrides the config's output_dir. ``--workers``
 is accepted for compatibility and has no effect: the collapsed ADMM iteration
 is two products with H and has no per-block work to spread over threads.
 
 ADMM and FISTA stream ``trace_<tag>.csv`` as they iterate. Every run writes
 one record as ``metrics_<tag>.json``: the method's own parameters (``lambda``;
 ADMM adds ``rho`` and ``N``), the quality metrics and, for an iterative solve,
-``stop_reason`` ("converged" or "max_iter") and ``sparse_forward_iters``, the
-number of iterations whose product H x read only the iterate's support; ADMM
-adds its final primal and dual residuals next to their thresholds ``eps_pri``
-and ``eps_dual``. Every record carries the lasso KKT violation of its
-estimate at the method's lambda (0 for pinv), ``kkt_violation``, and that
-over lambda, ``kkt_violation_rel`` (null when lambda is 0). A run's
-``summary.csv`` row is its record cut to the summary columns.
+``stop_reason`` ("converged" or "max_iter"), ``sparse_forward_iters``, the
+number of iterations whose product H x read only the iterate's support, and
+``screened_adjoint_iters``, the number whose product with H^H skipped the
+columns a safe bound proved the prox would zero; ADMM adds its final primal
+and dual residuals next to their thresholds ``eps_pri`` and ``eps_dual``.
+Every record carries the lasso KKT violation of its estimate at the
+method's lambda (0 for pinv), ``kkt_violation``, and that over lambda,
+``kkt_violation_rel`` (null when lambda is 0). A run's ``summary.csv`` row
+is its record cut to the summary columns.
 """
 
 import argparse
@@ -51,10 +53,18 @@ SUMMARY_COLUMNS = ("method", "lambda", "rho", "N", "iterations", "final_objectiv
 
 
 def cmd_generate(cfg):
-    """Synthesize H, the phantom, and the noisy measurement; write them plus a manifest."""
-    sensing = scene.synthesize_sensing_matrix(cfg.scenario)
-    phantom = scene.build_phantom(cfg.scenario, cfg.targets)
-    measured = scene.forward_measure(sensing, phantom, cfg.scenario.snr_db, cfg.noise_seed)
+    """Synthesize H, the phantom, and the noisy measurement; write them plus a manifest.
+
+    A scenario too large for memory is a config error, and nothing is written.
+    """
+    try:
+        sensing = scene.synthesize_sensing_matrix(cfg.scenario)
+        phantom = scene.build_phantom(cfg.scenario, cfg.targets)
+        measured = scene.forward_measure(sensing, phantom, cfg.scenario.snr_db, cfg.noise_seed)
+    except MemoryError:
+        rows, cols = cfg.scenario.n_measurements, cfg.scenario.n_voxels
+        raise ConfigError([f"scenario: H of {rows} x {cols} complex entries ({rows * cols * 16 / 2**30:.1f} GiB) "
+                           "does not fit in memory"]) from None
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_matrix(out / MATRIX_FILE, sensing.entries)
@@ -125,13 +135,15 @@ def _run(cfg, inputs, method, tag, params):
         with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
             estimate, trace, state = engine.run(writer.write_row)
         record.update(stop_reason=trace.stop_reason, sparse_forward_iters=trace.sparse_forward_iters,
+                      screened_adjoint_iters=trace.screened_adjoint_iters,
                       primal_residual=trace[-1].primal_residual, eps_pri=state.eps_pri,
                       dual_residual=trace[-1].dual_residual, eps_dual=state.eps_dual)
     elif method == "fista":
         with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
             estimate, trace = baselines.solve_fista(h, g, cfg.fista_lam, max_iter=cfg.fista_max_iter,
                                                     tol=cfg.fista_tol, on_iteration=writer.write_row)
-        record.update(stop_reason=trace.stop_reason, sparse_forward_iters=trace.sparse_forward_iters)
+        record.update(stop_reason=trace.stop_reason, sparse_forward_iters=trace.sparse_forward_iters,
+                      screened_adjoint_iters=trace.screened_adjoint_iters)
     else:
         estimate, trace = baselines.solve_pseudoinverse(h, g, cfg.pinv_trunc_rel_tol), ()
     wall = time.perf_counter() - t0

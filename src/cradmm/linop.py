@@ -8,14 +8,48 @@ matrix. ``triangular_factor`` is a streamed ("tall-skinny") QR factor of H,
 min(M, n) square, with the singular values of H; the pseudoinverse baseline
 takes its SVD instead of one of H.
 
-``SupportForward`` is the forward product of one solver run. ADMM and FISTA
-apply H to the output of a soft threshold, which is mostly zeros for a sparse
-scene, so while the support is narrow it multiplies only the columns of H in
-it, gathered once and reused while the support stays inside them.
+``SupportProducts`` holds the products of one solver run. ADMM and FISTA
+feed H^H r to a soft threshold and apply H to its output, which is mostly
+zeros for a sparse scene. While that output's support is narrow, the
+forward product multiplies only the columns of H in it, and the adjoint skips
+every column whose entry a safe screening bound proves the threshold will
+zero (El Ghaoui, Viallon and Rabbani, Pacific J. Optim. 8(4), 2012; Fercoq,
+Gramfort and Salmon, ICML 2015). Outside the iterate's support the prox
+returns 0 exactly when |(H^H r)_p| <= t. For an anchor residual r_a with
+q_a = H^H r_a, Cauchy-Schwarz on column h_p gives
+
+    |(H^H r)_p| <= |q_a,p| + ||h_p|| ||r - r_a||.
+
+The prox reads the computed (H^H r)_p, an inner product of length M within
+sqrt(2) gamma_{M+2} ||h_p|| ||r|| of the exact one (gamma_k = k eps / 2
+over 1 - k eps / 2, and |h_p|^T |r| <= ||h_p|| ||r||); the stored q_a is as
+close to its exact value, with ||r_a||. The computed ||h_p|| and
+||r - r_a|| are each within about (M + 1) eps relative, so their product's
+error is below (2 M + 3) eps ||h_p|| (||r|| + ||r_a||). Those terms sum to
+less than 4 (M + 2) eps ||h_p|| (||r|| + ||r_a||), so
+
+    bound_p = |q_a,p| + ||h_p|| (||r - r_a|| + 2 f + 4 (M + 2) eps (||r|| + ||r_a||))
+
+with computed norms is at least the |(H^H r)_p| the prox would compute, up
+to a few roundings relative to bound_p itself. Entry p is screened when
+
+    bound_p <= t (1 - 16 eps) - 4 (M + 2) u.
+
+The 16 eps covers those roundings and the prox's own on the way to its
+test |.| <= threshold: a division by N or by the step's Lipschitz
+constant, a modulus, and the threshold's quotient, about 12 eps in all.
+The rest covers underflow. u is the smallest subnormal; a product that
+underflows loses at most u / 2, so the two inner products lose at most
+4 M u between them. A 2-norm of an M-vector loses at most f = sqrt(2 M u) to
+its squares that underflow: the column norms carry f and the residual
+norms 2 f. A non-finite residual gives a NaN or infinite bound, which is
+never screened.
 
 The adjoint is evaluated as (r^H H)^H, which walks the row-major H in place;
 neither a conjugate copy nor a transposed copy of H is ever made.
 """
+
+import math
 
 import numpy as np
 
@@ -25,16 +59,24 @@ from .scene import matrix_array
 # the per-slice temporaries (~2 MB)
 GRAM_CHUNK_ENTRIES = 1 << 17
 
-# SupportForward takes the dense H x once the support holds more than
-# n / SPARSE_FRACTION columns. Measured on a 2-vCPU Intel Xeon VM with one
-# OpenBLAS thread, random 93 x n complex H, best of 7: the dense H x takes
-# 0.149 ms at n = 2500 and 1.45 ms at n = 25000. At width n / 16 a gather
+# SupportProducts takes the dense H x and H^H r once the support (for H^H r,
+# with the unscreened columns) holds more than n / SPARSE_FRACTION columns.
+# Measured on a 2-vCPU Intel Xeon VM with one OpenBLAS thread, random 93 x n
+# complex H, best of 7: the dense H x takes 0.149 ms at n = 2500 and 1.45 ms
+# at n = 25000. At width n / 16 a gather
 # H[:, cols] takes 0.018 and 0.70 ms and the gathered product 0.007 and
 # 0.087 ms, so even an iteration that gathers costs about half a dense
 # product. Gather plus product reaches the dense cost near n / 4 (0.161 ms)
 # at n = 2500 and near n / 8 (1.49 ms) at n = 25000; a product on reused
 # columns stays cheaper up to n / 2.
 SPARSE_FRACTION = 16
+
+# the screening rule's rounding slack (times (M + 2) eps) and margin (times
+# eps); the module docstring derives both
+SCREEN_SLACK = 4.0
+SCREEN_MARGIN = 16.0
+EPS = float(np.finfo(np.float64).eps)
+SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
 def adjoint(h, r):
@@ -108,39 +150,123 @@ def triangular_factor(h, rhs=None):
     return r
 
 
-class SupportForward:
-    """H x for the iterates of one solver run, reading only the columns they use.
+class SupportProducts:
+    """H x and H^H r for the iterates of one solver run, reading only the columns they need.
 
-    ``__call__(x, support)`` takes the sorted indices ``support`` that hold
-    every nonzero entry of x. While they number at most n / SPARSE_FRACTION,
-    the product is H[:, cols] @ x[cols] over gathered columns ``cols`` kept
-    from one call to the next; they are gathered again, as the new support,
-    only when it has a column outside them. A wider support takes the dense
-    H @ x. ``sparse_calls`` counts the products taken on the support path.
+    ``forward(x, support)`` takes sorted indices ``support`` that hold every
+    nonzero entry of x. While they number at most n / SPARSE_FRACTION, the
+    product is taken over the gathered columns ``cols`` when they hold the
+    support, and over the support, gathered anew, when they do not. A wider
+    support takes the dense H @ x.
 
-    The gathered columns (at most M n / SPARSE_FRACTION entries) belong to
-    this object, never to the shared operator: each run creates its own, so
-    its results do not depend on what ran before it.
+    ``adjoint(r, support, threshold)`` is H^H r for a solver that feeds it to
+    a soft threshold at ``threshold`` with an iterate whose nonzero entries lie
+    in ``support`` (an index array, or a tuple of them whose union holds
+    them). Outside the support the prox zeroes entry p exactly when
+    |(H^H r)_p| <= threshold, and the anchor bound of the module docstring
+    proves that for most p without reading column p. Those entries are
+    returned as exact zeros; the support and the unscreened entries are taken
+    over gathered columns as in ``forward``. When there are more than
+    n / SPARSE_FRACTION of them, or no anchor yet, the dense adjoint runs and
+    its residual becomes the new anchor. A support wider than that, or a zero
+    threshold, takes the dense adjoint without screening.
+
+    ``sparse_forward_calls`` and ``screened_adjoint_calls`` count the
+    products taken on the gathered columns. The gathered columns (at most
+    M n / SPARSE_FRACTION entries), the anchor and the column norms (n floats
+    each, the norms formed on the first screening) belong to this object,
+    never to the shared operator: each run creates its own, so its results do
+    not depend on what ran before it.
     """
 
     def __init__(self, h):
         self.h = h
         self.cols = np.zeros(0, dtype=np.intp)
-        self.sparse_calls = 0
+        self.sparse_forward_calls = 0
+        self.screened_adjoint_calls = 0
         self._block = h[:, self.cols]
         self._cached = np.zeros(h.shape[1], dtype=bool)
+        self._norms = None
+        self._anchor = None  # (r_a, |H^H r_a|, ||r_a||)
 
-    def __call__(self, x, support):
-        if len(support) * SPARSE_FRACTION > self.h.shape[1]:
-            return self.h @ x
-        if not self._cached[support].all():
+    def _narrow(self, count):
+        return count * SPARSE_FRACTION <= self.h.shape[1]
+
+    def _gather(self, cols):
+        """Hold the columns ``cols`` (sorted), unless the held ones include them."""
+        if not self._cached[cols].all():
             self._cached[self.cols] = False
-            self._cached[support] = True
-            self.cols = support
+            self._cached[cols] = True
+            self.cols = cols
             del self._block  # the old and the new columns are never held together
-            self._block = self.h[:, support]
-        self.sparse_calls += 1
+            self._block = self.h[:, cols]
+
+    def forward(self, x, support):
+        if not self._narrow(len(support)):
+            return self.h @ x
+        self._gather(support)
+        self.sparse_forward_calls += 1
         return self._block @ x[self.cols]
+
+    def adjoint(self, r, support, threshold):
+        supports = support if isinstance(support, tuple) else (support,)
+        if threshold <= 0 or not all(self._narrow(len(s)) for s in supports):
+            return adjoint(self.h, r)
+        if self._anchor is not None:
+            keep = self._unscreened(r, threshold)
+            for s in supports:
+                keep[s] = True
+            cols = np.flatnonzero(keep)
+            if self._narrow(len(cols)):
+                self._gather(cols)
+                self.screened_adjoint_calls += 1
+                out = np.zeros(self.h.shape[1], dtype=np.complex128)
+                out[self.cols] = np.where(keep[self.cols], adjoint(self._block, r), 0.0)
+                return out
+        q = adjoint(self.h, r)
+        self._anchor = (r.copy(), np.abs(q), _norm(r))
+        return q
+
+    def _unscreened(self, r, threshold):
+        """Mask of the entries of H^H r that the anchor bound cannot prove <= threshold."""
+        m = len(r)
+        if self._norms is None:
+            self._norms = column_norms(self.h)
+        r_a, abs_q, norm_a = self._anchor
+        limit = threshold * (1.0 - SCREEN_MARGIN * EPS) - SCREEN_SLACK * (m + 2) * SUBNORMAL
+        # an overflow or a non-finite residual makes a bound infinite or NaN, never screened
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = (_norm(r - r_a) + 2.0 * _norm_floor(m)
+                     + SCREEN_SLACK * (m + 2) * EPS * (_norm(r) + norm_a))
+            return ~(abs_q + self._norms * reach <= limit)
+
+
+def _norm(a):
+    """||a||_2 as sqrt(a^H a): one inner product, no rescaling."""
+    return math.sqrt(np.vdot(a, a).real)
+
+
+def _norm_floor(m):
+    """The most a computed 2-norm of an m-vector can lose to squares that underflow.
+
+    Each of its 2 m real squares loses at most half the smallest subnormal.
+    """
+    return math.sqrt(2 * m * SUBNORMAL)
+
+
+def column_norms(h):
+    """Upper bounds on ||h_p|| for every column of H, accumulated one row at a time.
+
+    Never forms an H-sized temporary. Each norm is the computed one plus
+    ``_norm_floor(M)``, which covers squares that fall below the subnormal
+    range.
+    """
+    squares = np.zeros(h.shape[1])
+    with np.errstate(over="ignore"):  # an infinite norm screens nothing
+        for row in h:
+            squares += row.real**2
+            squares += row.imag**2
+    return np.sqrt(squares) + _norm_floor(h.shape[0])
 
 
 class SensingOperator:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -135,6 +136,9 @@ def test_pseudoinverse_matches_dense_pinv(instance):
     assert np.linalg.norm(got - expected) <= bound * np.linalg.norm(expected)
 
 
+BAD_LAMBDAS = [math.nan, math.inf, -math.inf, 10**400, -0.1]
+
+
 class TestFista:
     def test_identity_closed_form(self):
         u, _ = solve_fista(np.eye(2), np.array([3.0, 0.5]), 1.0, max_iter=2000, tol=0.0)
@@ -206,6 +210,12 @@ class TestFista:
         with pytest.raises(DivergenceError, match="iteration 0"):
             solve_fista([[1.0]], [1e308], 2.0)
 
+    @pytest.mark.parametrize("lam", BAD_LAMBDAS)
+    def test_lambda_not_finite_and_nonnegative_raises_value_error(self, lam):
+        # a bad argument, not a solver failure: no DivergenceError
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            solve_fista(np.eye(2), np.ones(2), lam)
+
 
 class TestKkt:
     def test_prox_solution_passes(self, rng):
@@ -243,6 +253,12 @@ class TestKkt:
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ValueError, match="shapes"):
             check_lasso_kkt(rand_complex(rng, 3, 4), rand_complex(rng, 3), 1.0, rand_complex(rng, 5), 1e-4)
+
+    @pytest.mark.parametrize("lam", BAD_LAMBDAS)
+    def test_lambda_not_finite_and_nonnegative_raises_value_error(self, lam):
+        # lam = inf would pass every inactive entry, lam = nan report a nan excess
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            check_lasso_kkt(np.eye(2), np.ones(2), lam, np.zeros(2), 1e-4)
 
 
 class TestCrossSolverAgreement:

@@ -17,6 +17,7 @@ from cradmm import (
     write_matrix,
     write_vector,
 )
+from cradmm import scene
 from cradmm.cli import cmd_generate, main
 from cradmm.errors import ConfigError
 
@@ -149,6 +150,20 @@ class TestGenerate:
         assert not out.exists()
         assert "config error: scenario.grid: with n_theta * n_freq rows" in capsys.readouterr().err
 
+    def test_scenario_larger_than_memory_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # a 160 GB H: the synthesis is stubbed to fail as numpy does, without allocating
+        def out_of_memory(scenario):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(scene, "synthesize_sensing_matrix", out_of_memory)
+        path, out = write_config(tmp_path, overrides={
+            "scenario": {"n_theta": 1, "n_freq": 1, "grid": [100000, 100000, 1]}, "targets": [],
+            "admm": {"n_blocks": 1}})
+        assert main(["generate", "--config", str(path)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == ("config error: scenario: H of 1 x 10000000000 complex entries "
+                                           "(149.0 GiB) does not fit in memory\n")
+
     def test_manifest_config_reproduces_run(self, tmp_path):
         path, out = write_config(tmp_path)
         assert main(["generate", "--config", str(path)]) == 0
@@ -267,7 +282,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("lam, all_sparse", [(0.05, False), (1e3, True)])
     def test_metrics_count_the_support_path_iterations(self, tmp_path, lam, all_sparse):
-        # at a lambda past max|H^H g| every iterate is zero, so every product takes the support path
+        # at a lambda past max|H^H g| every iterate is zero, so every forward product takes the
+        # support path, and every adjoint but the first (the dense anchor) is screened
         path, out = write_config(tmp_path, overrides={"admm": {"lambda": lam, "max_iter": 40},
                                                       "fista": {"lambda": lam, "max_iter": 40, "tol": 0.0}})
         assert main(["generate", "--config", str(path)]) == 0
@@ -277,9 +293,13 @@ class TestSolve:
             record = json.loads((out / f"metrics_{method}.json").read_text())
             count = record["sparse_forward_iters"]
             assert isinstance(count, int) and 0 <= count <= record["iterations"], method
+            screened = record["screened_adjoint_iters"]
+            assert isinstance(screened, int) and 0 <= screened < record["iterations"], method
             if all_sparse:
                 assert count == record["iterations"] == 40, method
-        assert "sparse_forward_iters" not in json.loads((out / "metrics_pinv.json").read_text())
+                assert screened == 39, method
+        pinv = json.loads((out / "metrics_pinv.json").read_text())
+        assert "sparse_forward_iters" not in pinv and "screened_adjoint_iters" not in pinv
 
     def test_metrics_carry_the_kkt_violation(self, tmp_path):
         path, out = write_config(tmp_path, overrides={"admm": {"max_iter": 30}, "fista": {"max_iter": 30}})

@@ -199,6 +199,8 @@ class TestTraceCsv:
         write_trace_csv(trace, path)
         back = read_trace_csv(path)
         assert len(back) == 64
+        # what a run knew of itself is not in the file
+        assert back.stop_reason is back.sparse_forward_iters is back.screened_adjoint_iters is None
         for a, b in zip(trace, back):
             assert a == b  # float fields must survive the 17-digit print exactly
 

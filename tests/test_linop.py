@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_complex
 from cradmm import AdmmParams, ConsensusLassoSolver
@@ -10,8 +12,10 @@ from cradmm.linop import (
     GRAM_CHUNK_ENTRIES,
     SPARSE_FRACTION,
     SensingOperator,
-    SupportForward,
+    SupportProducts,
+    adjoint,
     block_diagonal,
+    column_norms,
     gram,
     triangular_factor,
 )
@@ -140,7 +144,7 @@ class TestBlockFactors:
 
 
 class TestSupportForward:
-    """The support path against the dense product, its column cache and its memory."""
+    """The forward product of SupportProducts against the dense one, its column cache and its memory."""
 
     @staticmethod
     def sparse_vector(rng, n, width):
@@ -151,12 +155,12 @@ class TestSupportForward:
 
     def test_matches_dense_product_on_random_supports(self, rng):
         h = rand_complex(rng, 9, 320)
-        forward = SupportForward(h)
+        products = SupportProducts(h)
         for width in (1, 3, 7, 19, 20, 2, 20, 11):
             x, support = self.sparse_vector(rng, 320, width)
-            got, dense = forward(x, support), h @ x
+            got, dense = products.forward(x, support), h @ x
             assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense), width
-        assert forward.sparse_calls == 8
+        assert products.sparse_forward_calls == 8
 
     def test_empty_support_of_the_all_zero_iterate(self, rng):
         # at lam >= max|H^H g| the prox maps H^H g to zero
@@ -164,39 +168,39 @@ class TestSupportForward:
         hg = h.conj().T @ g
         x, support = soft_threshold_support(hg, float(np.max(np.abs(hg))))
         assert support.size == 0 and not np.any(x)
-        forward = SupportForward(h)
-        got = forward(x, support)
+        products = SupportProducts(h)
+        got = products.forward(x, support)
         assert got.shape == (6,) and not np.any(got)
-        assert forward.sparse_calls == 1
+        assert products.sparse_forward_calls == 1
 
     def test_crossover_width(self, rng):
         n = 16 * SPARSE_FRACTION
         h = rand_complex(rng, 5, n)
-        forward = SupportForward(h)
+        products = SupportProducts(h)
         x, support = self.sparse_vector(rng, n, n // SPARSE_FRACTION)  # at the crossover
-        got = forward(x, support)
-        assert forward.sparse_calls == 1 and forward.cols is support
+        got = products.forward(x, support)
+        assert products.sparse_forward_calls == 1 and products.cols is support
         assert np.linalg.norm(got - h @ x) <= 1e-14 * np.linalg.norm(h @ x)
         x, support = self.sparse_vector(rng, n, n // SPARSE_FRACTION + 1)  # just past it
-        assert forward(x, support).tobytes() == (h @ x).tobytes()
-        assert forward.sparse_calls == 1
+        assert products.forward(x, support).tobytes() == (h @ x).tobytes()
+        assert products.sparse_forward_calls == 1
 
     def test_support_inside_the_cached_columns_reuses_them(self, rng):
         h = rand_complex(rng, 4, 160)
-        forward = SupportForward(h)
+        products = SupportProducts(h)
         x, support = self.sparse_vector(rng, 160, 10)
-        forward(x, support)
-        cols = forward.cols
+        products.forward(x, support)
+        cols = products.cols
         inner = support[::3]
         y = np.zeros_like(x)
         y[inner] = x[inner]
-        got = forward(y, inner)
-        assert forward.cols is cols
+        got = products.forward(y, inner)
+        assert products.cols is cols
         assert np.linalg.norm(got - h @ y) <= 1e-14 * np.linalg.norm(h @ y)
         new = np.union1d(inner, [int(np.setdiff1d(np.arange(160), support)[0])])
         y[new] = 1.0
-        got = forward(y, new)
-        assert forward.cols is new
+        got = products.forward(y, new)
+        assert products.cols is new
         assert np.linalg.norm(got - h @ y) <= 1e-14 * np.linalg.norm(h @ y)
 
     def test_cache_holds_at_most_the_crossover_width(self, rng):
@@ -207,11 +211,158 @@ class TestSupportForward:
                                                                     100, 3000)]
         tracemalloc.start()
         try:
-            forward = SupportForward(h)
+            products = SupportProducts(h)
             for x, support in vectors:
-                forward(x, support)
+                products.forward(x, support)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         cache = 16 * m * n // SPARSE_FRACTION
         assert peak <= 1.2 * cache, (peak, cache)
+
+
+class TestSupportAdjoint:
+    """The screened adjoint of SupportProducts: the anchor, the crossover, and the rule's safety."""
+
+    NONE = np.zeros(0, dtype=np.intp)
+
+    def test_first_call_is_the_dense_anchor(self, rng):
+        h, r = rand_complex(rng, 6, 200), rand_complex(rng, 6)
+        products = SupportProducts(h)
+        assert products.adjoint(r, self.NONE, 0.5).tobytes() == adjoint(h, r).tobytes()
+        assert products.screened_adjoint_calls == 0
+        assert products._norms is None  # formed on the first screening, not before
+
+    def test_screened_entries_are_zeros_and_the_rest_match_dense(self, rng):
+        m, n = 8, 640
+        h = rand_complex(rng, m, n)
+        r_a = rand_complex(rng, m)
+        threshold = 0.9 * float(np.max(np.abs(adjoint(h, r_a))))
+        support = np.sort(rng.choice(n, 5, replace=False))
+        products = SupportProducts(h)
+        products.adjoint(r_a, support, threshold)
+        r = r_a + 1e-3 * rand_complex(rng, m)
+        got, dense = products.adjoint(r, support, threshold), adjoint(h, r)
+        assert products.screened_adjoint_calls == 1
+        computed = got != 0
+        assert np.all(computed[support])
+        assert 0 < np.count_nonzero(computed) <= n // SPARSE_FRACTION
+        np.testing.assert_allclose(got[computed], dense[computed], rtol=1e-13)
+        assert np.all(np.abs(dense[~computed]) <= threshold)
+
+    def test_support_given_as_a_tuple_is_their_union(self, rng):
+        h, r = rand_complex(rng, 5, 320), rand_complex(rng, 5)
+        threshold = 2.0 * float(np.max(np.abs(adjoint(h, r))))  # screens every entry off the supports
+        first, second = np.array([3, 17]), np.array([17, 200, 311])
+        products = SupportProducts(h)
+        products.adjoint(r, self.NONE, threshold)
+        got = products.adjoint(r, (first, second), threshold)
+        np.testing.assert_array_equal(np.flatnonzero(got), [3, 17, 200, 311])
+        np.testing.assert_allclose(got[[3, 17, 200, 311]], adjoint(h, r)[[3, 17, 200, 311]], rtol=1e-13)
+
+    def test_too_many_unscreened_columns_take_the_dense_product_and_reanchor(self, rng):
+        h = rand_complex(rng, 6, 320)
+        r_a, r = rand_complex(rng, 6), rand_complex(rng, 6)
+        threshold = float(np.sort(np.abs(adjoint(h, r)))[-6])  # five entries of H^H r pass it
+        products = SupportProducts(h)
+        products.adjoint(r_a, self.NONE, threshold)
+        # an unrelated residual: the bound proves too little
+        assert products.adjoint(r, self.NONE, threshold).tobytes() == adjoint(h, r).tobytes()
+        assert products.screened_adjoint_calls == 0
+        assert products._anchor[0].tobytes() == r.tobytes()
+        # against the new anchor the same residual screens every entry below the threshold; the
+        # rounding slack keeps the one exactly at it
+        got = products.adjoint(r, self.NONE, threshold)
+        assert products.screened_adjoint_calls == 1
+        dense = adjoint(h, r)
+        np.testing.assert_array_equal(np.flatnonzero(got), np.flatnonzero(np.abs(dense) >= threshold))
+
+    @pytest.mark.parametrize("case", ["wide-support", "zero-threshold"])
+    def test_dense_without_screening(self, rng, case):
+        n = 16 * SPARSE_FRACTION
+        h, r = rand_complex(rng, 5, n), rand_complex(rng, 5)
+        wide = np.arange(n // SPARSE_FRACTION + 1)
+        support, threshold = (wide, 1e9) if case == "wide-support" else (self.NONE, 0.0)
+        products = SupportProducts(h)
+        for _ in range(3):
+            assert products.adjoint(r, support, threshold).tobytes() == adjoint(h, r).tobytes()
+        assert products.screened_adjoint_calls == 0
+        assert products._anchor is None and products._norms is None
+
+    def test_non_finite_residual_is_never_screened(self, rng):
+        h, r = rand_complex(rng, 4, 160), rand_complex(rng, 4)
+        products = SupportProducts(h)
+        products.adjoint(r, self.NONE, 1e9)
+        for bad in (np.inf, np.nan):
+            r_bad = r.copy()
+            r_bad[1] = bad
+            assert not np.any(~products._unscreened(r_bad, 1e9))
+
+    def test_column_norms_bound_the_exact_norms(self, rng):
+        h = rand_complex(rng, 7, 50)
+        np.testing.assert_allclose(column_norms(h), np.linalg.norm(h, axis=0), rtol=1e-14)
+        # squares of 1e-170 underflow to zero: the floor keeps every norm above its exact value
+        tiny = 1e-170 * h
+        exact = 1e-170 * np.linalg.norm(h, axis=0)
+        assert np.all(column_norms(tiny) >= exact) and np.all(column_norms(tiny) < 1e-150)
+
+    def test_column_norms_hold_no_h_sized_temporary(self, rng):
+        h = rand_complex(rng, 64, 20000)
+        tracemalloc.start()
+        try:
+            column_norms(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * h.shape[1], peak  # a few n-float rows, against 16 M n bytes of H
+
+
+@st.composite
+def screening_cases(draw):
+    """A random H, residual and anchor, and a threshold that may sit exactly on a computed |(H^H r)_p|."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rand_complex(rng, m, n) * draw(st.sampled_from([1e-170, 1e-3, 1.0, 1e3]))
+    r = rand_complex(rng, m) * draw(st.sampled_from([1e-3, 1.0, 1e3, 1e150]))
+    anchor = draw(st.sampled_from(["same", "near", "far", "zero"]))
+    r_a = {
+        "same": r.copy(),
+        "near": r + draw(st.sampled_from([1e-15, 1e-8, 1e-3])) * np.linalg.norm(r) * rand_complex(rng, m),
+        "far": rand_complex(rng, m) * np.linalg.norm(r),
+        "zero": np.zeros(m, dtype=complex),
+    }[anchor]
+    magnitudes = np.abs(adjoint(h, r))
+    p = draw(st.integers(0, n - 1))
+    target = draw(st.sampled_from(["at", "below", "above", "max", "twice-max"]))
+    threshold = {
+        "at": magnitudes[p],
+        "below": np.nextafter(magnitudes[p], 0.0),
+        "above": np.nextafter(magnitudes[p], np.inf),
+        "max": magnitudes.max(),
+        "twice-max": 2.0 * magnitudes.max(),
+    }[target]
+    return h, r, r_a, float(threshold), draw(st.sampled_from([1, 3, 31])), draw(st.sampled_from([0.1, 1.0, 7.0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(screening_cases())
+def test_every_screened_entry_is_zeroed_by_the_dense_prox(case):
+    h, r, r_a, target, n_blocks, scale = case
+    assume(target > 0)
+    dense = adjoint(h, r)  # the kernel a dense iteration runs
+    empty = np.zeros(0, dtype=np.intp)
+    # ADMM: the prox of v + H^H c / N at lam / (rho N), with threshold lam / rho
+    lam, rho = target * scale, scale
+    products = SupportProducts(h)
+    products.adjoint(r_a, empty, lam / rho)
+    screened = ~products._unscreened(r, lam / rho)
+    admm_prox = soft_threshold_support(dense / n_blocks, lam / (rho * n_blocks))[0]
+    assert not np.any(admm_prox[screened])
+    # FISTA: the prox of y - grad / L at lam / L, with threshold lam
+    lips = scale * n_blocks
+    products = SupportProducts(h)
+    products.adjoint(r_a, empty, target)
+    screened = ~products._unscreened(r, target)
+    fista_prox = soft_threshold_support(-dense / lips, target / lips)[0]
+    assert not np.any(fista_prox[screened])

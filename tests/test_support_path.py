@@ -1,11 +1,13 @@
-"""ADMM and FISTA with the support-aware forward product (``linop.SupportForward``).
+"""ADMM and FISTA with support-aware and screened products (``linop.SupportProducts``).
 
-Setting ``SPARSE_FRACTION`` to 1 sends every product down the support path;
-setting it past n sends every product with a nonzero iterate to the dense
-H @ x. Both solvers must give the same estimates either way, and the default
-in between.
+Setting ``SPARSE_FRACTION`` to 1 sends every forward product down the support
+path and every adjoint after the first (the dense anchor) down the screened
+one; setting it past n sends every product with a nonzero iterate, and every
+adjoint with a column left unscreened, to the dense product. Both solvers
+must give the same estimates either way, and the default in between.
 """
 
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -16,6 +18,7 @@ from cradmm import AdmmParams, ConsensusLassoSolver, ConsensusSetup, solve_fista
 from cradmm import linop
 
 N_BLOCKS = 4
+DEFAULT_FRACTION = linop.SPARSE_FRACTION
 
 
 @pytest.fixture
@@ -47,14 +50,19 @@ def test_support_path_matches_dense_products(sparse_problem, monkeypatch, solve)
     h, g, lam = sparse_problem
     default = solve(h, g, lam)
     assert 0 < default[1].sparse_forward_iters <= len(default[1])
+    assert 0 < default[1].screened_adjoint_iters < len(default[1])
     monkeypatch.setattr(linop, "SPARSE_FRACTION", 10**9)
     dense = solve(h, g, lam)
     assert dense[1].sparse_forward_iters < default[1].sparse_forward_iters
+    # past n, only an adjoint whose every entry is screened skips H: the dense prox zeroes them all too
+    assert dense[1].screened_adjoint_iters < default[1].screened_adjoint_iters
     monkeypatch.setattr(linop, "SPARSE_FRACTION", 1)
     sparse = solve(h, g, lam)
     assert sparse[1].sparse_forward_iters == len(sparse[1])
+    assert sparse[1].screened_adjoint_iters == len(sparse[1]) - 1
     for got in (default[0], sparse[0]):
         assert np.linalg.norm(got - dense[0]) <= 1e-12 * np.linalg.norm(dense[0])
+        np.testing.assert_array_equal(np.flatnonzero(got), np.flatnonzero(dense[0]))
     objectives = dense[1].column("objective")
     for trace in (default[1], sparse[1]):
         np.testing.assert_allclose(trace.column("objective"), objectives, rtol=1e-12)
@@ -67,14 +75,16 @@ def test_repeat_runs_are_bit_identical(sparse_problem, solve):
     h, g, lam = sparse_problem
     run = solve(h, g, lam)
     (x1, t1, *_), (x2, t2, *_) = run(), run()
-    assert t1.sparse_forward_iters > 0
+    assert t1.sparse_forward_iters > 0 and t1.screened_adjoint_iters > 0
     assert x1.tobytes() == x2.tobytes()
     assert [astuple(r)[:4] for r in t1] == [astuple(r)[:4] for r in t2]
     assert t1.sparse_forward_iters == t2.sparse_forward_iters
+    assert t1.screened_adjoint_iters == t2.screened_adjoint_iters
 
 
 def test_sweep_points_do_not_share_gathered_columns(sparse_problem):
-    # one set-up serves every point; a point's result does not depend on the points run before it
+    # one set-up serves every point; a point's result does not depend on the points run before it:
+    # neither the gathered columns nor the screening anchor outlive a run
     h, g, lam = sparse_problem
     setup = ConsensusSetup(h, g, N_BLOCKS)
     params = [AdmmParams(lam=f * lam, rho=1.0, max_iter=100, eps_abs=0.0, eps_rel=0.0) for f in (0.5, 1, 2)]
@@ -85,14 +95,61 @@ def test_sweep_points_do_not_share_gathered_columns(sparse_problem):
             v, trace, _ = ConsensusLassoSolver.from_setup(setup, params[i]).run()
             assert v.tobytes() == fresh[i][0].tobytes()
             assert trace.sparse_forward_iters == fresh[i][1].sparse_forward_iters
+            assert trace.screened_adjoint_iters == fresh[i][1].screened_adjoint_iters > 0
     assert (set(vars(setup)), set(vars(setup.operator))) == attributes
 
 
 @pytest.mark.parametrize("solve", [run_admm, run_fista], ids=["admm", "fista"])
 def test_zero_iterate_takes_the_support_path_every_iteration(sparse_problem, solve):
-    # at lam >= max|H^H g| the estimate is zero and every support is empty
+    # at lam >= max|H^H g| the estimate is zero and every support is empty; every adjoint
+    # but the anchor is screened
     h, g, _ = sparse_problem
     lam = float(np.max(np.abs(h.conj().T @ g)))
     x, trace, *_ = solve(h, g, lam, max_iter=20)
     assert not np.any(x)
     assert trace.sparse_forward_iters == len(trace) == 20
+    assert trace.screened_adjoint_iters == 19
+
+
+@pytest.mark.parametrize("solve", [run_admm, run_fista], ids=["admm", "fista"])
+def test_zero_lambda_screens_nothing(sparse_problem, solve):
+    # the prox at a zero threshold keeps every nonzero entry: no bound can prove one zero
+    h, g, _ = sparse_problem
+    x, trace, *_ = solve(h, g, 0.0, max_iter=20)
+    assert trace.screened_adjoint_iters == 0
+    assert np.count_nonzero(x) == x.size
+
+
+@pytest.mark.parametrize("method", ["admm", "fista"])
+def test_run_peak_grows_by_at_most_the_gathered_columns(rng, monkeypatch, method):
+    # over the dense path an iteration holds at most M n / SPARSE_FRACTION gathered entries, and
+    # the anchor, the column norms and the screening mask: O(n) floats, never an H-sized temporary
+    m, n = 32, 16000
+    h = rand_complex(rng, m, n)
+    u = np.zeros(n, dtype=complex)
+    u[rng.choice(n, 20, replace=False)] = rand_complex(rng, 20)
+    g = h @ u + 0.01 * rand_complex(rng, m)
+    lam = 0.2 * float(np.max(np.abs(h.conj().T @ g)))
+
+    def traced_peak():
+        # the peak from the end of the first iteration on: the set-up (Grams, ||H||^2) is not counted
+        def reset(record):
+            if record.k == 0:
+                tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            if method == "admm":
+                _, trace, _ = admm_solver(h, g, lam, max_iter=40).run(reset)
+            else:
+                _, trace = solve_fista(h, g, lam, max_iter=40, tol=0.0, on_iteration=reset)
+            return tracemalloc.get_traced_memory()[1], trace
+        finally:
+            tracemalloc.stop()
+
+    default, trace = traced_peak()
+    assert trace.screened_adjoint_iters > 0 and trace.sparse_forward_iters > 0
+    monkeypatch.setattr(linop, "SPARSE_FRACTION", 10**9)
+    dense, _ = traced_peak()
+    gathered = 16 * m * n // DEFAULT_FRACTION
+    assert default - dense <= gathered + 8 * 8 * n, (default, dense, gathered)
