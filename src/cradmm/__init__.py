@@ -10,7 +10,6 @@ from .admm import (
     AdmmState,
     BlockSolver,
     ConsensusLassoSolver,
-    ConsensusSetup,
     ConvergenceTrace,
     IterationRecord,
     Partition,
@@ -41,6 +40,7 @@ from .fileio import (
     write_vector,
     write_view_pgm,
 )
+from .linop import SensingOperator
 from .metrics import VolumeViews, nmse, project_views, support_metrics
 from .scene import (
     Measurement,
@@ -60,7 +60,6 @@ __all__ = [
     "BlockSolver",
     "ConfigError",
     "ConsensusLassoSolver",
-    "ConsensusSetup",
     "ConvergenceTrace",
     "DivergenceError",
     "ExperimentConfig",
@@ -72,6 +71,7 @@ __all__ = [
     "Scene",
     "ScenarioConfig",
     "SensingMatrix",
+    "SensingOperator",
     "TraceCsvWriter",
     "VolumeViews",
     "build_phantom",

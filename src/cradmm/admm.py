@@ -34,9 +34,9 @@ is on, or for the final state.
 ``update_u``, ``update_v`` and ``update_s`` are the same steps written per
 block; they are kept as the reference the collapsed form is tested against.
 
-Only S depends on rho. ``ConsensusSetup`` holds the rest (the operator, the
-partition, the block Grams, G and G g), so the points of a (lam, rho) sweep
-share it and each rebuilds only its m_i x m_i Woodbury blocks.
+Only S depends on rho. The block Grams and G are the operator's, so the
+points of a (lam, rho) sweep on one ``linop.SensingOperator`` share them and
+each builds only its m_i x m_i Woodbury blocks.
 """
 
 import math
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .linop import SensingOperator, SupportProducts, adjoint, block_diagonal
+from .linop import SupportProducts, adjoint, as_operator, block_diagonal
 from .scene import is_finite_real, matrix_array, vector_array
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
@@ -70,7 +70,7 @@ def soft_threshold_support(a, kappa):
     The indices are those where the shrunk magnitude is positive; every
     nonzero entry of the result is among them.
     """
-    if kappa < 0:
+    if not kappa >= 0:  # NaN too
         raise ValueError("threshold must be >= 0")
     a = np.asarray(a)
     mag = np.abs(a)
@@ -167,11 +167,6 @@ class BlockSolver:
         return b / self.rho - adjoint(self.h_block, t) / self.rho**2
 
 
-def _check_finite(h, g):
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(g))):
-        raise ValueError("block contains non-finite entries")
-
-
 def _woodbury_block(gram, rho):
     """(I + gram / rho)^-1 for one block's m x m Gram."""
     small_inverse = np.linalg.inv(np.eye(gram.shape[0], dtype=np.complex128) + gram / rho)
@@ -187,7 +182,8 @@ def precompute_block_solver(h_i, g_i, rho):
     gv = vector_array(g_i)
     if gv.shape[0] != h.shape[0]:
         raise ValueError(f"block has {h.shape[0]} rows but {gv.shape[0]} measurements")
-    _check_finite(h, gv)
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(gv))):
+        raise ValueError("block contains non-finite entries")
     gram = h @ h.conj().T
     return BlockSolver(h_block=h, g_block=gv, small_inverse=_woodbury_block(gram, rho),
                        rho=float(rho), gram=gram)
@@ -291,7 +287,9 @@ def lasso_objective(resid, u, lam):
 
 def evaluate_objective(h, g, u, lam):
     """Value of 0.5 ||H u - g||^2 + lam * sum_p |u_p| (complex modulus)."""
-    op = SensingOperator(h)
+    if not (is_finite_real(lam) and lam >= 0):
+        raise ValueError("lam must be finite and >= 0")
+    op = as_operator(h)
     gv = vector_array(g)
     uv = vector_array(u)
     if op.shape != (gv.shape[0], uv.shape[0]):
@@ -299,36 +297,13 @@ def evaluate_objective(h, g, u, lam):
     return lasso_objective(op.forward(uv) - gv, uv, lam)
 
 
-class ConsensusSetup:
-    """The rho-independent part of the consensus solver for one (H, g, N).
-
-    Holds the operator, the row partition, the per-block Grams H_i H_i^H, the
-    M x M block-diagonal Gram ``gram`` and ``gram_g`` = G g. Solvers for
-    several (lam, rho) points built with ``ConsensusLassoSolver.from_setup``
-    share one set-up and compute only their Woodbury blocks; their results
-    are bit-identical to those of separately constructed solvers.
-    """
-
-    def __init__(self, h, g, n_blocks):
-        self.operator = SensingOperator(h)
-        self.g = vector_array(g)
-        self.partition = partition_rows(self.operator.h, self.g, n_blocks)
-        with np.errstate(invalid="ignore", over="ignore"):
-            self.block_grams = [self.operator.h[start:stop] @ self.operator.h[start:stop].conj().T
-                                for start, stop in self.partition.blocks]
-            self.gram = block_diagonal(self.partition.blocks, self.block_grams)
-            self.gram_g = self.gram @ self.g
-        # a non-finite H_i entry makes diag(H_i H_i^H) non-finite: a finite Gram proves H finite
-        if not (np.all(np.isfinite(self.gram)) and np.all(np.isfinite(self.g))):
-            _check_finite(self.operator.h, self.g)  # a finite H whose Gram overflows runs on
-
-
 class ConsensusLassoSolver:
     """Consensus ADMM engine over a fixed row partition, in collapsed form.
 
-    ``block_solvers`` holds the per-block Woodbury factors; ``gram`` and
-    ``woodbury`` are the same blocks assembled into M x M block-diagonal
-    matrices for the collapsed iteration (see the module docstring).
+    ``block_solvers`` holds the per-block Woodbury factors; ``gram`` (the
+    operator's) and ``woodbury`` are the same blocks assembled into M x M
+    block-diagonal matrices for the collapsed iteration (see the module
+    docstring). A non-finite entry in H or g raises ValueError.
     ``workers`` is accepted for compatibility and has no effect: an iteration
     is at most two products with H and O(n_p + M^2) vector work, with nothing
     left to spread across threads, so results are the same for any worker
@@ -336,28 +311,21 @@ class ConsensusLassoSolver:
     """
 
     def __init__(self, h, g, params, n_blocks, workers=1):
-        self._bind(ConsensusSetup(h, g, n_blocks), params)
-
-    @classmethod
-    def from_setup(cls, setup, params):
-        """A solver for ``params`` on a ConsensusSetup shared with other solvers."""
-        engine = cls.__new__(cls)
-        engine._bind(setup, params)
-        return engine
-
-    def _bind(self, setup, params):
-        self.operator = setup.operator
-        self.entries = setup.operator.h
-        self.g = setup.g
+        self.operator = as_operator(h)
+        self.entries = self.operator.h
+        self.g = vector_array(g)
         self.params = params
-        self.partition = setup.partition
-        self.gram = setup.gram
-        self.gram_g = setup.gram_g
+        self.partition = partition_rows(self.entries, self.g, n_blocks)
+        block_grams, self.gram = self.operator.block_grams(self.partition.blocks)
+        if not np.all(np.isfinite(self.g)):
+            raise ValueError("block contains non-finite entries")
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.gram_g = self.gram @ self.g
         self.block_solvers = [
             BlockSolver(h_block=self.entries[start:stop], g_block=self.g[start:stop],
                         small_inverse=_woodbury_block(gram, params.rho), rho=float(params.rho),
                         gram=gram)
-            for (start, stop), gram in zip(self.partition.blocks, setup.block_grams)
+            for (start, stop), gram in zip(self.partition.blocks, block_grams)
         ]
         self.woodbury = block_diagonal(self.partition.blocks,
                                        [b.small_inverse for b in self.block_solvers])
@@ -374,12 +342,8 @@ class ConsensusLassoSolver:
         total = common + cross + quad
         if total >= CANCELLATION_RATIO * (common + abs(cross) + quad):
             return total
-        return sum(float(np.real(np.vdot(y, y))) for y in self._block_rows(a, x))
-
-    def _block_rows(self, common, x):
-        """Yield common + H_i^H x_i for each block in turn."""
-        for start, stop in self.partition.blocks:
-            yield common + adjoint(self.entries[start:stop], x[start:stop])
+        rows = (a + adjoint(self.entries[start:stop], x[start:stop]) for start, stop in self.partition.blocks)
+        return sum(float(np.real(np.vdot(y, y))) for y in rows)
 
     def run(self, on_iteration=None):
         """Iterate from the zero start until the stopping rule or max_iter.
@@ -406,7 +370,7 @@ class ConsensusLassoSolver:
         # v, w (length n_p); H v, H w, e, G e (length M)
         v = w = np.zeros(n_p, dtype=np.complex128)
         h_v = h_w = e = gram_e = np.zeros(m, dtype=np.complex128)
-        products = SupportProducts(op.h)
+        products = SupportProducts(op)
         support = np.zeros(0, dtype=np.intp)  # of v
         trace = ConvergenceTrace(stop_reason="max_iter")
         start_time = time.perf_counter()

@@ -15,8 +15,8 @@ import numpy as np
 
 from .admm import ConvergenceTrace, IterationRecord, lasso_objective, soft_threshold_support
 from .errors import DivergenceError
-from .linop import SensingOperator, SupportProducts, adjoint, triangular_factor
-from .scene import is_finite_real, matrix_array, vector_array
+from .linop import SupportProducts, adjoint, as_operator, triangular_factor
+from .scene import is_finite_real, vector_array
 
 
 def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
@@ -32,7 +32,7 @@ def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
     """
     if not 0.0 < trunc_rel_tol < 1.0:
         raise ValueError("trunc_rel_tol must lie in (0, 1)")
-    a = matrix_array(h)
+    a = as_operator(h).h
     b = vector_array(g)
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"matrix has {a.shape[0]} rows but measurement has {b.shape[0]}")
@@ -73,7 +73,9 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     """
     if not (is_finite_real(lam) and lam >= 0):
         raise ValueError("lam must be finite and >= 0")
-    op = SensingOperator(h)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    op = as_operator(h)
     b = vector_array(g)
     if op.shape[0] != b.shape[0]:
         raise ValueError(f"matrix has {op.shape[0]} rows but measurement has {b.shape[0]}")
@@ -81,7 +83,7 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     x = np.zeros(op.shape[1], dtype=np.complex128)
     h_x = np.zeros(op.shape[0], dtype=np.complex128)
     y, h_y = x, h_x
-    products = SupportProducts(op.h)
+    products = SupportProducts(op)
     x_support = np.zeros(0, dtype=np.intp)
     y_supports = (x_support,)  # index arrays whose union holds supp(y)
     t = 1.0
@@ -151,7 +153,7 @@ def check_lasso_kkt(h, g, lam, v, tol):
     """
     if not (is_finite_real(lam) and lam >= 0):
         raise ValueError("lam must be finite and >= 0")
-    op = SensingOperator(h)
+    op = as_operator(h)
     b = vector_array(g)
     vv = vector_array(v)
     if op.shape != (b.shape[0], vv.shape[0]):

@@ -23,11 +23,12 @@ Every record carries the lasso KKT violation of its estimate at the
 method's lambda (0 for pinv), ``kkt_violation``, and that over lambda,
 ``kkt_violation_rel`` (null when lambda is 0). A run's ``summary.csv`` row
 is its record cut to the summary columns.
+Every run of a command shares one ``linop.SensingOperator`` on H, so
+||H||^2, the column norms and the block Grams are formed once per command.
 """
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -37,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, fileio, metrics, scene
-from .admm import ConsensusLassoSolver, ConsensusSetup, evaluate_objective
+from . import baselines, fileio, linop, metrics, scene
+from .admm import ConsensusLassoSolver, evaluate_objective
 from .config import experiment_config_to_dict, load_experiment_config
 from .errors import ConfigError, DivergenceError, FileFormatError
 
@@ -92,9 +93,9 @@ def cmd_solve(cfg, method):
 def cmd_compare(cfg):
     """Run every configured method (and the lambda/rho sweep) and summarize.
 
-    The ADMM points share one rho-independent set-up, built on first use; a
-    set-up that fails is retried, and reported, by every point. A run that
-    raises becomes an error row, and the remaining runs still go.
+    A factor of the shared operator that fails to form is retried, and
+    reported, by every run that needs it. A run that raises becomes an error
+    row, and the remaining runs still go.
     """
     if cfg.has_sweep:
         runs = [("admm", f"admm_lam{lam:g}_rho{rho:g}", dataclasses.replace(cfg.admm, lam=lam, rho=rho))
@@ -126,12 +127,12 @@ def _run(cfg, inputs, method, tag, params):
     The record is what ``metrics_<tag>.json`` holds; ADMM runs with
     ``params``. Iterative methods stream ``trace_<tag>.csv`` as they go.
     """
-    h, u_true, g, setup = inputs
+    op, u_true, g = inputs
     out = Path(cfg.output_dir)
     record = _own_keys(cfg, method, params)
     t0 = time.perf_counter()
     if method == "admm":
-        engine = ConsensusLassoSolver.from_setup(setup(), params)
+        engine = ConsensusLassoSolver(op, g, params, cfg.admm_blocks)
         with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
             estimate, trace, state = engine.run(writer.write_row)
         record.update(stop_reason=trace.stop_reason, sparse_forward_iters=trace.sparse_forward_iters,
@@ -140,22 +141,22 @@ def _run(cfg, inputs, method, tag, params):
                       dual_residual=trace[-1].dual_residual, eps_dual=state.eps_dual)
     elif method == "fista":
         with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
-            estimate, trace = baselines.solve_fista(h, g, cfg.fista_lam, max_iter=cfg.fista_max_iter,
+            estimate, trace = baselines.solve_fista(op, g, cfg.fista_lam, max_iter=cfg.fista_max_iter,
                                                     tol=cfg.fista_tol, on_iteration=writer.write_row)
         record.update(stop_reason=trace.stop_reason, sparse_forward_iters=trace.sparse_forward_iters,
                       screened_adjoint_iters=trace.screened_adjoint_iters)
     else:
-        estimate, trace = baselines.solve_pseudoinverse(h, g, cfg.pinv_trunc_rel_tol), ()
+        estimate, trace = baselines.solve_pseudoinverse(op, g, cfg.pinv_trunc_rel_tol), ()
     wall = time.perf_counter() - t0
 
     # the pseudoinverse has no lambda: its objective is the data-fit term alone
     lam = record.get("lambda", 0.0)
-    kkt = baselines.check_lasso_kkt(h, g, lam, estimate, 0.0)
+    kkt = baselines.check_lasso_kkt(op, g, lam, estimate, 0.0)
     kkt_violation = max(kkt.max_active_violation, kkt.max_inactive_excess)
     precision, recall = metrics.support_metrics(estimate, u_true, cfg.support_rel_threshold)
     record.update(
         iterations=len(trace),
-        final_objective=evaluate_objective(h, g, estimate, lam),
+        final_objective=evaluate_objective(op, g, estimate, lam),
         nmse=metrics.nmse(estimate, u_true) if np.any(u_true) else None,
         precision=precision,
         recall=recall,
@@ -173,7 +174,7 @@ def _run(cfg, inputs, method, tag, params):
 
 
 def _load_inputs(cfg):
-    """H, u_true, g and a cached ADMM set-up on them, built on first use.
+    """The command's one SensingOperator on H, then u_true and g.
 
     The files must match the config and hold only finite values.
     """
@@ -192,7 +193,7 @@ def _load_inputs(cfg):
     for name, values in ((MATRIX_FILE, h), (SCENE_FILE, u_true), (MEASUREMENT_FILE, g)):
         if not np.all(np.isfinite(values)):
             raise FileFormatError(f"{out / name} holds a non-finite value")
-    return h, u_true, g, functools.cache(lambda: ConsensusSetup(h, g, cfg.admm_blocks))
+    return linop.SensingOperator(h), u_true, g
 
 
 def _write_summary(path, rows):

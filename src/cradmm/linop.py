@@ -1,12 +1,12 @@
 """The sensing matrix H as a linear operator, shared by every solver.
 
-ADMM, FISTA, the lasso objective and the KKT certificate all touch H only
-through this layer: the forward product H x, the adjoint H^H r and the exact
-spectral norm ||H||_2^2. ``block_diagonal`` assembles per-block m_i x m_i
-factors (the consensus solver's Grams and Woodbury inverses) into one M x M
-matrix. ``triangular_factor`` is a streamed ("tall-skinny") QR factor of H,
-min(M, n) square, with the singular values of H; the pseudoinverse baseline
-takes its SVD instead of one of H.
+Every solver, the objective and the KKT check take a ``SensingOperator``
+wherever they take H. One operator owns H for a command: the products H x and
+H^H r, and the factors of H alone (||H||_2^2, the column norms, the block
+Grams), each formed once and shared by every run. ``block_diagonal`` builds
+an M x M block-diagonal matrix from m_i x m_i blocks. ``triangular_factor`` is
+a streamed ("tall-skinny") QR factor of H, min(M, n) square, with the singular
+values of H; the pseudoinverse baseline takes its SVD instead of one of H.
 
 ``SupportProducts`` holds the products of one solver run. ADMM and FISTA
 feed H^H r to a soft threshold and apply H to its output, which is mostly
@@ -173,20 +173,20 @@ class SupportProducts:
 
     ``sparse_forward_calls`` and ``screened_adjoint_calls`` count the
     products taken on the gathered columns. The gathered columns (at most
-    M n / SPARSE_FRACTION entries), the anchor and the column norms (n floats
-    each, the norms formed on the first screening) belong to this object,
-    never to the shared operator: each run creates its own, so its results do
-    not depend on what ran before it.
+    M n / SPARSE_FRACTION entries) and the anchor (n floats) belong to this
+    object, never to the shared operator: each run creates its own, so its
+    results do not depend on what ran before it. Only the column norms, formed
+    on the first screening, are the operator's.
     """
 
     def __init__(self, h):
-        self.h = h
+        self.operator = as_operator(h)
+        self.h = self.operator.h
         self.cols = np.zeros(0, dtype=np.intp)
         self.sparse_forward_calls = 0
         self.screened_adjoint_calls = 0
-        self._block = h[:, self.cols]
-        self._cached = np.zeros(h.shape[1], dtype=bool)
-        self._norms = None
+        self._block = self.h[:, self.cols]
+        self._cached = np.zeros(self.h.shape[1], dtype=bool)
         self._anchor = None  # (r_a, |H^H r_a|, ||r_a||)
 
     def _narrow(self, count):
@@ -230,15 +230,13 @@ class SupportProducts:
     def _unscreened(self, r, threshold):
         """Mask of the entries of H^H r that the anchor bound cannot prove <= threshold."""
         m = len(r)
-        if self._norms is None:
-            self._norms = column_norms(self.h)
         r_a, abs_q, norm_a = self._anchor
         limit = threshold * (1.0 - SCREEN_MARGIN * EPS) - SCREEN_SLACK * (m + 2) * SUBNORMAL
         # an overflow or a non-finite residual makes a bound infinite or NaN, never screened
         with np.errstate(over="ignore", invalid="ignore"):
             reach = (_norm(r - r_a) + 2.0 * _norm_floor(m)
                      + SCREEN_SLACK * (m + 2) * EPS * (_norm(r) + norm_a))
-            return ~(abs_q + self._norms * reach <= limit)
+            return ~(abs_q + self.operator.column_norms() * reach <= limit)
 
 
 def _norm(a):
@@ -270,10 +268,16 @@ def column_norms(h):
 
 
 class SensingOperator:
-    """A dense complex M x n matrix with the products the solvers need."""
+    """A dense complex M x n matrix H with its products and the factors of H alone.
+
+    ``norm_squared()``, ``column_norms()`` and ``block_grams(blocks)`` are
+    formed on first use and kept; one whose computation raises is not kept.
+    Nothing of one solver run (gathered columns, an anchor) is stored here.
+    """
 
     def __init__(self, h):
         self.h = np.ascontiguousarray(matrix_array(h))
+        self._factors = {}
 
     @property
     def shape(self):
@@ -285,6 +289,37 @@ class SensingOperator:
     def adjoint(self, r):
         return adjoint(self.h, r)
 
+    def _factor(self, key, form, *args):
+        if key not in self._factors:
+            self._factors[key] = form(self.h, *args)
+        return self._factors[key]
+
     def norm_squared(self):
         """Exact ||H||_2^2: the largest eigenvalue of the smaller Gram."""
-        return max(float(np.linalg.eigvalsh(gram(self.h))[-1]), 0.0)
+        return self._factor("norm_squared", lambda h: max(float(np.linalg.eigvalsh(gram(h))[-1]), 0.0))
+
+    def column_norms(self):
+        """Upper bounds on every ||h_p||, as ``column_norms`` forms them."""
+        return self._factor("column_norms", column_norms)
+
+    def block_grams(self, blocks):
+        """The Grams H_i H_i^H of the row ranges ``blocks``, and G, their M x M block diagonal.
+
+        A non-finite entry of H_i makes diag(H_i H_i^H) non-finite, so H is
+        scanned (ValueError if it holds one) only when G is not finite.
+        """
+        return self._factor(("block_grams", blocks), _block_grams, blocks)
+
+
+def as_operator(h):
+    """``h`` when it is a SensingOperator, else a new one on the matrix ``h``."""
+    return h if isinstance(h, SensingOperator) else SensingOperator(h)
+
+
+def _block_grams(h, blocks):
+    with np.errstate(invalid="ignore", over="ignore"):  # a finite H whose Gram overflows runs on
+        grams = [h[start:stop] @ h[start:stop].conj().T for start, stop in blocks]
+        full = block_diagonal(blocks, grams)
+    if not np.all(np.isfinite(full)) and not np.all(np.isfinite(h)):
+        raise ValueError("block contains non-finite entries")
+    return grams, full

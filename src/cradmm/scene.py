@@ -245,15 +245,19 @@ def synthesize_sensing_matrix(config):
     amplitude = 1.0 / d**2
     freqs = config.frequencies_hz()
     n_p = config.n_voxels
+    # amplitude and range phase depend on the frequency alone, not on the rotation;
+    # built in place, so no n_p-sized temporary is held beside the n_freq x n_p result
+    factors = np.multiply.outer(-2j * (2.0 * np.pi * freqs / SPEED_OF_LIGHT_M_S), d)
+    np.exp(factors, out=factors)
+    factors *= amplitude
     entries = np.empty((config.n_measurements, n_p), dtype=np.complex128)
     row_meta = []
     for r in range(config.n_theta):
         # one phase stream per (seed, rotation); position in the stream is the voxel index
         phase = np.random.default_rng([config.rng_seed, r]).uniform(0.0, 2.0 * np.pi, n_p)
         code = np.exp(1j * phase)
-        for f, freq in enumerate(freqs):
-            k = 2.0 * np.pi * freq / SPEED_OF_LIGHT_M_S
-            entries[r * config.n_freq + f] = amplitude * np.exp(-2j * k * d) * code
+        for f, factor in enumerate(factors):
+            np.multiply(factor, code, out=entries[r * config.n_freq + f])
             row_meta.append((r, f))
     return SensingMatrix(entries=entries, row_meta=tuple(row_meta))
 

@@ -9,8 +9,8 @@ from conftest import rand_complex
 from cradmm import (
     AdmmParams,
     ConsensusLassoSolver,
-    ConsensusSetup,
     DivergenceError,
+    SensingOperator,
     check_lasso_kkt,
     evaluate_objective,
     partition_rows,
@@ -178,6 +178,16 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold_support(1.0, -0.1)
 
+    def test_nan_threshold_raises(self):
+        with pytest.raises(ValueError, match="threshold"):
+            soft_threshold(np.ones(3), math.nan)
+        with pytest.raises(ValueError, match="threshold"):
+            soft_threshold_support(np.ones(3), math.nan)
+
+    def test_infinite_threshold_zeroes_everything(self, rng):
+        out, support = soft_threshold_support(rand_complex(rng, 20), math.inf)
+        assert not np.any(out) and support.size == 0
+
     @pytest.mark.parametrize("shape", [(300,), (12, 25)])
     def test_support_lists_the_nonzero_entries(self, rng, shape):
         a = rand_complex(rng, *shape)
@@ -262,6 +272,11 @@ class TestObjectives:
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ValueError, match="shapes"):
             evaluate_objective(rand_complex(rng, 3, 4), rand_complex(rng, 3), rand_complex(rng, 5), 1.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, HUGE, -0.1])
+    def test_lambda_not_finite_and_nonnegative_raises_value_error(self, rng, lam):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            evaluate_objective(rand_complex(rng, 3, 4), rand_complex(rng, 3), rand_complex(rng, 4), lam)
 
 
 class TestSolveConsensusLasso:
@@ -350,16 +365,20 @@ class TestSolveConsensusLasso:
         assert all(b.small_inverse.shape == (3, 3) for b in engine.block_solvers)
 
     def test_shared_setup_is_bit_identical_to_fresh_solvers(self, rng):
+        # solvers on one operator share its block Grams; each builds its own Woodbury blocks
         h = rand_complex(rng, 10, 24)
         g = rand_complex(rng, 10)
-        setup = ConsensusSetup(h, g, 4)
+        op = SensingOperator(h)
         for lam in (0.01, 0.5):
             for rho in (0.1, 1.0, 10.0):
                 params = AdmmParams(lam=lam, rho=rho, max_iter=60, eps_abs=1e-9, eps_rel=1e-9)
-                shared = ConsensusLassoSolver.from_setup(setup, params)
+                shared = ConsensusLassoSolver(op, g, params, 4)
                 fresh = ConsensusLassoSolver(h, g, params, 4)
+                assert shared.gram is op.block_grams(shared.partition.blocks)[1]
+                assert shared.gram.tobytes() == fresh.gram.tobytes()
+                assert shared.gram_g.tobytes() == fresh.gram_g.tobytes()
                 assert shared.woodbury.tobytes() == fresh.woodbury.tobytes()
-                for a, b, (lo, hi) in zip(shared.block_solvers, fresh.block_solvers, setup.partition.blocks):
+                for a, b, (lo, hi) in zip(shared.block_solvers, fresh.block_solvers, shared.partition.blocks):
                     ref = precompute_block_solver(h[lo:hi], g[lo:hi], rho)
                     assert a.small_inverse.tobytes() == b.small_inverse.tobytes() == ref.small_inverse.tobytes()
                     assert a.gram.tobytes() == ref.gram.tobytes()
@@ -368,10 +387,17 @@ class TestSolveConsensusLasso:
                 assert [r[:4] for r in map(astuple, t1)] == [r[:4] for r in map(astuple, t2)]
 
     def test_setup_rejects_non_finite_input(self):
+        params = AdmmParams(lam=0.1, rho=1.0, max_iter=5)
         with pytest.raises(ValueError, match="non-finite"):
-            ConsensusSetup(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), 2)
+            ConsensusLassoSolver(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), params, 2)
         with pytest.raises(ValueError, match="non-finite"):
-            ConsensusSetup(np.eye(2), np.array([1.0, np.inf]), 1)
+            ConsensusLassoSolver(np.eye(2), np.array([1.0, np.inf]), params, 1)
+        # the operator keeps no factor that failed: each solver on it checks again
+        op = SensingOperator(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-finite"):
+                ConsensusLassoSolver(op, np.ones(2), params, 2)
+        assert op._factors == {}
 
     def test_overflowing_gram_of_finite_input_diverges(self):
         # H is finite, so set-up goes on, but its Gram overflows and the run diverges

@@ -216,6 +216,11 @@ class TestFista:
         with pytest.raises(ValueError, match="lam must be finite and >= 0"):
             solve_fista(np.eye(2), np.ones(2), lam)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_budget_below_one_raises_value_error(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            solve_fista(np.eye(2), np.ones(2), 0.1, max_iter=max_iter)
+
 
 class TestKkt:
     def test_prox_solution_passes(self, rng):

@@ -17,7 +17,7 @@ from cradmm import (
     write_matrix,
     write_vector,
 )
-from cradmm import scene
+from cradmm import linop, scene
 from cradmm.cli import cmd_generate, main
 from cradmm.errors import ConfigError
 
@@ -431,35 +431,32 @@ class TestCompare:
                 assert row in swept, (row, swept)
 
     def test_sweep_builds_one_admm_setup(self, tmp_path, monkeypatch):
-        import cradmm.cli as cli_mod
-
+        # every sweep point shares the command's operator, which forms the block Grams once
         built = []
 
-        class CountingSetup(cli_mod.ConsensusSetup):
-            def __init__(self, *args):
-                built.append(args)
-                super().__init__(*args)
+        def counting_block_grams(h, blocks):
+            built.append(blocks)
+            return block_grams(h, blocks)
 
-        monkeypatch.setattr(cli_mod, "ConsensusSetup", CountingSetup)
+        block_grams = linop._block_grams
+        monkeypatch.setattr(linop, "_block_grams", counting_block_grams)
         path, out = write_config(
             tmp_path,
             overrides={"sweep": {"lambda": [0.01, 0.1], "rho": [0.1, 1.0, 10.0]}, "admm": {"max_iter": 5}},
         )
         assert main(["generate", "--config", str(path)]) == 0
         assert main(["compare", "--config", str(path)]) == 0
-        assert len(built) == 1
+        assert built == [((0, 2), (2, 4), (4, 6))]
         assert len(list(out.glob("estimate_admm_lam*_rho*.cvec"))) == 6
 
     def test_failing_setup_marks_every_sweep_row(self, tmp_path, monkeypatch):
-        import cradmm.cli as cli_mod
-
         attempts = []
 
-        def failing_setup(*args):
-            attempts.append(args)
+        def failing_block_grams(h, blocks):
+            attempts.append(blocks)
             raise ValueError("synthetic set-up failure")
 
-        monkeypatch.setattr(cli_mod, "ConsensusSetup", failing_setup)
+        monkeypatch.setattr(linop, "_block_grams", failing_block_grams)
         path, out = write_config(
             tmp_path, overrides={"sweep": {"lambda": [0.01], "rho": [0.1, 1.0]}}
         )
@@ -473,6 +470,45 @@ class TestCompare:
         assert not list(out.glob("trace_admm*.csv"))
         assert [line.split(",")[0] for line in lines] == ["admm", "admm", "fista", "pinv"]
         assert lines[2].endswith(",ok") and lines[3].endswith(",ok")
+
+    def test_compare_forms_column_norms_at_most_once(self, tmp_path, monkeypatch):
+        formed = []
+
+        def counting_column_norms(h):
+            formed.append(h.shape)
+            return column_norms(h)
+
+        column_norms = linop.column_norms
+        monkeypatch.setattr(linop, "column_norms", counting_column_norms)
+        # a wider scene and large weights, so every ADMM and FISTA run screens
+        path, out = write_config(
+            tmp_path,
+            overrides={"scenario": {"grid": [8, 8, 4]}, "fista": {"lambda": 2.0},
+                       "sweep": {"lambda": [2.0, 5.0], "rho": [1.0, 10.0]}, "admm": {"max_iter": 60}},
+        )
+        assert main(["generate", "--config", str(path)]) == 0
+        assert main(["compare", "--config", str(path)]) == 0
+        screened = [json.loads(p.read_text())["screened_adjoint_iters"]
+                    for p in sorted(out.glob("metrics_*.json")) if "pinv" not in p.name]
+        assert len(screened) == 5 and all(count > 0 for count in screened)
+        assert formed == [(6, 256)]
+
+    @pytest.mark.parametrize("argv", [["solve", "--method", "admm"], ["solve", "--method", "fista"],
+                                      ["solve", "--method", "pinv"], ["compare"]],
+                             ids=["admm", "fista", "pinv", "compare"])
+    def test_one_operator_per_command(self, tmp_path, monkeypatch, argv):
+        path, _ = write_config(tmp_path, overrides={"sweep": {"lambda": [0.01, 0.1], "rho": [1.0]}})
+        assert main(["generate", "--config", str(path)]) == 0
+        built = []
+        init = linop.SensingOperator.__init__
+
+        def counting_init(self, h):
+            built.append(self)
+            init(self, h)
+
+        monkeypatch.setattr(linop.SensingOperator, "__init__", counting_init)
+        assert main([*argv, "--config", str(path)]) == 0
+        assert len(built) == 1
 
     def test_sweep_metrics_carry_the_row_parameters(self, tmp_path):
         path, out = write_config(

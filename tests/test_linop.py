@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,7 +7,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_complex
-from cradmm import AdmmParams, ConsensusLassoSolver
+from cradmm import (
+    AdmmParams,
+    ConsensusLassoSolver,
+    SensingMatrix,
+    check_lasso_kkt,
+    evaluate_objective,
+    linop,
+    solve_consensus_lasso,
+    solve_fista,
+    solve_pseudoinverse,
+)
 from cradmm.admm import soft_threshold_support
 from cradmm.linop import (
     GRAM_CHUNK_ENTRIES,
@@ -14,6 +25,7 @@ from cradmm.linop import (
     SensingOperator,
     SupportProducts,
     adjoint,
+    as_operator,
     block_diagonal,
     column_norms,
     gram,
@@ -125,6 +137,63 @@ class TestProducts:
         assert SensingOperator(h).h is h
 
 
+class TestSharedOperator:
+    """One SensingOperator serves every entry point, and keeps the factors of H alone."""
+
+    @staticmethod
+    def _problem(rng):
+        h = rand_complex(rng, 12, 480)
+        u = np.zeros(480, dtype=complex)
+        u[rng.choice(480, 4, replace=False)] = rand_complex(rng, 4)
+        g = h @ u + 0.01 * rand_complex(rng, 12)
+        return h, g, 0.05 * float(np.max(np.abs(h.conj().T @ g)))
+
+    @staticmethod
+    def _results(h, g, lam):
+        """Every entry point that takes H, as raw bytes and plain values."""
+        params = AdmmParams(lam=lam, rho=1.0, max_iter=80, eps_abs=1e-9, eps_rel=1e-9)
+        v, trace, state = ConsensusLassoSolver(h, g, params, 3).run()
+        v2, trace2, _ = solve_consensus_lasso(h, g, params, 4)
+        x, ftrace = solve_fista(h, g, lam, max_iter=200, tol=0.0)
+        kkt = check_lasso_kkt(h, g, lam, x, 1e-3)
+        return [
+            v.tobytes(), [astuple(r)[:4] for r in trace], state.eps_pri, state.eps_dual,
+            trace.sparse_forward_iters, trace.screened_adjoint_iters,
+            v2.tobytes(), [astuple(r)[:4] for r in trace2],
+            x.tobytes(), [astuple(r)[:4] for r in ftrace], ftrace.screened_adjoint_iters,
+            astuple(kkt), evaluate_objective(h, g, x, lam),
+            solve_pseudoinverse(h, g, 1e-10).tobytes(),
+        ]
+
+    def test_operator_and_array_give_the_same_bytes(self, rng):
+        h, g, lam = self._problem(rng)
+        expected = self._results(h, g, lam)
+        assert expected[5] > 0 and expected[10] > 0  # both solvers screened
+        op = SensingOperator(h)
+        # a fresh operator, then the same one again with every factor already formed
+        assert self._results(op, g, lam) == expected
+        assert set(op._factors) == {"norm_squared", "column_norms", ("block_grams", ((0, 4), (4, 8), (8, 12))),
+                                    ("block_grams", ((0, 3), (3, 6), (6, 9), (9, 12)))}
+        assert self._results(op, g, lam) == expected
+        assert self._results(SensingMatrix(entries=h, row_meta=()), g, lam) == expected
+
+    def test_factors_are_formed_once(self, rng, monkeypatch):
+        op = SensingOperator(rand_complex(rng, 5, 40))
+        formed = []
+        monkeypatch.setattr(linop, "gram", lambda h: formed.append("gram") or gram(h))
+        monkeypatch.setattr(linop, "column_norms", lambda h: formed.append("norms") or column_norms(h))
+        first = (op.norm_squared(), op.column_norms(), op.block_grams(((0, 2), (2, 5))))
+        again = (op.norm_squared(), op.column_norms(), op.block_grams(((0, 2), (2, 5))))
+        assert formed == ["gram", "norms"]
+        assert first[0] == again[0] and first[1] is again[1] and first[2] is again[2]
+        assert op.block_grams(((0, 5),)) is not first[2]
+
+    def test_as_operator_wraps_once(self, rng):
+        op = SensingOperator(rand_complex(rng, 3, 4))
+        assert as_operator(op) is op
+        assert isinstance(as_operator(op.h), SensingOperator) and as_operator(op.h).h is op.h
+
+
 class TestBlockFactors:
     def test_solver_assembles_block_gram_and_woodbury(self, rng):
         h = rand_complex(rng, 7, 12)
@@ -231,7 +300,8 @@ class TestSupportAdjoint:
         products = SupportProducts(h)
         assert products.adjoint(r, self.NONE, 0.5).tobytes() == adjoint(h, r).tobytes()
         assert products.screened_adjoint_calls == 0
-        assert products._norms is None  # formed on the first screening, not before
+        # the operator forms the column norms on the first screening, not before
+        assert "column_norms" not in products.operator._factors
 
     def test_screened_entries_are_zeros_and_the_rest_match_dense(self, rng):
         m, n = 8, 640
@@ -287,7 +357,7 @@ class TestSupportAdjoint:
         for _ in range(3):
             assert products.adjoint(r, support, threshold).tobytes() == adjoint(h, r).tobytes()
         assert products.screened_adjoint_calls == 0
-        assert products._anchor is None and products._norms is None
+        assert products._anchor is None and "column_norms" not in products.operator._factors
 
     def test_non_finite_residual_is_never_screened(self, rng):
         h, r = rand_complex(rng, 4, 160), rand_complex(rng, 4)

@@ -10,6 +10,7 @@ from cradmm import (
     forward_measure,
     synthesize_sensing_matrix,
 )
+from cradmm import scene
 
 SMALL = ScenarioConfig(n_theta=4, n_freq=2, grid=(4, 3, 2), roi_extent=(6.0, 4.5, 3.0))
 
@@ -112,6 +113,21 @@ class TestSynthesizeSensingMatrix:
         assert h.entries.shape == (1, 1)
         d = cfg.roi_offset_z0 * cfg.wavelength_m()
         assert abs(h.entries[0, 0]) == pytest.approx(1.0 / d**2, rel=1e-12)
+
+    @pytest.mark.parametrize("n_freq", [1, 3, 5])
+    def test_entries_match_the_per_row_expression(self, n_freq):
+        # the frequency factor is formed once per frequency; every byte is as if formed per row
+        cfg = ScenarioConfig(n_theta=3, n_freq=n_freq, grid=(5, 4, 3), roi_extent=(6.0, 4.5, 3.0), rng_seed=11)
+        d = np.linalg.norm(cfg.voxel_centers_m() - cfg.focal_point_m(), axis=1)
+        amplitude = 1.0 / d**2
+        expected = np.empty((cfg.n_measurements, cfg.n_voxels), dtype=np.complex128)
+        for r in range(cfg.n_theta):
+            phase = np.random.default_rng([cfg.rng_seed, r]).uniform(0.0, 2.0 * np.pi, cfg.n_voxels)
+            code = np.exp(1j * phase)
+            for f, freq in enumerate(cfg.frequencies_hz()):
+                k = 2.0 * np.pi * freq / scene.SPEED_OF_LIGHT_M_S
+                expected[r * n_freq + f] = amplitude * np.exp(-2j * k * d) * code
+        assert synthesize_sensing_matrix(cfg).entries.tobytes() == expected.tobytes()
 
     def test_rows_are_rotation_major(self):
         h = synthesize_sensing_matrix(SMALL)

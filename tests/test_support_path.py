@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_complex
-from cradmm import AdmmParams, ConsensusLassoSolver, ConsensusSetup, solve_fista
+from cradmm import AdmmParams, ConsensusLassoSolver, SensingOperator, solve_fista
 from cradmm import linop
 
 N_BLOCKS = 4
@@ -83,20 +83,27 @@ def test_repeat_runs_are_bit_identical(sparse_problem, solve):
 
 
 def test_sweep_points_do_not_share_gathered_columns(sparse_problem):
-    # one set-up serves every point; a point's result does not depend on the points run before it:
-    # neither the gathered columns nor the screening anchor outlive a run
+    # one operator serves every point; a point's result does not depend on the points run before
+    # it: the operator keeps the factors of H alone, never gathered columns or a screening anchor
     h, g, lam = sparse_problem
-    setup = ConsensusSetup(h, g, N_BLOCKS)
+    op = SensingOperator(h)
     params = [AdmmParams(lam=f * lam, rho=1.0, max_iter=100, eps_abs=0.0, eps_rel=0.0) for f in (0.5, 1, 2)]
     fresh = [ConsensusLassoSolver(h, g, p, N_BLOCKS).run()[:2] for p in params]
-    attributes = (set(vars(setup)), set(vars(setup.operator)))
+    fresh_fista = run_fista(h, g, lam)
+    attributes = set(vars(op))
     for order in ((0, 1, 2), (2, 1, 0)):
         for i in order:
-            v, trace, _ = ConsensusLassoSolver.from_setup(setup, params[i]).run()
+            v, trace, _ = ConsensusLassoSolver(op, g, params[i], N_BLOCKS).run()
             assert v.tobytes() == fresh[i][0].tobytes()
             assert trace.sparse_forward_iters == fresh[i][1].sparse_forward_iters
             assert trace.screened_adjoint_iters == fresh[i][1].screened_adjoint_iters > 0
-    assert (set(vars(setup)), set(vars(setup.operator))) == attributes
+        x, ftrace = run_fista(op, g, lam)
+        assert x.tobytes() == fresh_fista[0].tobytes()
+        assert ftrace.screened_adjoint_iters == fresh_fista[1].screened_adjoint_iters > 0
+    assert set(vars(op)) == attributes
+    blocks = ConsensusLassoSolver(h, g, params[0], N_BLOCKS).partition.blocks
+    assert set(op._factors) == {"column_norms", "norm_squared", ("block_grams", blocks)}
+    assert op._factors["column_norms"].shape == (h.shape[1],)
 
 
 @pytest.mark.parametrize("solve", [run_admm, run_fista], ids=["admm", "fista"])
