@@ -30,7 +30,7 @@ those columns, and H^H c reads only those plus the columns whose entry a
 safe bound cannot prove the prox will zero (outside supp(v) it zeroes
 (H^H c)_p when |(H^H c)_p| <= N kappa = lam / rho); the dense products run
 otherwise. The stopping thresholds are formed only when the stopping rule
-is on, or for the final state.
+is on, or for the final state. ``run_iterations`` drives the loop.
 ``update_u``, ``update_v`` and ``update_s`` are the same steps written per
 block; they are kept as the reference the collapsed form is tested against.
 
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .linop import SupportProducts, adjoint, as_operator, block_diagonal
-from .scene import is_finite_real, matrix_array, vector_array
+from .scene import is_finite_real, is_integer, matrix_array, vector_array
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
 # have lost too many digits to cancellation and are recomputed block by block.
@@ -104,7 +104,7 @@ def partition_rows(h, g, n_blocks):
     n_rows = entries.shape[0]
     if gv.shape[0] != n_rows:
         raise ValueError(f"measurement length {gv.shape[0]} != matrix row count {n_rows}")
-    if not isinstance(n_blocks, int) or not 1 <= n_blocks <= n_rows:
+    if not (is_integer(n_blocks) and 1 <= n_blocks <= n_rows):
         raise ValueError(f"block count must be an integer in [1, {n_rows}], got {n_blocks!r}")
     base, extra = divmod(n_rows, n_blocks)
     blocks = []
@@ -135,10 +135,10 @@ class AdmmParams:
             raise ValueError("lam must be finite and >= 0")
         if not (is_finite_real(self.rho) and self.rho > 0):
             raise ValueError("rho must be finite and > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.eps_abs < 0 or self.eps_rel < 0:
-            raise ValueError("tolerances must be >= 0")
+        if not (is_integer(self.max_iter) and self.max_iter >= 1):
+            raise ValueError("max_iter must be >= 1 and an integer")
+        if not all(is_finite_real(eps) and eps >= 0 for eps in (self.eps_abs, self.eps_rel)):
+            raise ValueError("tolerances must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -234,13 +234,11 @@ class IterationRecord:
 class ConvergenceTrace:
     """Per-iteration objective, residual norms, and wall-clock timestamps.
 
-    ``stop_reason`` is set by the solver that produced the trace: "converged"
-    when its stopping rule fired (possibly on the last allowed iteration),
-    "max_iter" when the budget ran out first, None for a trace read from disk.
-    ``sparse_forward_iters`` is the number of iterations whose forward product
-    read only the iterate's support, and ``screened_adjoint_iters`` the number
-    whose adjoint product skipped the columns a safe bound screened (see
-    ``linop.SupportProducts``); both are None for a trace read from disk.
+    ``stop_reason`` ("converged" or "max_iter"), ``sparse_forward_iters`` (the
+    iterations whose forward product read only the iterate's support) and
+    ``screened_adjoint_iters`` (those whose adjoint product skipped the columns
+    a safe bound screened, see ``linop.SupportProducts``) are set by
+    ``run_iterations`` for a solver run, and are None for a trace read from disk.
     """
 
     def __init__(self, records=None, stop_reason=None):
@@ -297,6 +295,35 @@ def evaluate_objective(h, g, u, lam):
     return lasso_objective(op.forward(uv) - gv, uv, lam)
 
 
+def run_iterations(operator, steps, on_iteration=None):
+    """The iteration loop of ADMM and FISTA; returns (estimate, trace).
+
+    ``steps(products)``, given the run's ``linop.SupportProducts`` on
+    ``operator``, yields per iteration the estimate and its record fields
+    (objective, primal, dual), then, once resumed, whether its stopping rule
+    holds. Each IterationRecord, timed from the start of the run, goes to the
+    trace and then to ``on_iteration``; a non-finite field raises
+    DivergenceError first. See ConvergenceTrace for the stop reason and counts.
+    """
+    products = SupportProducts(operator)
+    iterations = steps(products)
+    trace = ConvergenceTrace(stop_reason="max_iter")
+    start = time.perf_counter()
+    for k, (estimate, *fields) in enumerate(iterations):
+        if not all(map(math.isfinite, fields)):
+            raise DivergenceError(f"non-finite iterate at iteration {k}")
+        record = IterationRecord(k, *fields, time.perf_counter() - start)
+        trace.append(record)
+        if on_iteration is not None:
+            on_iteration(record)
+        if next(iterations):
+            trace.stop_reason = "converged"
+            break
+    trace.sparse_forward_iters = products.sparse_forward_calls
+    trace.screened_adjoint_iters = products.screened_adjoint_calls
+    return estimate, trace
+
+
 class ConsensusLassoSolver:
     """Consensus ADMM engine over a fixed row partition, in collapsed form.
 
@@ -346,69 +373,56 @@ class ConsensusLassoSolver:
         return sum(float(np.real(np.vdot(y, y))) for y in rows)
 
     def run(self, on_iteration=None):
-        """Iterate from the zero start until the stopping rule or max_iter.
+        """Iterate from the zero start, driven by ``run_iterations``; returns (v, trace, state).
 
-        Returns (v, trace, state). Per iteration the trace records the lasso
-        objective at v, the stacked primal residual sqrt(sum_i ||u_i - v||^2),
-        the dual residual rho * sqrt(N) * ||v - v_prev||, and elapsed seconds.
-        Stops early once both residuals fall below their tolerances
-        (eps_pri, eps_dual built from eps_abs / eps_rel in the usual way);
-        ``trace.stop_reason`` says which way it ended. ``on_iteration``, when
-        given, receives each IterationRecord as it completes (e.g. a streaming
-        CSV writer). The state holds v, the iteration count and the last
-        thresholds; the per-block u_i and s_i are never formed, for any N.
+        Records the lasso objective at v, the stacked primal residual
+        sqrt(sum_i ||u_i - v||^2) and the dual residual rho sqrt(N) ||v - v_prev||;
+        the rule holds once both fall below eps_pri and eps_dual, built from
+        eps_abs / eps_rel in the usual way. The state holds v, the iteration
+        count and the last thresholds. The per-block u_i and s_i are never formed.
         """
         params = self.params
         rho = params.rho
         n = self.partition.n_blocks
-        op, g, gram, gram_g, woodbury = self.operator, self.g, self.gram, self.gram_g, self.woodbury
-        m, n_p = op.shape
+        m, n_p = self.operator.shape
         kappa = params.lam / (rho * n)
         scale = math.sqrt(n * n_p) * params.eps_abs
         # zero tolerances mean a fixed budget, even at an exact fixed point
         stopping = params.eps_abs > 0 or params.eps_rel > 0
-        # v, w (length n_p); H v, H w, e, G e (length M)
-        v = w = np.zeros(n_p, dtype=np.complex128)
-        h_v = h_w = e = gram_e = np.zeros(m, dtype=np.complex128)
-        products = SupportProducts(op)
-        support = np.zeros(0, dtype=np.intp)  # of v
-        trace = ConvergenceTrace(stop_reason="max_iter")
-        start_time = time.perf_counter()
-        for k in range(params.max_iter):
-            z, h_z = v - w, h_v - h_w  # u_i = z + H_i^H d_i
-            c = g / rho - woodbury @ (gram_g + rho * h_z - rho * gram_e) / rho**2
-            d = c - e
-            # outside supp(v) the prox zeroes (H^H c)_p exactly when |(H^H c)_p| <= N kappa = lam / rho
-            h_c = products.adjoint(c, support, params.lam / rho)
-            v_next, support = soft_threshold_support(v + h_c / n, kappa)
-            h_v_next = products.forward(v_next, support)
-            gram_c = gram @ c
-            gram_d = gram_c - gram_e
-            # an overflow here is reported below as a DivergenceError, not as a warning
-            with np.errstate(over="ignore"):
-                primal = math.sqrt(self._stacked_sq_norm(z - v_next, h_z - h_v_next, d, gram_d))
-                dual = rho * math.sqrt(n) * float(np.linalg.norm(v_next - v))
-                objective = lasso_objective(h_v_next - g, v_next, params.lam)
-            elapsed = time.perf_counter() - start_time
-            if not (math.isfinite(objective) and math.isfinite(primal) and math.isfinite(dual)):
-                raise DivergenceError(f"non-finite iterate at iteration {k}")
-            record = IterationRecord(k, objective, primal, dual, elapsed)
-            trace.append(record)
-            if on_iteration is not None:
-                on_iteration(record)
-            w, h_w = v - v_next, h_v - h_v_next
-            v, h_v, e, gram_e = v_next, h_v_next, c, gram_c
-            if not stopping and k < params.max_iter - 1:
-                continue  # the thresholds are read only by the rule and the final state
-            u_norm = math.sqrt(self._stacked_sq_norm(z, h_z, d, gram_d))
-            s_norm = math.sqrt(self._stacked_sq_norm(w, h_w, e, gram_e))
-            eps_pri = scale + params.eps_rel * max(u_norm, math.sqrt(n) * float(np.linalg.norm(v)))
-            eps_dual = scale + params.eps_rel * rho * s_norm
-            if stopping and primal <= eps_pri and dual <= eps_dual:
-                trace.stop_reason = "converged"
-                break
-        trace.sparse_forward_iters = products.sparse_forward_calls
-        trace.screened_adjoint_iters = products.screened_adjoint_calls
+        eps_pri = eps_dual = None
+
+        def steps(products):
+            nonlocal eps_pri, eps_dual
+            # v, w (length n_p); H v, H w, e, G e (length M)
+            v = w = np.zeros(n_p, dtype=np.complex128)
+            h_v = h_w = e = gram_e = np.zeros(m, dtype=np.complex128)
+            support = np.zeros(0, dtype=np.intp)  # of v
+            for k in range(params.max_iter):
+                z, h_z = v - w, h_v - h_w  # u_i = z + H_i^H d_i
+                c = self.g / rho - self.woodbury @ (self.gram_g + rho * h_z - rho * gram_e) / rho**2
+                d = c - e
+                # outside supp(v) the prox zeroes (H^H c)_p exactly when |(H^H c)_p| <= N kappa = lam / rho
+                h_c = products.adjoint(c, support, params.lam / rho)
+                v_next, support = soft_threshold_support(v + h_c / n, kappa)
+                h_v_next = products.forward(v_next, support)
+                gram_c = self.gram @ c
+                gram_d = gram_c - gram_e
+                # an overflow here is reported as a DivergenceError, not as a warning
+                with np.errstate(over="ignore"):
+                    primal = math.sqrt(self._stacked_sq_norm(z - v_next, h_z - h_v_next, d, gram_d))
+                    dual = rho * math.sqrt(n) * float(np.linalg.norm(v_next - v))
+                    objective = lasso_objective(h_v_next - self.g, v_next, params.lam)
+                yield v_next, objective, primal, dual
+                w, h_w = v - v_next, h_v - h_v_next
+                v, h_v, e, gram_e = v_next, h_v_next, c, gram_c
+                if stopping or k == params.max_iter - 1:  # only the rule and the final state read the thresholds
+                    u_norm = math.sqrt(self._stacked_sq_norm(z, h_z, d, gram_d))
+                    s_norm = math.sqrt(self._stacked_sq_norm(w, h_w, e, gram_e))
+                    eps_pri = scale + params.eps_rel * max(u_norm, math.sqrt(n) * float(np.linalg.norm(v)))
+                    eps_dual = scale + params.eps_rel * rho * s_norm
+                yield stopping and primal <= eps_pri and dual <= eps_dual
+
+        v, trace = run_iterations(self.operator, steps, on_iteration)
         return v, trace, AdmmState(v=v, k=len(trace), eps_pri=eps_pri, eps_dual=eps_dual)
 
 

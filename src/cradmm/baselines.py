@@ -8,15 +8,13 @@ a candidate solution without running any solver at all.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import ConvergenceTrace, IterationRecord, lasso_objective, soft_threshold_support
-from .errors import DivergenceError
-from .linop import SupportProducts, adjoint, as_operator, triangular_factor
-from .scene import is_finite_real, vector_array
+from .admm import lasso_objective, run_iterations, soft_threshold_support
+from .linop import adjoint, as_operator, triangular_factor
+from .scene import is_finite_real, is_integer, vector_array
 
 
 def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
@@ -54,70 +52,57 @@ def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
 
 
 def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
-    """Accelerated proximal gradient for the complex lasso; returns (u, trace).
+    """Accelerated proximal gradient, driven by ``admm.run_iterations``; returns (u, trace).
 
     The step is 1 / L with L = ||H||_2^2, computed exactly from the smaller
-    Gram of H. The trace records the objective and the step norm per
-    iteration; iteration stops once the relative objective change drops
-    below tol (``trace.stop_reason`` "converged"), or at max_iter
-    ("max_iter"). A non-finite objective raises DivergenceError.
-    ``on_iteration``, when given, receives each IterationRecord as it
-    completes, as in ``ConsensusLassoSolver.run``. H x is carried along with
-    x, and H y is formed from it by the same extrapolation as y, so an
-    iteration costs at most one product with H^H and one with H, both through
-    ``linop.SupportProducts``. While the supports of x and of the previous x
-    (whose union holds that of y) are narrow, H x reads only the columns in
-    the support of x, and the gradient H^H (H y - g) only those plus the
-    columns whose entry a safe bound cannot prove at most lam, the level at
-    which the prox zeroes an entry outside the support of y.
+    Gram of H. Records the objective and the step norm; the rule holds once
+    the relative objective change drops below tol. H x is carried along with
+    x and H y extrapolated from it as y is, so an iteration costs at most one
+    product with H^H and one with H, both through ``linop.SupportProducts``:
+    while the supports of x and of the previous x (whose union holds that of
+    y) are narrow, H x reads only the support of x, and H^H (H y - g) only
+    those two plus the columns a safe bound cannot prove at most lam, the
+    level at which the prox zeroes an entry outside the support of y.
     """
     if not (is_finite_real(lam) and lam >= 0):
         raise ValueError("lam must be finite and >= 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    if not (is_integer(max_iter) and max_iter >= 1):
+        raise ValueError("max_iter must be >= 1 and an integer")
+    if not (is_finite_real(tol) and tol >= 0):
+        raise ValueError("tol must be finite and >= 0")
     op = as_operator(h)
     b = vector_array(g)
     if op.shape[0] != b.shape[0]:
         raise ValueError(f"matrix has {op.shape[0]} rows but measurement has {b.shape[0]}")
     lips = op.norm_squared() or 1.0
-    x = np.zeros(op.shape[1], dtype=np.complex128)
-    h_x = np.zeros(op.shape[0], dtype=np.complex128)
-    y, h_y = x, h_x
-    products = SupportProducts(op)
-    x_support = np.zeros(0, dtype=np.intp)
-    y_supports = (x_support,)  # index arrays whose union holds supp(y)
-    t = 1.0
-    trace = ConvergenceTrace(stop_reason="max_iter")
-    prev_obj = None
-    start = time.perf_counter()
-    for k in range(max_iter):
-        # outside supp(y) the prox zeroes grad_p exactly when |grad_p| <= lam
-        grad = products.adjoint(h_y - b, y_supports, lam)
-        x_new, support = soft_threshold_support(y - grad / lips, lam / lips)
-        h_x_new = products.forward(x_new, support)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_new
-        y = x_new + beta * (x_new - x)
-        h_y = h_x_new + beta * (h_x_new - h_x)
-        y_supports = (support, x_support)
-        # an overflow here ends as a rescaled step or a DivergenceError, not as a warning
-        with np.errstate(over="ignore"):
-            step = _norm(x_new - x)
-            obj = lasso_objective(h_x_new - b, x_new, lam)
-        x, h_x, t, x_support = x_new, h_x_new, t_new, support
-        if not math.isfinite(obj):
-            raise DivergenceError(f"non-finite objective at iteration {k}")
-        record = IterationRecord(k, obj, step, 0.0, time.perf_counter() - start)
-        trace.append(record)
-        if on_iteration is not None:
-            on_iteration(record)
-        if prev_obj is not None and abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-300):
-            trace.stop_reason = "converged"
-            break
-        prev_obj = obj
-    trace.sparse_forward_iters = products.sparse_forward_calls
-    trace.screened_adjoint_iters = products.screened_adjoint_calls
-    return x, trace
+
+    def steps(products):
+        x = y = np.zeros(op.shape[1], dtype=np.complex128)
+        h_x = h_y = np.zeros(op.shape[0], dtype=np.complex128)
+        x_support = np.zeros(0, dtype=np.intp)
+        y_supports = (x_support,)  # index arrays whose union holds supp(y)
+        t = 1.0
+        prev_obj = None
+        for _ in range(max_iter):
+            # outside supp(y) the prox zeroes grad_p exactly when |grad_p| <= lam
+            grad = products.adjoint(h_y - b, y_supports, lam)
+            x_new, support = soft_threshold_support(y - grad / lips, lam / lips)
+            h_x_new = products.forward(x_new, support)
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_new
+            y = x_new + beta * (x_new - x)
+            h_y = h_x_new + beta * (h_x_new - h_x)
+            y_supports = (support, x_support)
+            # an overflow here ends as a rescaled step or a DivergenceError, not as a warning
+            with np.errstate(over="ignore"):
+                step = _norm(x_new - x)
+                obj = lasso_objective(h_x_new - b, x_new, lam)
+            x, h_x, t, x_support = x_new, h_x_new, t_new, support
+            yield x, obj, step, 0.0
+            yield prev_obj is not None and abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-300)
+            prev_obj = obj
+
+    return run_iterations(op, steps, on_iteration)
 
 
 def _norm(a):
@@ -153,6 +138,8 @@ def check_lasso_kkt(h, g, lam, v, tol):
     """
     if not (is_finite_real(lam) and lam >= 0):
         raise ValueError("lam must be finite and >= 0")
+    if not (is_finite_real(tol) and tol >= 0):
+        raise ValueError("tol must be finite and >= 0")
     op = as_operator(h)
     b = vector_array(g)
     vv = vector_array(v)

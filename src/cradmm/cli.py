@@ -135,19 +135,18 @@ def _run(cfg, inputs, method, tag, params):
         engine = ConsensusLassoSolver(op, g, params, cfg.admm_blocks)
         with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
             estimate, trace, state = engine.run(writer.write_row)
-        record.update(stop_reason=trace.stop_reason, sparse_forward_iters=trace.sparse_forward_iters,
-                      screened_adjoint_iters=trace.screened_adjoint_iters,
-                      primal_residual=trace[-1].primal_residual, eps_pri=state.eps_pri,
+        record.update(primal_residual=trace[-1].primal_residual, eps_pri=state.eps_pri,
                       dual_residual=trace[-1].dual_residual, eps_dual=state.eps_dual)
     elif method == "fista":
         with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
             estimate, trace = baselines.solve_fista(op, g, cfg.fista_lam, max_iter=cfg.fista_max_iter,
                                                     tol=cfg.fista_tol, on_iteration=writer.write_row)
-        record.update(stop_reason=trace.stop_reason, sparse_forward_iters=trace.sparse_forward_iters,
-                      screened_adjoint_iters=trace.screened_adjoint_iters)
     else:
         estimate, trace = baselines.solve_pseudoinverse(op, g, cfg.pinv_trunc_rel_tol), ()
     wall = time.perf_counter() - t0
+    if method != "pinv":
+        record.update(stop_reason=trace.stop_reason, sparse_forward_iters=trace.sparse_forward_iters,
+                      screened_adjoint_iters=trace.screened_adjoint_iters)
 
     # the pseudoinverse has no lambda: its objective is the data-fit term alone
     lam = record.get("lambda", 0.0)

@@ -55,7 +55,7 @@ class TestPartitionRows:
     def test_invalid_counts_raise(self, rng):
         h = rand_complex(rng, 5, 4)
         g = rand_complex(rng, 5)
-        for bad in (0, 6, -1):
+        for bad in (0, 6, -1, True):  # True is not a count, though it equals 1
             with pytest.raises(ValueError, match="block count"):
                 partition_rows(h, g, bad)
 
@@ -450,6 +450,19 @@ class TestSolveConsensusLasso:
         _, trace, state = Counting(h, g, params, 3).run()
         assert len(trace) == 25
         assert len(counts) == norms
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["eps_abs", "eps_rel"])
+    def test_tolerance_not_finite_raises_value_error(self, field, value):
+        # a NaN tolerance would spend the whole budget and report eps_pri as NaN
+        with pytest.raises(ValueError, match="tolerances must be finite and >= 0"):
+            AdmmParams(lam=0.1, rho=1.0, **{field: value})
+
+    @pytest.mark.parametrize("max_iter", [2.5, True])
+    def test_budget_that_is_not_an_integer_raises_value_error(self, max_iter):
+        # 2.5 would fail later inside range(), True would run one iteration
+        with pytest.raises(ValueError, match="max_iter must be >= 1 and an integer"):
+            AdmmParams(lam=0.1, rho=1.0, max_iter=max_iter)
 
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError):

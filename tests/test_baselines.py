@@ -137,6 +137,7 @@ def test_pseudoinverse_matches_dense_pinv(instance):
 
 
 BAD_LAMBDAS = [math.nan, math.inf, -math.inf, 10**400, -0.1]
+BAD_TOLERANCES = [math.nan, math.inf, -1e-3]
 
 
 class TestFista:
@@ -221,6 +222,16 @@ class TestFista:
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             solve_fista(np.eye(2), np.ones(2), 0.1, max_iter=max_iter)
 
+    @pytest.mark.parametrize("max_iter", [2.5, True])
+    def test_budget_that_is_not_an_integer_raises_value_error(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be >= 1 and an integer"):
+            solve_fista(np.eye(2), np.ones(2), 0.1, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_tolerance_not_finite_and_nonnegative_raises_value_error(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            solve_fista(np.eye(2), np.ones(2), 0.1, tol=tol)
+
 
 class TestKkt:
     def test_prox_solution_passes(self, rng):
@@ -264,6 +275,12 @@ class TestKkt:
         # lam = inf would pass every inactive entry, lam = nan report a nan excess
         with pytest.raises(ValueError, match="lam must be finite and >= 0"):
             check_lasso_kkt(np.eye(2), np.ones(2), lam, np.zeros(2), 1e-4)
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_tolerance_not_finite_and_nonnegative_raises_value_error(self, tol):
+        # a NaN or negative tolerance would fail every point, an infinite one pass it
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            check_lasso_kkt(np.eye(2), np.ones(2), 0.1, np.zeros(2), tol)
 
 
 class TestCrossSolverAgreement:
