@@ -24,13 +24,9 @@ M x M block-diagonal Gram (G_ii = H_i H_i^H) and Woodbury inverse
 Carrying H v from one iteration to the next makes that at most one adjoint
 product H^H c and one forward product H v per iteration; the objective and
 the stacked primal and dual norms follow from Gram identities at
-O(n_p + M^2) cost. Both products go through ``linop.SupportProducts``. While
-the support of v holds at most n_p / SPARSE_FRACTION columns, H v reads only
-those columns, and H^H c reads only those plus the columns whose entry a
-safe bound cannot prove the prox will zero (outside supp(v) it zeroes
-(H^H c)_p when |(H^H c)_p| <= N kappa = lam / rho); the dense products run
-otherwise. The stopping thresholds are formed only when the stopping rule
-is on, or for the final state. ``run_iterations`` drives the loop.
+O(n_p + M^2) cost. Both products and the soft threshold are one
+``prox_step``. The stopping thresholds are formed only when the stopping
+rule is on, or for the final state. ``run_iterations`` drives the loop.
 ``update_u``, ``update_v`` and ``update_s`` are the same steps written per
 block; they are kept as the reference the collapsed form is tested against.
 
@@ -76,6 +72,19 @@ def soft_threshold_support(a, kappa):
     mag = np.abs(a)
     shrunk = np.maximum(mag - kappa, 0.0)
     return a * (shrunk / np.where(mag > 0.0, mag, 1.0)), np.flatnonzero(shrunk > 0.0)
+
+
+def prox_step(products, base, supports, r, divisor, kappa):
+    """x = soft(base + H^H r / divisor, kappa), its sorted support, and H x.
+
+    ``supports`` (an index array or a tuple of them) holds every nonzero entry
+    of ``base``; outside it the threshold zeroes entry p exactly when
+    |(H^H r)_p| <= kappa * divisor, the level at which ``products`` (the run's
+    ``linop.SupportProducts``) skips the columns a safe bound screens.
+    """
+    h_r = products.adjoint(r, supports, kappa * divisor)
+    x, support = soft_threshold_support(base + h_r / divisor, kappa)
+    return x, support, products.forward(x, support)
 
 
 @dataclass(frozen=True)
@@ -401,10 +410,7 @@ class ConsensusLassoSolver:
                 z, h_z = v - w, h_v - h_w  # u_i = z + H_i^H d_i
                 c = self.g / rho - self.woodbury @ (self.gram_g + rho * h_z - rho * gram_e) / rho**2
                 d = c - e
-                # outside supp(v) the prox zeroes (H^H c)_p exactly when |(H^H c)_p| <= N kappa = lam / rho
-                h_c = products.adjoint(c, support, params.lam / rho)
-                v_next, support = soft_threshold_support(v + h_c / n, kappa)
-                h_v_next = products.forward(v_next, support)
+                v_next, support, h_v_next = prox_step(products, v, support, c, n, kappa)
                 gram_c = self.gram @ c
                 gram_d = gram_c - gram_e
                 # an overflow here is reported as a DivergenceError, not as a warning

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import lasso_objective, run_iterations, soft_threshold_support
+from .admm import lasso_objective, prox_step, run_iterations
 from .linop import adjoint, as_operator, triangular_factor
 from .scene import is_finite_real, is_integer, vector_array
 
@@ -57,12 +57,9 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     The step is 1 / L with L = ||H||_2^2, computed exactly from the smaller
     Gram of H. Records the objective and the step norm; the rule holds once
     the relative objective change drops below tol. H x is carried along with
-    x and H y extrapolated from it as y is, so an iteration costs at most one
-    product with H^H and one with H, both through ``linop.SupportProducts``:
-    while the supports of x and of the previous x (whose union holds that of
-    y) are narrow, H x reads only the support of x, and H^H (H y - g) only
-    those two plus the columns a safe bound cannot prove at most lam, the
-    level at which the prox zeroes an entry outside the support of y.
+    x and H y extrapolated from it as y is, so an iteration is one
+    ``admm.prox_step`` of y on g - H y and the supports of x and the last x
+    (their union holds y's), equal to y - grad / L but for the sign of a zero.
     """
     if not (is_finite_real(lam) and lam >= 0):
         raise ValueError("lam must be finite and >= 0")
@@ -84,10 +81,7 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
         t = 1.0
         prev_obj = None
         for _ in range(max_iter):
-            # outside supp(y) the prox zeroes grad_p exactly when |grad_p| <= lam
-            grad = products.adjoint(h_y - b, y_supports, lam)
-            x_new, support = soft_threshold_support(y - grad / lips, lam / lips)
-            h_x_new = products.forward(x_new, support)
+            x_new, support, h_x_new = prox_step(products, y, y_supports, b - h_y, lips, lam / lips)
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new
             y = x_new + beta * (x_new - x)

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import baselines, fileio, linop, metrics, scene
 from .admm import ConsensusLassoSolver, evaluate_objective
-from .config import experiment_config_to_dict, load_experiment_config
+from .config import experiment_config_to_dict, load_experiment_config, sweep_tag
 from .errors import ConfigError, DivergenceError, FileFormatError
 
 MATRIX_FILE = "H.cmat"
@@ -98,7 +98,7 @@ def cmd_compare(cfg):
     row, and the remaining runs still go.
     """
     if cfg.has_sweep:
-        runs = [("admm", f"admm_lam{lam:g}_rho{rho:g}", dataclasses.replace(cfg.admm, lam=lam, rho=rho))
+        runs = [("admm", sweep_tag(lam, rho), dataclasses.replace(cfg.admm, lam=lam, rho=rho))
                 for lam in cfg.sweep_lambdas for rho in cfg.sweep_rhos]
     else:
         runs = [("admm", "admm", cfg.admm)]

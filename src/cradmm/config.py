@@ -231,8 +231,17 @@ def _parse_targets(section, scenario, errors):
     return tuple(targets)
 
 
+def sweep_tag(lam, rho):
+    """The tag of a sweep run; its trace, estimate, metrics and views are named after it."""
+    return f"admm_lam{lam:g}_rho{rho:g}"
+
+
 def _parse_sweep(section, got, errors):
-    """The sweep's lambda and rho lists; a missing list is the single ADMM value."""
+    """The sweep's lambda and rho lists; a missing list is the single ADMM value.
+
+    Two values of a list that give a run the same tag are an error: the
+    second run's files would overwrite the first's.
+    """
     if section is None:
         return {"lambda": (), "rho": ()}
     if not isinstance(section, dict):
@@ -247,6 +256,13 @@ def _parse_sweep(section, got, errors):
         else:
             errors.append(f"sweep.{key}: must be a nonempty list of valid values")
             out[key] = (got[attr],)
+    lams, rhos = out["lambda"], out["rho"]
+    for key, tags in (("lambda", [sweep_tag(lam, rhos[0]) for lam in lams]),
+                      ("rho", [sweep_tag(lams[0], rho) for rho in rhos])):
+        for i, tag in enumerate(tags):
+            first = tags.index(tag)
+            if first < i:
+                errors.append(f"sweep.{key}: {out[key][first]!r} and {out[key][i]!r} share the run tag {tag}")
     return out
 
 

@@ -15,6 +15,7 @@ significant byte first as the format requires), linearly scaled so the peak
 maps to 65535 with ties rounded half-up; all-zero views stay all-zero.
 """
 
+import math
 import os
 import struct
 
@@ -139,17 +140,12 @@ def read_trace_csv(path):
     records = []
     for line in lines[1:]:
         fields = line.split(",")
-        if len(fields) != 5:
-            raise FileFormatError(f"malformed trace row: {line!r}")
-        records.append(
-            IterationRecord(
-                k=int(fields[0]),
-                objective=float(fields[1]),
-                primal_residual=float(fields[2]),
-                dual_residual=float(fields[3]),
-                elapsed_seconds=float(fields[4]),
-            )
-        )
+        try:
+            if len(fields) != 5:
+                raise ValueError
+            records.append(IterationRecord(int(fields[0]), *map(float, fields[1:])))
+        except ValueError:
+            raise FileFormatError(f"malformed trace row: {line!r}") from None
     return ConvergenceTrace(records)
 
 
@@ -162,6 +158,9 @@ def write_view_pgm(view, path):
         raise ValueError("view values must be finite and >= 0")
     peak = float(arr.max())
     if peak > 0.0:
+        if 65535.0 / peak == math.inf:  # a tiny peak: scale by a power of two first, which is exact
+            arr = np.ldexp(arr, -math.frexp(peak)[1])
+            peak = float(arr.max())
         pixels = np.floor(arr * (65535.0 / peak) + 0.5).astype(np.uint16)  # round half-up
     else:
         pixels = np.zeros(arr.shape, dtype=np.uint16)

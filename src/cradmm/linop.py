@@ -8,15 +8,15 @@ an M x M block-diagonal matrix from m_i x m_i blocks. ``triangular_factor`` is
 a streamed ("tall-skinny") QR factor of H, min(M, n) square, with the singular
 values of H; the pseudoinverse baseline takes its SVD instead of one of H.
 
-``SupportProducts`` holds the products of one solver run. ADMM and FISTA
-feed H^H r to a soft threshold and apply H to its output, which is mostly
-zeros for a sparse scene. While that output's support is narrow, the
-forward product multiplies only the columns of H in it, and the adjoint skips
-every column whose entry a safe screening bound proves the threshold will
-zero (El Ghaoui, Viallon and Rabbani, Pacific J. Optim. 8(4), 2012; Fercoq,
-Gramfort and Salmon, ICML 2015). Outside the iterate's support the prox
-returns 0 exactly when |(H^H r)_p| <= t. For an anchor residual r_a with
-q_a = H^H r_a, Cauchy-Schwarz on column h_p gives
+``SupportProducts`` holds the products of one solver run, which
+``admm.prox_step`` takes: x = soft(base + H^H r / d, kappa), then H x, with
+x mostly zeros for a sparse scene. While its support is narrow, H x reads
+only the columns in it, and H^H r skips every column whose entry a safe
+screening bound proves the threshold will zero (El Ghaoui, Viallon and
+Rabbani, Pacific J. Optim. 8(4), 2012; Fercoq, Gramfort and Salmon, ICML
+2015). Outside the support of base the prox returns 0 exactly when
+|(H^H r)_p| <= t = kappa d. For an anchor residual r_a with q_a = H^H r_a,
+Cauchy-Schwarz on column h_p gives
 
     |(H^H r)_p| <= |q_a,p| + ||h_p|| ||r - r_a||.
 
@@ -36,8 +36,8 @@ to a few roundings relative to bound_p itself. Entry p is screened when
     bound_p <= t (1 - 16 eps) - 4 (M + 2) u.
 
 The 16 eps covers those roundings and the prox's own on the way to its
-test |.| <= threshold: a division by N or by the step's Lipschitz
-constant, a modulus, and the threshold's quotient, about 12 eps in all.
+test |.| <= kappa: forming t, dividing by d (N, or FISTA's Lipschitz
+constant), a modulus, and the threshold's quotient, about 13 eps in all.
 The rest covers underflow. u is the smallest subnormal; a product that
 underflows loses at most u / 2, so the two inner products lose at most
 4 M u between them. A 2-norm of an M-vector loses at most f = sqrt(2 M u) to
@@ -159,17 +159,17 @@ class SupportProducts:
     support, and over the support, gathered anew, when they do not. A wider
     support takes the dense H @ x.
 
-    ``adjoint(r, support, threshold)`` is H^H r for a solver that feeds it to
-    a soft threshold at ``threshold`` with an iterate whose nonzero entries lie
-    in ``support`` (an index array, or a tuple of them whose union holds
-    them). Outside the support the prox zeroes entry p exactly when
-    |(H^H r)_p| <= threshold, and the anchor bound of the module docstring
-    proves that for most p without reading column p. Those entries are
-    returned as exact zeros; the support and the unscreened entries are taken
-    over gathered columns as in ``forward``. When there are more than
-    n / SPARSE_FRACTION of them, or no anchor yet, the dense adjoint runs and
-    its residual becomes the new anchor. A support wider than that, or a zero
-    threshold, takes the dense adjoint without screening.
+    ``adjoint(r, support, threshold)`` is H^H r for ``admm.prox_step``,
+    whose base has its nonzero entries in ``support`` (an index array, or a
+    tuple of them whose union holds them). Outside the support the prox
+    zeroes entry p exactly when |(H^H r)_p| <= threshold, and the anchor
+    bound of the module docstring proves that for most p without reading
+    column p. Those entries are returned as exact zeros; the support and the
+    unscreened entries are taken over gathered columns as in ``forward``.
+    When there are more than n / SPARSE_FRACTION of them, or no anchor yet,
+    the dense adjoint runs and its residual becomes the new anchor. A support
+    wider than that, or a zero threshold, takes the dense adjoint without
+    screening.
 
     ``sparse_forward_calls`` and ``screened_adjoint_calls`` count the
     products taken on the gathered columns. The gathered columns (at most

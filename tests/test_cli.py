@@ -112,6 +112,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sweep.lambda"):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize("sweep, clash", [
+        ({"lambda": [0.1, 0.1000001]}, "sweep.lambda: 0.1 and 0.1000001 share the run tag admm_lam0.1_rho1"),
+        ({"lambda": [0.01], "rho": [1.0, 2.0, 1.0]}, "sweep.rho: 1.0 and 1.0 share the run tag admm_lam0.01_rho1"),
+    ])
+    def test_sweep_values_sharing_a_run_tag_exit_2(self, tmp_path, capsys, sweep, clash):
+        # the second run would overwrite the first one's trace, estimate, metrics and views
+        path, out = write_config(tmp_path, overrides={"sweep": sweep})
+        assert main(["compare", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {clash}"]
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_writes_expected_files(self, tmp_path):

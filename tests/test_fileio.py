@@ -214,6 +214,13 @@ class TestTraceCsv:
                 writer.write_row(record)
         assert streamed.read_bytes() == batch.read_bytes()
 
+    @pytest.mark.parametrize("row", ["x,1,2,3,4", "0,1,two,3,4", "0.5,1,2,3,4", "0,1,2,3", "0,1,2,3,4,5"])
+    def test_malformed_row_is_a_format_error(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("iter,objective,primal_residual,dual_residual,elapsed_seconds\n" + row + "\n")
+        with pytest.raises(FileFormatError, match="malformed trace row"):
+            read_trace_csv(path)
+
 
 class TestViewPgm:
     def test_two_by_two_scaling(self, tmp_path):
@@ -237,6 +244,12 @@ class TestViewPgm:
         width, height, maxval, pixels = parse_pgm(path.read_bytes())
         assert (width, height, maxval) == (11, 7, 65535)
         assert pixels.max() == 65535
+
+    def test_subnormal_peak_scales_without_overflow(self, tmp_path):
+        # 65535 / 1e-310 overflows to inf; the pixels must still scale as for any other peak
+        path = tmp_path / "tiny.pgm"
+        write_view_pgm(np.array([[1e-310, 5e-311, 0.0]]), path)
+        assert parse_pgm(path.read_bytes())[3].ravel().tolist() == [65535, 32768, 0]
 
     def test_empty_view_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nonempty"):

@@ -18,7 +18,7 @@ from cradmm import (
     solve_fista,
     solve_pseudoinverse,
 )
-from cradmm.admm import soft_threshold_support
+from cradmm.admm import prox_step, soft_threshold_support
 from cradmm.linop import (
     GRAM_CHUNK_ENTRIES,
     SPARSE_FRACTION,
@@ -414,6 +414,21 @@ def screening_cases(draw):
     return h, r, r_a, float(threshold), draw(st.sampled_from([1, 3, 31])), draw(st.sampled_from([0.1, 1.0, 7.0]))
 
 
+class LevelSpy:
+    """The run's SupportProducts, recording the screening level each adjoint is asked for."""
+
+    def __init__(self, h):
+        self.products = SupportProducts(h)
+        self.levels = []
+
+    def adjoint(self, r, support, threshold):
+        self.levels.append(threshold)
+        return self.products.adjoint(r, support, threshold)
+
+    def forward(self, x, support):
+        return self.products.forward(x, support)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(screening_cases())
@@ -421,18 +436,15 @@ def test_every_screened_entry_is_zeroed_by_the_dense_prox(case):
     h, r, r_a, target, n_blocks, scale = case
     assume(target > 0)
     dense = adjoint(h, r)  # the kernel a dense iteration runs
-    empty = np.zeros(0, dtype=np.intp)
-    # ADMM: the prox of v + H^H c / N at lam / (rho N), with threshold lam / rho
-    lam, rho = target * scale, scale
-    products = SupportProducts(h)
-    products.adjoint(r_a, empty, lam / rho)
-    screened = ~products._unscreened(r, lam / rho)
-    admm_prox = soft_threshold_support(dense / n_blocks, lam / (rho * n_blocks))[0]
-    assert not np.any(admm_prox[screened])
-    # FISTA: the prox of y - grad / L at lam / L, with threshold lam
-    lips = scale * n_blocks
-    products = SupportProducts(h)
-    products.adjoint(r_a, empty, target)
-    screened = ~products._unscreened(r, target)
-    fista_prox = soft_threshold_support(-dense / lips, target / lips)[0]
-    assert not np.any(fista_prox[screened])
+    zero, empty = np.zeros(h.shape[1], dtype=complex), np.zeros(0, dtype=np.intp)
+    lam, rho, lips = target * scale, scale, scale * n_blocks
+    # ADMM: the prox of v + H^H c / N at lam / (rho N); FISTA: the prox of y + H^H (g - H y) / L at lam / L
+    for divisor, kappa in ((n_blocks, lam / (rho * n_blocks)), (lips, target / lips)):
+        spy = LevelSpy(h)
+        prox_step(spy, zero, empty, r_a, divisor, kappa)  # no anchor yet: dense, and r_a becomes it
+        screened = ~spy.products._unscreened(r, spy.levels[0])  # from r_a, before r may replace it
+        x = prox_step(spy, zero, empty, r, divisor, kappa)[0]
+        assert spy.levels[1] == spy.levels[0]
+        dense_prox = soft_threshold_support(dense / divisor, kappa)[0]
+        assert not np.any(dense_prox[screened])
+        assert not np.any(x[screened])

@@ -7,6 +7,7 @@ adjoint with a column left unscreened, to the dense product. Both solvers
 must give the same estimates either way, and the default in between.
 """
 
+import hashlib
 import tracemalloc
 from dataclasses import astuple
 
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 
 from conftest import rand_complex
-from cradmm import AdmmParams, ConsensusLassoSolver, SensingOperator, solve_fista
-from cradmm import linop
+from cradmm import (AdmmParams, ConsensusLassoSolver, ScenarioConfig, SensingOperator, build_phantom,
+                    forward_measure, solve_fista, synthesize_sensing_matrix)
+from cradmm import admm, baselines, linop
+from cradmm.admm import soft_threshold_support
 
 N_BLOCKS = 4
 DEFAULT_FRACTION = linop.SPARSE_FRACTION
@@ -160,3 +163,74 @@ def test_run_peak_grows_by_at_most_the_gathered_columns(rng, monkeypatch, method
     dense, _ = traced_peak()
     gathered = 16 * m * n // DEFAULT_FRACTION
     assert default - dense <= gathered + 8 * 8 * n, (default, dense, gathered)
+
+
+@pytest.fixture(scope="module")
+def desk_problem():
+    """The benchmark's desk scene at seed 0: a 93 x 2500 H, 31 blocks."""
+    cfg = ScenarioConfig(grid=(25, 25, 4), roi_extent=(36.0, 36.0, 6.0), rng_seed=0)
+    boxes = [((4, 6), (4, 6), (1, 2)), ((16, 18), (6, 8), (2, 3)), ((7, 9), (17, 19), (0, 1)),
+             ((18, 20), (18, 20), (3, 4))]
+    h = synthesize_sensing_matrix(cfg)
+    measured = forward_measure(h, build_phantom(cfg, [(box, 1.0) for box in boxes]), 30.0, seed=0)
+    return SensingOperator(h.entries), measured.g
+
+
+def explicit_admm_step(lam, rho):
+    """ADMM's step as it was written out by hand: the adjoint screened at lam / rho."""
+    def step(products, v, support, c, n, kappa):
+        h_c = products.adjoint(c, support, lam / rho)
+        v_next, support = soft_threshold_support(v + h_c / n, kappa)
+        return v_next, support, products.forward(v_next, support)
+    return step
+
+
+def explicit_fista_step(lam):
+    """FISTA's step as it was written out by hand: the gradient screened at lam."""
+    def step(products, y, y_supports, r, lips, kappa):
+        grad = products.adjoint(-r, y_supports, lam)  # -r is H y - g, to the bit
+        x, support = soft_threshold_support(y - grad / lips, kappa)
+        return x, support, products.forward(x, support)
+    return step
+
+
+def assert_same_run(got, want):
+    (x, trace, *_), (x_ref, trace_ref, *_) = got, want
+    assert x.tobytes() == x_ref.tobytes()
+    assert [astuple(r)[:4] for r in trace] == [astuple(r)[:4] for r in trace_ref]
+    assert trace.stop_reason == trace_ref.stop_reason
+    assert trace.sparse_forward_iters == trace_ref.sparse_forward_iters
+    assert trace.screened_adjoint_iters == trace_ref.screened_adjoint_iters
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("rho", [0.1, 1.0, 10.0])
+def test_admm_prox_step_matches_the_explicit_sequence(desk_problem, monkeypatch, lam, rho):
+    # the level prox_step derives, kappa N, screens as lam / rho did, to the bit
+    op, g = desk_problem
+    solver = ConsensusLassoSolver(op, g, AdmmParams(lam=lam, rho=rho, max_iter=200, eps_abs=0.0, eps_rel=0.0), 31)
+    got = solver.run()
+    monkeypatch.setattr(admm, "prox_step", explicit_admm_step(lam, rho))
+    assert_same_run(got, solver.run())
+
+
+def recorded(step, digests):
+    """``step``, noting the bytes of each iterate with the sign of its zeros dropped."""
+    def run(*args):
+        out = step(*args)
+        digests.append(hashlib.sha256((out[0] + 0.0).tobytes()).digest())
+        return out
+    return run
+
+
+def test_fista_prox_step_matches_the_explicit_sequence(desk_problem, monkeypatch):
+    # every iterate has the same values; a screened +0.0 added to a -0.0 entry of y, where the
+    # explicit sequence subtracted it, may flip the sign of a zero, so only the last is byte-equal
+    op, g = desk_problem
+    got_steps, want_steps = [], []
+    monkeypatch.setattr(baselines, "prox_step", recorded(admm.prox_step, got_steps))
+    got = solve_fista(op, g, 1.0, max_iter=800, tol=0.0)
+    assert got[1].screened_adjoint_iters > 0
+    monkeypatch.setattr(baselines, "prox_step", recorded(explicit_fista_step(1.0), want_steps))
+    assert_same_run(got, solve_fista(op, g, 1.0, max_iter=800, tol=0.0))
+    assert len(got_steps) == 800 and got_steps == want_steps
