@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .linop import SupportProducts, adjoint, as_operator, block_diagonal
+from .linop import SupportProducts, adjoint, block_diagonal, lasso_inputs
 from .scene import is_finite_real, is_integer, matrix_array, vector_array
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
@@ -294,13 +294,7 @@ def lasso_objective(resid, u, lam):
 
 def evaluate_objective(h, g, u, lam):
     """Value of 0.5 ||H u - g||^2 + lam * sum_p |u_p| (complex modulus)."""
-    if not (is_finite_real(lam) and lam >= 0):
-        raise ValueError("lam must be finite and >= 0")
-    op = as_operator(h)
-    gv = vector_array(g)
-    uv = vector_array(u)
-    if op.shape != (gv.shape[0], uv.shape[0]):
-        raise ValueError(f"shapes do not match: H {op.shape}, g {gv.shape}, u {uv.shape}")
+    op, gv, uv = lasso_inputs(h, g, lam, u)
     return lasso_objective(op.forward(uv) - gv, uv, lam)
 
 
@@ -347,9 +341,8 @@ class ConsensusLassoSolver:
     """
 
     def __init__(self, h, g, params, n_blocks, workers=1):
-        self.operator = as_operator(h)
+        self.operator, self.g, _ = lasso_inputs(h, g, params.lam)
         self.entries = self.operator.h
-        self.g = vector_array(g)
         self.params = params
         self.partition = partition_rows(self.entries, self.g, n_blocks)
         block_grams, self.gram = self.operator.block_grams(self.partition.blocks)

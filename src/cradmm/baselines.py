@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import lasso_objective, prox_step, run_iterations
-from .linop import adjoint, as_operator, triangular_factor
-from .scene import is_finite_real, is_integer, vector_array
+from .errors import DivergenceError
+from .linop import adjoint, lasso_inputs, triangular_factor
+from .scene import is_finite_real, is_integer
 
 
 def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
@@ -30,24 +31,22 @@ def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
     """
     if not 0.0 < trunc_rel_tol < 1.0:
         raise ValueError("trunc_rel_tol must lie in (0, 1)")
-    a = as_operator(h).h
-    b = vector_array(g)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"matrix has {a.shape[0]} rows but measurement has {b.shape[0]}")
-    rows, cols = a.shape
+    op, b, _ = lasso_inputs(h, g, 0.0)
+    rows, cols = op.shape
     if min(rows, cols) == 0:
         return np.zeros(cols, dtype=np.complex128)
     if rows <= cols:
-        u_r, sing, _ = np.linalg.svd(triangular_factor(a).T)
+        u_r, sing, _ = np.linalg.svd(triangular_factor(op.h).T)
     else:
-        factor = triangular_factor(a, b)
+        factor = triangular_factor(op.h, b)
         u_r, sing, vh_r = np.linalg.svd(factor[:cols, :cols])
     if sing[0] == 0.0:
         return np.zeros(cols, dtype=np.complex128)
     keep = sing > trunc_rel_tol * sing[0]
     u_k, sing = u_r[:, keep], sing[keep]
     if rows <= cols:
-        return adjoint(a, u_k @ ((u_k.conj().T @ b) / sing**2))
+        # divided by sing twice: sing**2 overflows or underflows for a finite H scaled by 1e200 or 1e-170
+        return adjoint(op.h, u_k @ ((u_k.conj().T @ b) / sing / sing))
     return vh_r[keep].conj().T @ ((u_k.conj().T @ factor[:cols, cols]) / sing)
 
 
@@ -61,17 +60,14 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     ``admm.prox_step`` of y on g - H y and the supports of x and the last x
     (their union holds y's), equal to y - grad / L but for the sign of a zero.
     """
-    if not (is_finite_real(lam) and lam >= 0):
-        raise ValueError("lam must be finite and >= 0")
+    op, b, _ = lasso_inputs(h, g, lam)
     if not (is_integer(max_iter) and max_iter >= 1):
         raise ValueError("max_iter must be >= 1 and an integer")
     if not (is_finite_real(tol) and tol >= 0):
         raise ValueError("tol must be finite and >= 0")
-    op = as_operator(h)
-    b = vector_array(g)
-    if op.shape[0] != b.shape[0]:
-        raise ValueError(f"matrix has {op.shape[0]} rows but measurement has {b.shape[0]}")
     lips = op.norm_squared() or 1.0
+    if not math.isfinite(lips):
+        raise DivergenceError(f"||H||^2 is not finite: {lips}")
 
     def steps(products):
         x = y = np.zeros(op.shape[1], dtype=np.complex128)
@@ -114,12 +110,14 @@ def _norm(a):
 
 @dataclass(frozen=True)
 class KktReport:
-    """First-order optimality residuals of the lasso at a candidate point."""
+    """First-order optimality residuals of the lasso at a candidate point, and its objective."""
 
     max_active_violation: float
     max_inactive_excess: float
     tolerance: float
     passed: bool
+    objective: float  # the lasso objective at v, from the same H v - g (evaluate_objective's value)
+    violation: float  # the larger of the two residuals
 
 
 def check_lasso_kkt(h, g, lam, v, tol):
@@ -130,31 +128,22 @@ def check_lasso_kkt(h, g, lam, v, tol):
     |v_p| <= 1e-12 * max|v| (absolute 1e-14 when v = 0) count as inactive.
     With lam = 0 both conditions collapse to ||r||_inf <= tol.
     """
-    if not (is_finite_real(lam) and lam >= 0):
-        raise ValueError("lam must be finite and >= 0")
+    op, b, vv = lasso_inputs(h, g, lam, v)
     if not (is_finite_real(tol) and tol >= 0):
         raise ValueError("tol must be finite and >= 0")
-    op = as_operator(h)
-    b = vector_array(g)
-    vv = vector_array(v)
-    if op.shape != (b.shape[0], vv.shape[0]):
-        raise ValueError(f"shapes do not match: H {op.shape}, g {b.shape}, v {vv.shape}")
-    grad = op.adjoint(op.forward(vv) - b)
-    vmax = float(np.max(np.abs(vv))) if vv.size else 0.0
+    resid = op.forward(vv) - b
+    grad = op.adjoint(resid)
+    vmax = float(np.max(np.abs(vv), initial=0.0))
     cutoff = 1e-12 * vmax if vmax > 0.0 else 1e-14
     active = np.abs(vv) > cutoff
-    if np.any(active):
-        av = vv[active]
-        max_active = float(np.max(np.abs(grad[active] + lam * av / np.abs(av))))
-    else:
-        max_active = 0.0
-    if np.any(~active):
-        max_inactive = max(float(np.max(np.abs(grad[~active]))) - lam, 0.0)
-    else:
-        max_inactive = 0.0
+    av = vv[active]
+    max_active = float(np.max(np.abs(grad[active] + lam * av / np.abs(av)), initial=0.0))
+    max_inactive = max(float(np.max(np.abs(grad[~active]), initial=0.0)) - lam, 0.0)
     return KktReport(
         max_active_violation=max_active,
         max_inactive_excess=max_inactive,
         tolerance=float(tol),
         passed=max_active <= tol and max_inactive <= tol,
+        objective=lasso_objective(resid, vv, lam),
+        violation=max(max_active, max_inactive),
     )

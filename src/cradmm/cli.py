@@ -21,7 +21,8 @@ columns a safe bound proved the prox would zero; ADMM adds its final primal
 and dual residuals next to their thresholds ``eps_pri`` and ``eps_dual``.
 Every record carries the lasso KKT violation of its estimate at the
 method's lambda (0 for pinv), ``kkt_violation``, and that over lambda,
-``kkt_violation_rel`` (null when lambda is 0). A run's ``summary.csv`` row
+``kkt_violation_rel`` (null when lambda is 0); ``final_objective`` comes
+from the same ``check_lasso_kkt`` report. A run's ``summary.csv`` row
 is its record cut to the summary columns.
 Every run of a command shares one ``linop.SensingOperator`` on H, so
 ||H||^2, the column norms and the block Grams are formed once per command.
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, fileio, linop, metrics, scene
-from .admm import ConsensusLassoSolver, evaluate_objective
+from .admm import ConsensusLassoSolver
 from .config import experiment_config_to_dict, load_experiment_config, sweep_tag
 from .errors import ConfigError, DivergenceError, FileFormatError
 
@@ -151,17 +152,16 @@ def _run(cfg, inputs, method, tag, params):
     # the pseudoinverse has no lambda: its objective is the data-fit term alone
     lam = record.get("lambda", 0.0)
     kkt = baselines.check_lasso_kkt(op, g, lam, estimate, 0.0)
-    kkt_violation = max(kkt.max_active_violation, kkt.max_inactive_excess)
     precision, recall = metrics.support_metrics(estimate, u_true, cfg.support_rel_threshold)
     record.update(
         iterations=len(trace),
-        final_objective=evaluate_objective(op, g, estimate, lam),
+        final_objective=kkt.objective,
         nmse=metrics.nmse(estimate, u_true) if np.any(u_true) else None,
         precision=precision,
         recall=recall,
         wall_seconds=wall,
-        kkt_violation=kkt_violation,
-        kkt_violation_rel=kkt_violation / lam if lam > 0 else None,
+        kkt_violation=kkt.violation,
+        kkt_violation_rel=kkt.violation / lam if lam > 0 else None,
     )
     fileio.write_vector(out / f"estimate_{tag}.cvec", estimate)
     views = metrics.project_views(estimate, cfg.scenario.grid)

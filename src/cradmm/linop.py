@@ -53,7 +53,7 @@ import math
 
 import numpy as np
 
-from .scene import matrix_array
+from .scene import is_finite_real, matrix_array, vector_array
 
 # entries per slice when a Gram or a triangular factor is accumulated; bounds
 # the per-slice temporaries (~2 MB)
@@ -295,8 +295,9 @@ class SensingOperator:
         return self._factors[key]
 
     def norm_squared(self):
-        """Exact ||H||_2^2: the largest eigenvalue of the smaller Gram."""
-        return self._factor("norm_squared", lambda h: max(float(np.linalg.eigvalsh(gram(h))[-1]), 0.0))
+        """Exact ||H||_2^2: the largest eigenvalue of the smaller Gram, inf or nan if that overflows."""
+        with np.errstate(invalid="ignore", over="ignore"):  # the caller reports a non-finite one
+            return self._factor("norm_squared", lambda h: max(float(np.linalg.eigvalsh(gram(h))[-1]), 0.0))
 
     def column_norms(self):
         """Upper bounds on every ||h_p||, as ``column_norms`` forms them."""
@@ -314,6 +315,22 @@ class SensingOperator:
 def as_operator(h):
     """``h`` when it is a SensingOperator, else a new one on the matrix ``h``."""
     return h if isinstance(h, SensingOperator) else SensingOperator(h)
+
+
+def lasso_inputs(h, g, lam, x=None):
+    """The operator on H, then g and x (None when not given) as complex vectors.
+
+    ValueError unless lam is finite and >= 0, g has one entry per row of H
+    and x one per column.
+    """
+    if not (is_finite_real(lam) and lam >= 0):
+        raise ValueError("lam must be finite and >= 0")
+    op = as_operator(h)
+    gv = vector_array(g)
+    xv = None if x is None else vector_array(x)
+    if gv.shape[0] != op.shape[0] or (xv is not None and xv.shape[0] != op.shape[1]):
+        raise ValueError(f"shapes do not match: H {op.shape}, g {gv.shape}, x {getattr(xv, 'shape', None)}")
+    return op, gv, xv
 
 
 def _block_grams(h, blocks):

@@ -58,6 +58,10 @@ class TestPseudoinverse:
             with pytest.raises(ValueError, match="trunc_rel_tol"):
                 solve_pseudoinverse(h, rand_complex(rng, 2), bad)
 
+    def test_shape_mismatch_raises(self, rng):
+        with pytest.raises(ValueError, match="shapes"):
+            solve_pseudoinverse(rand_complex(rng, 3, 4), rand_complex(rng, 4))
+
 
     def test_tracemalloc_peak_is_a_fraction_of_h(self, rng):
         # wide, as at the demo scale: only slices of H and its min(M, n) factor are held
@@ -93,7 +97,8 @@ def pinv_instances(draw):
                   "one-row": (1, large)}[shape]
     kind = draw(st.sampled_from(["random", "rank-deficient", "zero", "straddle"]))
     tol = draw(st.sampled_from([1e-10, 1e-6, 1e-3, 0.1]))
-    scale = 10.0 ** draw(st.integers(-3, 3))
+    # at 1e200 and 1e-170 the squared singular values leave the float range
+    scale = 10.0 ** draw(st.one_of(st.integers(-3, 3), st.sampled_from([-200, -170, 170, 200])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = min(rows, cols)
     if kind == "random":
@@ -210,6 +215,16 @@ class TestFista:
         # lam * |x| = 2e308 overflows on the first iterate
         with pytest.raises(DivergenceError, match="iteration 0"):
             solve_fista([[1.0]], [1e308], 2.0)
+
+    @pytest.mark.parametrize("h", [[[1e200]], [[1e200, 0.0], [0.0, 1e200]]])
+    def test_non_finite_lipschitz_constant_raises(self, h):
+        # ||H||^2 = 1e400 overflows to inf; the second's Gram holds inf + nan j, so it is nan
+        with pytest.raises(DivergenceError, match="not finite"):
+            solve_fista(h, np.ones(len(h)), 0.1)
+
+    def test_shape_mismatch_raises(self, rng):
+        with pytest.raises(ValueError, match="shapes"):
+            solve_fista(rand_complex(rng, 3, 4), rand_complex(rng, 4), 0.1)
 
     @pytest.mark.parametrize("lam", BAD_LAMBDAS)
     def test_lambda_not_finite_and_nonnegative_raises_value_error(self, lam):

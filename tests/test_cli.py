@@ -7,6 +7,7 @@ import pytest
 
 from cradmm import (
     check_lasso_kkt,
+    evaluate_objective,
     experiment_config_from_dict,
     experiment_config_to_dict,
     load_experiment_config,
@@ -319,10 +320,14 @@ class TestSolve:
         for method, lam in (("admm", 0.05), ("fista", 0.05), ("pinv", 0.0)):
             assert main(["solve", "--config", str(path), "--method", method]) == 0
             record = json.loads((out / f"metrics_{method}.json").read_text())
-            report = check_lasso_kkt(h, g, lam, read_vector(out / f"estimate_{method}.cvec"), 0.0)
+            estimate = read_vector(out / f"estimate_{method}.cvec")
+            report = check_lasso_kkt(h, g, lam, estimate, 0.0)
             expected = max(report.max_active_violation, report.max_inactive_excess)
             assert record["kkt_violation"] == expected, method
+            assert record["kkt_violation"] == report.violation, method
             assert record["kkt_violation_rel"] == (expected / lam if lam else None), method
+            # the objective comes from the certificate's residual, bit for bit the standalone one
+            assert record["final_objective"] == evaluate_objective(h, g, estimate, lam), method
         assert record["kkt_violation"] > 0  # the pinv estimate is not a lasso solution at lam = 0.05
 
     @pytest.mark.parametrize("name, command", [
@@ -359,6 +364,23 @@ class TestSolve:
         write_matrix(out / "H.cmat", np.array([[1.0 + 0.0j]]))
         write_vector(out / "u_true.cvec", np.array([1.0 + 0.0j]))
         write_vector(out / "g.cvec", np.array([1e308 + 0.0j]))
+        assert main(["solve", "--config", str(path), "--method", "fista"]) == 3
+        assert not (out / "estimate_fista.cvec").exists()
+
+    def test_fista_non_finite_lipschitz_constant_exits_3(self, tmp_path):
+        # H is finite, but ||H||^2 = 1e400 overflows
+        path, out = write_config(
+            tmp_path,
+            overrides={
+                "scenario": {"n_theta": 1, "n_freq": 1, "grid": [1, 1, 1], "roi_extent": [1.0, 1.0, 1.0]},
+                "targets": [],
+                "admm": {"n_blocks": 1},
+            },
+        )
+        out.mkdir(parents=True)
+        write_matrix(out / "H.cmat", np.array([[1e200 + 0.0j]]))
+        write_vector(out / "u_true.cvec", np.array([1.0 + 0.0j]))
+        write_vector(out / "g.cvec", np.array([1.0 + 0.0j]))
         assert main(["solve", "--config", str(path), "--method", "fista"]) == 3
         assert not (out / "estimate_fista.cvec").exists()
 
