@@ -15,24 +15,28 @@ its result. From the zero start every scaled dual keeps the form
 with one shared n_p-vector w and one M-vector e (e_i its block-i rows), and
 every local iterate is u_i = (v - w) + H_i^H (c_i - e_i). With G and S the
 M x M block-diagonal Gram (G_ii = H_i H_i^H) and Woodbury inverse
-(S_ii = (I + G_ii / rho)^-1), one iteration is
+(S_ii = (I + G_ii / rho)^-1), the block solves give
+c = g / rho - S (G g + rho H (v - w) - rho G e) / rho^2, and the identity
+S G / rho = I - S reduces that to one product with S:
 
-    c = g / rho - S (G g + rho H (v - w) - rho G e) / rho^2
+    d = S ((g - H (v - w)) / rho - e),  c = e + d
     v <- soft(v + H^H c / N, lam / (rho N))
     w <- v_old - v,  e <- c
 
-Carrying H v from one iteration to the next makes that at most one adjoint
-product H^H c and one forward product H v per iteration; the objective and
-the stacked primal and dual norms follow from Gram identities at
-O(n_p + M^2) cost. Both products and the soft threshold are one
-``prox_step``. The stopping thresholds are formed only when the stopping
-rule is on, or for the final state. ``run_iterations`` drives the loop.
+Carrying H v and G e from one iteration to the next (G c = G e + G d)
+makes that at most one adjoint product H^H c and one forward product H v
+per iteration; the objective and the stacked primal and dual norms follow
+from Gram identities at O(n_p + M^2) cost. Both products and the soft
+threshold are one ``prox_step``. The stopping thresholds are formed only
+when the stopping rule is on, or for the final state. ``run_iterations``
+drives the loop.
 ``update_u``, ``update_v`` and ``update_s`` are the same steps written per
 block; they are kept as the reference the collapsed form is tested against.
 
-Only S depends on rho. The block Grams and G are the operator's, so the
-points of a (lam, rho) sweep on one ``linop.SensingOperator`` share them and
-each builds only its m_i x m_i Woodbury blocks.
+The set-up holds only G and S, and only S depends on rho. The block Grams
+and G are the operator's, so the points of a (lam, rho) sweep on one
+``linop.SensingOperator`` share them and each builds only its m_i x m_i
+Woodbury blocks.
 """
 
 import math
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .linop import SupportProducts, adjoint, block_diagonal, lasso_inputs
+from .linop import SupportProducts, adjoint, block_diagonal, gram, lasso_inputs
 from .scene import is_finite_real, is_integer, matrix_array, vector_array
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
@@ -193,9 +197,9 @@ def precompute_block_solver(h_i, g_i, rho):
         raise ValueError(f"block has {h.shape[0]} rows but {gv.shape[0]} measurements")
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(gv))):
         raise ValueError("block contains non-finite entries")
-    gram = h @ h.conj().T
-    return BlockSolver(h_block=h, g_block=gv, small_inverse=_woodbury_block(gram, rho),
-                       rho=float(rho), gram=gram)
+    block_gram = gram(h)
+    return BlockSolver(h_block=h, g_block=gv, small_inverse=_woodbury_block(block_gram, rho),
+                       rho=float(rho), gram=block_gram)
 
 
 def update_u(solver, v, s_i):
@@ -348,13 +352,11 @@ class ConsensusLassoSolver:
         block_grams, self.gram = self.operator.block_grams(self.partition.blocks)
         if not np.all(np.isfinite(self.g)):
             raise ValueError("block contains non-finite entries")
-        with np.errstate(invalid="ignore", over="ignore"):
-            self.gram_g = self.gram @ self.g
         self.block_solvers = [
             BlockSolver(h_block=self.entries[start:stop], g_block=self.g[start:stop],
-                        small_inverse=_woodbury_block(gram, params.rho), rho=float(params.rho),
-                        gram=gram)
-            for (start, stop), gram in zip(self.partition.blocks, block_grams)
+                        small_inverse=_woodbury_block(block_gram, params.rho), rho=float(params.rho),
+                        gram=block_gram)
+            for (start, stop), block_gram in zip(self.partition.blocks, block_grams)
         ]
         self.woodbury = block_diagonal(self.partition.blocks,
                                        [b.small_inverse for b in self.block_solvers])
@@ -401,11 +403,11 @@ class ConsensusLassoSolver:
             support = np.zeros(0, dtype=np.intp)  # of v
             for k in range(params.max_iter):
                 z, h_z = v - w, h_v - h_w  # u_i = z + H_i^H d_i
-                c = self.g / rho - self.woodbury @ (self.gram_g + rho * h_z - rho * gram_e) / rho**2
-                d = c - e
+                d = self.woodbury @ ((self.g - h_z) / rho - e)
+                c = e + d
                 v_next, support, h_v_next = prox_step(products, v, support, c, n, kappa)
-                gram_c = self.gram @ c
-                gram_d = gram_c - gram_e
+                gram_d = self.gram @ d
+                gram_c = gram_e + gram_d
                 # an overflow here is reported as a DivergenceError, not as a warning
                 with np.errstate(over="ignore"):
                     primal = math.sqrt(self._stacked_sq_norm(z - v_next, h_z - h_v_next, d, gram_d))

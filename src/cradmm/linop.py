@@ -3,9 +3,10 @@
 Every solver, the objective and the KKT check take a ``SensingOperator``
 wherever they take H. One operator owns H for a command: the products H x and
 H^H r, and the factors of H alone (||H||_2^2, the column norms, the block
-Grams), each formed once and shared by every run. ``block_diagonal`` builds
-an M x M block-diagonal matrix from m_i x m_i blocks. ``triangular_factor`` is
-a streamed ("tall-skinny") QR factor of H, min(M, n) square, with the singular
+Grams), each formed once and shared by every run. Every Gram, of H or of a
+row block, comes from ``gram``. ``block_diagonal`` builds an M x M
+block-diagonal matrix from m_i x m_i blocks. ``triangular_factor`` is a
+streamed ("tall-skinny") QR factor of H, min(M, n) square, with the singular
 values of H; the pseudoinverse baseline takes its SVD instead of one of H.
 
 ``SupportProducts`` holds the products of one solver run, which
@@ -94,58 +95,46 @@ def block_diagonal(blocks, mats):
 
 
 def gram(h):
-    """The smaller Gram of H: H H^H when H is wide, H^H H when it is tall.
+    """H H^H, accumulated over column slices of H.
 
-    Accumulated over column (or row) slices so that only one slice at a time
-    is conjugated.
+    Each slice holds at most GRAM_CHUNK_ENTRIES entries (one column at least),
+    and only one slice at a time is conjugated. For a tall H, ``gram(h.T)``
+    is the smaller Gram: H^T conj(H), the conjugate of H^H H.
     """
     rows, cols = h.shape
-    if rows <= cols:
-        step = max(1, GRAM_CHUNK_ENTRIES // rows)
-        out = np.zeros((rows, rows), dtype=np.complex128)
-        for start in range(0, cols, step):
-            part = h[:, start:start + step]
-            out += part @ part.conj().T
-    else:
-        step = max(1, GRAM_CHUNK_ENTRIES // cols)
-        out = np.zeros((cols, cols), dtype=np.complex128)
-        for start in range(0, rows, step):
-            part = h[start:start + step]
-            out += part.conj().T @ part
+    step = max(1, GRAM_CHUNK_ENTRIES // rows)
+    out = np.zeros((rows, rows), dtype=np.complex128)
+    for start in range(0, cols, step):
+        part = h[:, start:start + step]
+        out += part @ part.conj().T
     return out
 
 
 def triangular_factor(h, rhs=None):
-    """Upper-triangular R from a QR factorization streamed over slices of H.
+    """Upper-triangular R from a QR factorization streamed over row slices.
 
-    A wide H (M <= n) is factored as H^T = Q R one column slice of H at a
-    time, so H = R^T Q^T: R^T (M x M) has the singular values and the left
-    singular vectors of H. A tall H is factored as H = Q R one row slice at a
-    time: R (n x n) has its singular values and right singular vectors. Slices
-    are sized as in ``gram``; only one slice and R are held at once, and Q is
-    never formed.
+    A tall H is factored as H = Q R: R (n x n) has its singular values and
+    right singular vectors. A wide H (M <= n) is factored as its transpose,
+    H^T = Q R, so H = R^T Q^T: R^T (M x M) has the singular values and the
+    left singular vectors of H. Each row slice holds at most
+    GRAM_CHUNK_ENTRIES entries (one row at least); only one slice and R are
+    held at once, and Q is never formed.
 
     For a tall H, ``rhs`` (length M) is carried along as one more column:
     the result is then the (n + 1) x (n + 1) factor of [H rhs], whose last
     column holds Q^H rhs above its diagonal.
     """
-    rows, cols = h.shape
-    if rows <= cols:
+    if h.shape[0] <= h.shape[1]:
         if rhs is not None:
             raise ValueError("rhs is carried only through the factor of a tall H")
-        step = max(1, GRAM_CHUNK_ENTRIES // rows)
-        slices = (h[:, start:start + step].T for start in range(0, cols, step))
-        width = rows
-    else:
-        step = max(1, GRAM_CHUNK_ENTRIES // cols)
-        slices = (
-            h[start:start + step] if rhs is None
-            else np.hstack((h[start:start + step], rhs[start:start + step, None]))
-            for start in range(0, rows, step)
-        )
-        width = cols if rhs is None else cols + 1
-    r = np.zeros((0, width), dtype=np.complex128)
-    for part in slices:
+        h = h.T
+    rows, cols = h.shape
+    step = max(1, GRAM_CHUNK_ENTRIES // cols)
+    r = np.zeros((0, cols if rhs is None else cols + 1), dtype=np.complex128)
+    for start in range(0, rows, step):
+        part = h[start:start + step]
+        if rhs is not None:
+            part = np.hstack((part, rhs[start:start + step, None]))
         r = np.linalg.qr(np.vstack((r, part)), mode="r")
     return r
 
@@ -296,8 +285,11 @@ class SensingOperator:
 
     def norm_squared(self):
         """Exact ||H||_2^2: the largest eigenvalue of the smaller Gram, inf or nan if that overflows."""
+        def largest_eigenvalue(h):
+            return max(float(np.linalg.eigvalsh(gram(h if h.shape[0] <= h.shape[1] else h.T))[-1]), 0.0)
+
         with np.errstate(invalid="ignore", over="ignore"):  # the caller reports a non-finite one
-            return self._factor("norm_squared", lambda h: max(float(np.linalg.eigvalsh(gram(h))[-1]), 0.0))
+            return self._factor("norm_squared", largest_eigenvalue)
 
     def column_norms(self):
         """Upper bounds on every ||h_p||, as ``column_norms`` forms them."""
@@ -335,7 +327,7 @@ def lasso_inputs(h, g, lam, x=None):
 
 def _block_grams(h, blocks):
     with np.errstate(invalid="ignore", over="ignore"):  # a finite H whose Gram overflows runs on
-        grams = [h[start:stop] @ h[start:stop].conj().T for start, stop in blocks]
+        grams = [gram(h[start:stop]) for start, stop in blocks]
         full = block_diagonal(blocks, grams)
     if not np.all(np.isfinite(full)) and not np.all(np.isfinite(h)):
         raise ValueError("block contains non-finite entries")

@@ -281,6 +281,12 @@ class TestKkt:
         assert check_lasso_kkt(h, g, 0.0, exact, 1e-8).passed
         assert not check_lasso_kkt(h, g, 0.0, exact + 0.05, 1e-8).passed
 
+    def test_overflowing_certificate_is_non_finite_without_a_warning(self):
+        # H, g and v are finite, but ||H v - g||^2 and H^H (H v - g) overflow: the caller reports it
+        report = check_lasso_kkt([[1e200], [1e200]], [1e200, -1e200], 0.1, [1.0], 0.0)
+        assert not math.isfinite(report.objective) and not math.isfinite(report.violation)
+        assert not report.passed
+
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ValueError, match="shapes"):
             check_lasso_kkt(rand_complex(rng, 3, 4), rand_complex(rng, 3), 1.0, rand_complex(rng, 5), 1e-4)

@@ -384,6 +384,27 @@ class TestSolve:
         assert main(["solve", "--config", str(path), "--method", "fista"]) == 3
         assert not (out / "estimate_fista.cvec").exists()
 
+    def test_non_finite_certificate_exits_3(self, tmp_path):
+        # the pinv estimate of this finite H and g is finite, but 0.5 ||H v - g||^2 and H^H (H v - g) overflow
+        path, out = write_config(
+            tmp_path,
+            overrides={
+                "scenario": {"n_theta": 2, "n_freq": 1, "grid": [1, 1, 1], "roi_extent": [1.0, 1.0, 1.0]},
+                "targets": [],
+                "admm": {"n_blocks": 1},
+            },
+        )
+        out.mkdir(parents=True)
+        write_matrix(out / "H.cmat", np.array([[1e200 + 0.0j], [1e200 + 0.0j]]))
+        write_vector(out / "u_true.cvec", np.array([1.0 + 0.0j]))
+        write_vector(out / "g.cvec", np.array([1e200 + 0.0j, -1e200 + 0.0j]))
+        assert main(["solve", "--config", str(path), "--method", "pinv"]) == 3
+        assert not (out / "estimate_pinv.cvec").exists() and not (out / "metrics_pinv.json").exists()
+        assert main(["compare", "--config", str(path)]) == 0
+        pinv_row = (out / "summary.csv").read_text().splitlines()[-1].split(",")
+        assert pinv_row[0] == "pinv" and pinv_row[-1].startswith("error: non-finite certificate")
+        assert not (out / "metrics_pinv.json").exists()
+
     def test_divergence_exits_3(self, tmp_path):
         path, out = write_config(
             tmp_path,

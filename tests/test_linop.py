@@ -18,7 +18,7 @@ from cradmm import (
     solve_fista,
     solve_pseudoinverse,
 )
-from cradmm.admm import prox_step, soft_threshold_support
+from cradmm.admm import precompute_block_solver, prox_step, soft_threshold_support
 from cradmm.linop import (
     GRAM_CHUNK_ENTRIES,
     SPARSE_FRACTION,
@@ -66,10 +66,10 @@ class TestNormSquared:
 
     @pytest.mark.parametrize("shape", [(3, GRAM_CHUNK_ENTRIES + 5), (GRAM_CHUNK_ENTRIES // 2 + 7, 2)])
     def test_gram_accumulates_across_slices(self, rng, shape):
-        # more columns (rows) than one slice holds, with a ragged last slice
+        # more columns (rows) than one slice holds, with a ragged last slice; a tall H's is that of H^T
         h = rand_complex(rng, *shape)
-        expected = h @ h.conj().T if shape[0] <= shape[1] else h.conj().T @ h
-        np.testing.assert_allclose(gram(h), expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+        got, expected = (gram(h), h @ h.conj().T) if shape[0] <= shape[1] else (gram(h.T), h.T @ h.conj())
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
 
 
 class TestTriangularFactor:
@@ -183,8 +183,9 @@ class TestSharedOperator:
         monkeypatch.setattr(linop, "gram", lambda h: formed.append("gram") or gram(h))
         monkeypatch.setattr(linop, "column_norms", lambda h: formed.append("norms") or column_norms(h))
         first = (op.norm_squared(), op.column_norms(), op.block_grams(((0, 2), (2, 5))))
+        assert formed == ["gram", "norms", "gram", "gram"]  # one Gram per block
         again = (op.norm_squared(), op.column_norms(), op.block_grams(((0, 2), (2, 5))))
-        assert formed == ["gram", "norms"]
+        assert formed == ["gram", "norms", "gram", "gram"]
         assert first[0] == again[0] and first[1] is again[1] and first[2] is again[2]
         assert op.block_grams(((0, 5),)) is not first[2]
 
@@ -206,6 +207,23 @@ class TestBlockFactors:
             np.testing.assert_allclose(engine.gram[a:b, a:b], h[a:b] @ h[a:b].conj().T, rtol=1e-12)
         assert np.all(engine.gram[~mask] == 0) and np.all(engine.woodbury[~mask] == 0)
         np.testing.assert_allclose(engine.woodbury @ (np.eye(7) + engine.gram / rho), np.eye(7), atol=1e-12)
+
+    @pytest.mark.parametrize("form", [
+        lambda h: SensingOperator(h).block_grams(((0, 4),))[1],
+        lambda h: precompute_block_solver(h, np.ones(4), 0.5).gram,
+    ], ids=["operator", "block-solver"])
+    def test_gram_of_a_wide_block_holds_one_slice_at_a_time(self, rng, form):
+        # 4 rows over 8 Gram slices: one conjugated slice is an eighth of H, against a whole copy unsliced
+        h = rand_complex(rng, 4, 2 * GRAM_CHUNK_ENTRIES)
+        expected = h @ h.conj().T
+        tracemalloc.start()
+        try:
+            got = form(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < h.nbytes / 4, peak
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
     def test_block_diagonal_layout(self):
         out = block_diagonal(((0, 1), (1, 3)), [np.array([[2.0]]), np.array([[1.0, 2.0], [3.0, 4.0]])])
