@@ -36,6 +36,7 @@ from .fileio import (
     read_trace_csv,
     read_vector,
     write_matrix,
+    write_matrix_blocks,
     write_trace_csv,
     write_vector,
     write_view_pgm,
@@ -47,8 +48,10 @@ from .scene import (
     Scene,
     ScenarioConfig,
     SensingMatrix,
+    add_noise,
     build_phantom,
     forward_measure,
+    sensing_blocks,
     synthesize_sensing_matrix,
 )
 
@@ -74,6 +77,7 @@ __all__ = [
     "SensingOperator",
     "TraceCsvWriter",
     "VolumeViews",
+    "add_noise",
     "build_phantom",
     "check_lasso_kkt",
     "evaluate_objective",
@@ -88,6 +92,7 @@ __all__ = [
     "read_matrix",
     "read_trace_csv",
     "read_vector",
+    "sensing_blocks",
     "soft_threshold",
     "solve_consensus_lasso",
     "solve_fista",
@@ -98,6 +103,7 @@ __all__ = [
     "update_u",
     "update_v",
     "write_matrix",
+    "write_matrix_blocks",
     "write_trace_csv",
     "write_vector",
     "write_view_pgm",

@@ -6,8 +6,9 @@ Subcommands:
     compare  --config cfg.json [--workers N] [--output DIR]
 
 Exit status: 0 on success, 2 on configuration or input-file problems (an
-input file that is missing, malformed or holds a non-finite value, or a
-scenario whose H does not fit in memory), 3 on solver failure. ``--output`` overrides the config's output_dir. ``--workers``
+input file that is missing, malformed, holds a non-finite value or does not
+fit in memory, or a scenario whose H does not fit in memory), 3 on solver
+failure. ``--output`` overrides the config's output_dir. ``--workers``
 is accepted for compatibility and has no effect: the collapsed ADMM iteration
 is two products with H and has no per-block work to spread over threads.
 
@@ -57,19 +58,32 @@ SUMMARY_COLUMNS = ("method", "lambda", "rho", "N", "iterations", "final_objectiv
 def cmd_generate(cfg):
     """Synthesize H, the phantom, and the noisy measurement; write them plus a manifest.
 
-    A scenario too large for memory is a config error, and nothing is written.
+    H is synthesized, written and multiplied by the phantom one rotation
+    block (n_freq rows) at a time and is never held whole. Its full buffer
+    is still allocated once, untouched, before anything is written: a
+    scenario too large for memory, which ``solve`` could not load, is a
+    config error, and nothing is written.
     """
+    sc = cfg.scenario
     try:
-        sensing = scene.synthesize_sensing_matrix(cfg.scenario)
-        phantom = scene.build_phantom(cfg.scenario, cfg.targets)
-        measured = scene.forward_measure(sensing, phantom, cfg.scenario.snr_db, cfg.noise_seed)
+        scene.allocate_sensing_entries(sc)  # released at once; its pages were never written
+        phantom = scene.build_phantom(sc, cfg.targets)
     except MemoryError:
-        rows, cols = cfg.scenario.n_measurements, cfg.scenario.n_voxels
+        rows, cols = sc.n_measurements, sc.n_voxels
         raise ConfigError([f"scenario: H of {rows} x {cols} complex entries ({rows * cols * 16 / 2**30:.1f} GiB) "
                            "does not fit in memory"]) from None
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fileio.write_matrix(out / MATRIX_FILE, sensing.entries)
+    clean = np.empty(sc.n_measurements, dtype=np.complex128)  # H u, filled as the blocks are written
+
+    def measured_blocks():
+        for r, block in enumerate(scene.sensing_blocks(sc)):
+            clean[r * sc.n_freq:(r + 1) * sc.n_freq] = scene.rows_times(block, phantom.reflectivity,
+                                                                        sc.n_measurements)
+            yield block
+
+    fileio.write_matrix_blocks(out / MATRIX_FILE, (sc.n_measurements, sc.n_voxels), measured_blocks())
+    measured = scene.add_noise(clean, sc.snr_db, cfg.noise_seed)
     fileio.write_vector(out / SCENE_FILE, phantom.reflectivity)
     fileio.write_vector(out / MEASUREMENT_FILE, measured.g)
     manifest = {
@@ -183,9 +197,9 @@ def _load_inputs(cfg):
     for name in (MATRIX_FILE, SCENE_FILE, MEASUREMENT_FILE):
         if not (out / name).exists():
             raise FileNotFoundError(f"missing input {out / name}; run `generate` first")
-    h = fileio.read_matrix(out / MATRIX_FILE)
-    u_true = fileio.read_vector(out / SCENE_FILE)
-    g = fileio.read_vector(out / MEASUREMENT_FILE)
+    h = _read_input(fileio.read_matrix, out / MATRIX_FILE)
+    u_true = _read_input(fileio.read_vector, out / SCENE_FILE)
+    g = _read_input(fileio.read_vector, out / MEASUREMENT_FILE)
     expected = (cfg.scenario.n_measurements, cfg.scenario.n_voxels)
     if h.shape != expected:
         raise ConfigError([f"scenario: stored matrix is {h.shape}, config expects {expected}"])
@@ -195,6 +209,14 @@ def _load_inputs(cfg):
         if not np.all(np.isfinite(values)):
             raise FileFormatError(f"{out / name} holds a non-finite value")
     return linop.SensingOperator(h), u_true, g
+
+
+def _read_input(read, path):
+    """``read(path)``; a well-formed file too large for memory is an input error that names it."""
+    try:
+        return read(path)
+    except MemoryError as exc:
+        raise FileFormatError(f"{path} does not fit in memory: {exc}") from None
 
 
 def _write_summary(path, rows):

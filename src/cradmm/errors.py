@@ -14,7 +14,10 @@ class ConfigError(ValueError):
 
 
 class FileFormatError(ValueError):
-    """A binary or CSV payload failed to parse; the message names the byte offset."""
+    """A binary or CSV payload failed to parse; the message names the byte offset.
+
+    The CLI also reports a well-formed input file too large for memory as one.
+    """
 
 
 class DivergenceError(RuntimeError):

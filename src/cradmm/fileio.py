@@ -39,10 +39,30 @@ def write_matrix(path, data):
     a = np.asarray(data)
     if a.ndim != 2:
         raise ValueError(f"matrix payload must be 2-D, got shape {a.shape}")
-    a = np.ascontiguousarray(a, dtype="<c16")  # no copy of a contiguous complex128 array
+    write_matrix_blocks(path, a.shape, (a,))
+
+
+def write_matrix_blocks(path, shape, blocks):
+    """Write a ``shape`` (rows, cols) complex matrix from its row blocks, taken in order.
+
+    Each block is a 2-D array of ``cols`` columns, written as it arrives, so
+    no more than one block need exist at a time. The file holds the same
+    bytes as ``write_matrix`` of the stacked blocks. ValueError when a block
+    has another width or the blocks do not sum to ``rows`` rows; the file is
+    then incomplete.
+    """
+    rows, cols = shape
+    written = 0
     with open(path, "wb") as fh:
-        fh.write(_MATRIX_HEADER.pack(MATRIX_MAGIC, a.shape[0], a.shape[1]))
-        fh.write(a)  # straight from the array's buffer
+        fh.write(_MATRIX_HEADER.pack(MATRIX_MAGIC, rows, cols))
+        for block in blocks:
+            b = np.ascontiguousarray(block, dtype="<c16")  # no copy of a contiguous complex128 array
+            if b.ndim != 2 or b.shape[1] != cols:
+                raise ValueError(f"row block of shape {b.shape} in a matrix of {cols} columns")
+            fh.write(b)  # straight from the array's buffer
+            written += b.shape[0]
+    if written != rows:
+        raise ValueError(f"row blocks hold {written} rows, the header {rows}")
 
 
 def read_matrix(path):

@@ -56,9 +56,16 @@ import numpy as np
 
 from .scene import is_finite_real, matrix_array, vector_array
 
-# entries per slice when a Gram or a triangular factor is accumulated; bounds
-# the per-slice temporaries (~2 MB)
-GRAM_CHUNK_ENTRIES = 1 << 17
+# entries per slice when a Gram or a triangular factor is accumulated: a
+# slice is 0.5 MB, so it and its conjugate copy fit in a core's 2 MB L2.
+# Down from 1 << 17 (2 MB slices); peak RSS of the CLI children, one
+# OpenBLAS thread: desk-scale compare 41.9 -> 37.8 MB and demo-scale
+# `solve --method pinv` 73.9 -> 70.4 MB. Times hold or fall (medians,
+# 2-vCPU Intel Xeon VM, 1 << 17 -> 1 << 15): the Gram of a 93 x 25000 H
+# 47.6 -> 34.9 ms, its 31 row-block Grams 16.1 -> 16.5 ms and
+# triangular_factor 145 -> 131 ms; at 93 x 2500, 4.4 -> 4.2, 1.7 -> 1.6 and
+# 19.3 -> 16.3 ms.
+GRAM_CHUNK_ENTRIES = 1 << 15
 
 # SupportProducts takes the dense H x and H^H r once the support (for H^H r,
 # with the unscreened columns) holds more than n / SPARSE_FRACTION columns.

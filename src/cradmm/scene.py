@@ -228,59 +228,108 @@ def build_phantom(config, targets):
     return Scene(reflectivity=vol.ravel(), grid=tuple(config.grid))
 
 
-def synthesize_sensing_matrix(config):
-    """Deterministic surrogate sensing matrix for the configured scenario.
+def allocate_sensing_entries(config):
+    """An uninitialised n_measurements x n_voxels complex128 array, the size of H.
 
-    Entry (row (r, f), voxel p) is (1 / d_p^2) * exp(-2j k_f d_p + j phi(r, p)),
+    MemoryError when H does not fit in memory. Until its pages are written
+    they hold no memory, so an array left untouched reserves nothing.
+    """
+    return np.empty((config.n_measurements, config.n_voxels), dtype=np.complex128)
+
+
+def sensing_blocks(config):
+    """The rows of the surrogate sensing matrix, one rotation at a time.
+
+    Validates ``config``, then returns an iterator over the n_theta blocks in
+    rotation order: block r holds rows r * n_freq to (r + 1) * n_freq - 1,
+    an n_freq x n_voxels complex128 array. Entry (row (r, f), voxel p) is
+
+        (1 / d_p^2) * exp(-2j k_f d_p + j phi(r, p)),
+
     where d_p is the distance from the virtual focal point to the voxel center,
     k_f the wavenumber at the f-th sampling frequency, and phi a code phase
     uniform on [0, 2 pi) keyed by (rng_seed, r, p). The code phase is shared by
     every frequency within a rotation, so rows of one rotation differ only
     through the wavenumber. Distances are strictly positive, hence no row is
-    all-zero.
+    all-zero. Each block is a new array; only the frequency factors (one
+    block's size) are kept between blocks.
     """
     config.validate()
-    centers = config.voxel_centers_m()
-    d = np.linalg.norm(centers - config.focal_point_m(), axis=1)
+    d = np.linalg.norm(config.voxel_centers_m() - config.focal_point_m(), axis=1)
     amplitude = 1.0 / d**2
-    freqs = config.frequencies_hz()
-    n_p = config.n_voxels
     # amplitude and range phase depend on the frequency alone, not on the rotation;
     # built in place, so no n_p-sized temporary is held beside the n_freq x n_p result
-    factors = np.multiply.outer(-2j * (2.0 * np.pi * freqs / SPEED_OF_LIGHT_M_S), d)
+    factors = np.multiply.outer(-2j * (2.0 * np.pi * config.frequencies_hz() / SPEED_OF_LIGHT_M_S), d)
     np.exp(factors, out=factors)
     factors *= amplitude
-    entries = np.empty((config.n_measurements, n_p), dtype=np.complex128)
-    row_meta = []
-    for r in range(config.n_theta):
-        # one phase stream per (seed, rotation); position in the stream is the voxel index
-        phase = np.random.default_rng([config.rng_seed, r]).uniform(0.0, 2.0 * np.pi, n_p)
-        code = np.exp(1j * phase)
-        for f, factor in enumerate(factors):
-            np.multiply(factor, code, out=entries[r * config.n_freq + f])
-            row_meta.append((r, f))
-    return SensingMatrix(entries=entries, row_meta=tuple(row_meta))
+    return (_rotation_block(config, factors, r) for r in range(config.n_theta))
+
+
+def _rotation_block(config, factors, r):
+    # one phase stream per (seed, rotation); position in the stream is the voxel index
+    phase = np.random.default_rng([config.rng_seed, r]).uniform(0.0, 2.0 * np.pi, config.n_voxels)
+    code = np.exp(1j * phase)
+    block = np.empty(factors.shape, dtype=np.complex128)
+    for f, factor in enumerate(factors):
+        np.multiply(factor, code, out=block[f])
+    return block
+
+
+def synthesize_sensing_matrix(config):
+    """The whole surrogate sensing matrix: the blocks of ``sensing_blocks``, stacked.
+
+    Its array comes from ``allocate_sensing_entries``; ``row_meta`` labels
+    row r * n_freq + f with (r, f).
+    """
+    blocks = sensing_blocks(config)
+    entries = allocate_sensing_entries(config)
+    for r, block in enumerate(blocks):
+        entries[r * config.n_freq:(r + 1) * config.n_freq] = block
+    row_meta = tuple((r, f) for r in range(config.n_theta) for f in range(config.n_freq))
+    return SensingMatrix(entries=entries, row_meta=row_meta)
+
+
+def rows_times(rows, u, n_rows):
+    """rows @ u for a block of rows of an ``n_rows``-row H, rounded as H @ u rounds them.
+
+    numpy takes a one-row product as a dot product and the product of a
+    taller H as a matrix-vector product, and the two sum in different
+    orders. A one-row block of a taller H is therefore multiplied stacked on
+    itself, a two-row matrix-vector product.
+    """
+    if len(rows) == 1 and n_rows > 1:
+        return (np.vstack((rows, rows)) @ u)[:1]
+    return rows @ u
 
 
 def forward_measure(h, scene, snr_db, seed):
-    """Apply the forward model and add circularly-symmetric complex noise.
+    """Apply the forward model H u, then add noise as ``add_noise`` does.
 
-    The per-sample noise variance is chosen so the expected SNR
-    10 log10(||Hu||^2 / E||w||^2) equals ``snr_db``. An infinite snr_db, or a
-    zero signal, yields exactly zero noise (the zero-signal case is flagged
-    with an infinite realized SNR).
+    ``cradmm generate`` never holds H: it sums H u block by block with
+    ``rows_times`` and passes the result to ``add_noise``, which gives the
+    same bytes.
     """
     entries = matrix_array(h)
     u = vector_array(scene)
     if entries.shape[1] != u.shape[0]:
         raise ValueError(f"matrix has {entries.shape[1]} columns but scene has {u.shape[0]} voxels")
+    return add_noise(entries @ u, snr_db, seed)
+
+
+def add_noise(clean, snr_db, seed):
+    """The measurement ``clean`` plus circularly-symmetric complex noise.
+
+    The per-sample noise variance is chosen so the expected SNR
+    10 log10(||clean||^2 / E||w||^2) equals ``snr_db``. An infinite snr_db, or a
+    zero signal, yields exactly zero noise (the zero-signal case is flagged
+    with an infinite realized SNR).
+    """
     if not _snr_ok(snr_db):
         raise ValueError("snr_db must be a real value or +infinity")
-    clean = entries @ u
     signal_power = float(np.real(np.vdot(clean, clean)))
     if math.isinf(snr_db) or signal_power == 0.0:
         return Measurement(g=clean, noise_power=0.0, realized_snr_db=math.inf)
-    n_t = entries.shape[0]
+    n_t = clean.shape[0]
     noise_power = signal_power * 10.0 ** (-snr_db / 10.0) / n_t
     rng = np.random.default_rng(seed)
     w = math.sqrt(noise_power / 2.0) * (rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t))

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from cradmm import (
     write_matrix,
     write_vector,
 )
-from cradmm import linop, scene
+from cradmm import fileio, linop, scene
 from cradmm.cli import cmd_generate, main
 from cradmm.errors import ConfigError
 
@@ -57,6 +61,19 @@ def write_config(tmp_path, overrides=None, drop=None):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path, tmp_path / "out"
+
+
+def peak_rss_bytes(argv):
+    """Peak resident set of ``argv`` run to success, measured by a small spawner with os.wait4."""
+    spawner = ("import os, subprocess, sys; proc = subprocess.Popen(sys.argv[1:]); "
+               "_, status, usage = os.wait4(proc.pid, 0); "
+               "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    env = dict(os.environ, PYTHONPATH=str(Path(scene.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", spawner, *argv], env=env, capture_output=True, text=True,
+                          check=True)
+    code, kib = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    return kib * 1024
 
 
 def read_trace_without_timing(path):
@@ -163,11 +180,14 @@ class TestGenerate:
         assert "config error: scenario.grid: with n_theta * n_freq rows" in capsys.readouterr().err
 
     def test_scenario_larger_than_memory_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # a 160 GB H: the synthesis is stubbed to fail as numpy does, without allocating
-        def out_of_memory(scenario):
-            raise MemoryError("Unable to allocate 74.5 GiB")
+        # a 160 GB H: the reservation of its buffer is stubbed to fail as numpy does, without allocating
+        reserved = []
 
-        monkeypatch.setattr(scene, "synthesize_sensing_matrix", out_of_memory)
+        def out_of_memory(scenario):
+            reserved.append(scenario)
+            raise MemoryError("Unable to allocate 149.0 GiB")
+
+        monkeypatch.setattr(scene, "allocate_sensing_entries", out_of_memory)
         path, out = write_config(tmp_path, overrides={
             "scenario": {"n_theta": 1, "n_freq": 1, "grid": [100000, 100000, 1]}, "targets": [],
             "admm": {"n_blocks": 1}})
@@ -175,6 +195,40 @@ class TestGenerate:
         assert not out.exists()
         assert capsys.readouterr().err == ("config error: scenario: H of 1 x 10000000000 complex entries "
                                            "(149.0 GiB) does not fit in memory\n")
+        assert len(reserved) == 1  # refused by the reservation, before anything else is allocated
+
+    @pytest.mark.parametrize("n_freq", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_files_equal_the_library_writing_the_whole_matrix(self, tmp_path, n_freq, seed):
+        # generate streams H one rotation at a time; its bytes are those of the whole-matrix path
+        path, out = write_config(tmp_path, overrides={
+            "scenario": {"n_freq": n_freq, "rng_seed": seed, "snr_db": 20.0}, "noise_seed": seed})
+        assert main(["generate", "--config", str(path)]) == 0
+        cfg = load_experiment_config(path)
+        sensing = scene.synthesize_sensing_matrix(cfg.scenario)
+        phantom = scene.build_phantom(cfg.scenario, cfg.targets)
+        measured = scene.forward_measure(sensing, phantom, cfg.scenario.snr_db, cfg.noise_seed)
+        write_matrix(tmp_path / "H.cmat", sensing.entries)
+        write_vector(tmp_path / "g.cvec", measured.g)
+        write_vector(tmp_path / "u_true.cvec", phantom.reflectivity)
+        for name in ("H.cmat", "g.cvec", "u_true.cvec"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["noise_power"] == measured.noise_power > 0
+        assert np.array_equal(np.concatenate(list(scene.sensing_blocks(cfg.scenario))), sensing.entries)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB and counts this way on Linux")
+    def test_peak_memory_stays_well_below_the_matrix(self, tmp_path):
+        # demo defaults: H is 93 x 25000 complex, 37.2 MB. Each child is started from a small
+        # spawner, since a child's ru_maxrss counts the resident set of the process that forked it.
+        cfg = {"scenario": {}, "targets": [], "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        matrix = 93 * 25000 * 16
+        base = peak_rss_bytes([sys.executable, "-c", "import cradmm.cli, numpy.random"])
+        peak = peak_rss_bytes([sys.executable, "-m", "cradmm", "generate", "--config", str(path)])
+        assert (tmp_path / "out" / "H.cmat").stat().st_size == 24 + matrix
+        assert peak - base < matrix / 4, f"generate peaks {(peak - base) / 1e6:.1f} MB above the imports"
 
     def test_manifest_config_reproduces_run(self, tmp_path):
         path, out = write_config(tmp_path)
@@ -349,6 +403,27 @@ class TestSolve:
         assert f"{name} holds a non-finite value" in capsys.readouterr().err
         assert not list(out.glob("estimate_*.cvec"))
         assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("command", [["solve", "--method", "admm"], ["solve", "--method", "pinv"], ["compare"]])
+    def test_matrix_too_large_for_memory_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch, command):
+        # the allocation for H's payload is stubbed to fail as numpy's does for a file too large to hold
+        path, out = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        before = sorted(p.name for p in out.iterdir())
+        read_payload = fileio._read_payload
+
+        def out_of_memory(fh, offset, n_values):
+            if n_values == 6 * 32:
+                raise MemoryError("Unable to allocate 3.00 KiB for an array with shape (192,) "
+                                  "and data type complex128")
+            return read_payload(fh, offset, n_values)
+
+        monkeypatch.setattr(fileio, "_read_payload", out_of_memory)
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {out / 'H.cmat'} does not fit in memory: Unable to allocate 3.00 KiB "
+            "for an array with shape (192,) and data type complex128\n")
+        assert sorted(p.name for p in out.iterdir()) == before
 
     def test_fista_divergence_exits_3(self, tmp_path):
         path, out = write_config(

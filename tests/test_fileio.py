@@ -14,6 +14,7 @@ from cradmm import (
     read_trace_csv,
     read_vector,
     write_matrix,
+    write_matrix_blocks,
     write_trace_csv,
     write_vector,
     write_view_pgm,
@@ -152,6 +153,20 @@ class TestMatrixVectorFormats:
             tracemalloc.stop()
         assert b.tobytes() == a.tobytes()
         assert peak < 1.1 * a.nbytes, f"peak {peak} bytes for a {a.nbytes}-byte payload"
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 7])
+    def test_row_blocks_write_the_bytes_of_the_whole_matrix(self, rng, tmp_path, rows_per_block):
+        a = rand_complex(rng, 7, 5)
+        write_matrix(tmp_path / "whole.cmat", a)
+        blocks = (a[start:start + rows_per_block] for start in range(0, 7, rows_per_block))
+        write_matrix_blocks(tmp_path / "blocks.cmat", a.shape, blocks)
+        assert (tmp_path / "blocks.cmat").read_bytes() == (tmp_path / "whole.cmat").read_bytes()
+
+    @pytest.mark.parametrize("shape, message", [((7, 4), "in a matrix of 4 columns"), ((8, 5), "hold 7 rows")])
+    def test_row_blocks_that_do_not_fill_the_shape_raise(self, rng, tmp_path, shape, message):
+        a = rand_complex(rng, 7, 5)
+        with pytest.raises(ValueError, match=message):
+            write_matrix_blocks(tmp_path / "blocks.cmat", shape, (a[:3], a[3:]))
 
     def test_write_matrix_makes_no_payload_copy(self, rng, tmp_path):
         a = rand_complex(rng, 64, 4096)

@@ -156,6 +156,17 @@ class TestSynthesizeSensingMatrix:
         h = synthesize_sensing_matrix(SMALL).entries
         assert np.all(np.abs(h).sum(axis=1) > 0)
 
+    @pytest.mark.parametrize("n_freq", [1, 2, 3])
+    def test_blocks_are_the_rotations_of_the_matrix(self, n_freq):
+        cfg = ScenarioConfig(n_theta=5, n_freq=n_freq, grid=(4, 3, 2), roi_extent=(6.0, 4.5, 3.0), rng_seed=3)
+        blocks = list(scene.sensing_blocks(cfg))
+        assert [b.shape for b in blocks] == [(n_freq, cfg.n_voxels)] * cfg.n_theta
+        assert np.concatenate(blocks).tobytes() == synthesize_sensing_matrix(cfg).entries.tobytes()
+
+    def test_blocks_validate_before_the_first_is_taken(self):
+        with pytest.raises(ConfigError):
+            scene.sensing_blocks(ScenarioConfig(n_theta=0))
+
 
 class TestForwardMeasure:
     def test_noiseless_is_exact(self, rng):
@@ -207,3 +218,22 @@ class TestForwardMeasure:
     def test_bad_snr_raises(self):
         with pytest.raises(ValueError, match="snr_db"):
             forward_measure(np.eye(2), np.ones(2), math.nan, 0)
+        with pytest.raises(ValueError, match="snr_db"):
+            scene.add_noise(np.ones(2, dtype=complex), math.nan, 0)
+
+    @pytest.mark.parametrize("snr_db", [math.inf, 15.0])
+    def test_noise_step_of_the_clean_product(self, rng, snr_db):
+        h = synthesize_sensing_matrix(SMALL)
+        u = rng.standard_normal(SMALL.n_voxels) + 1j * rng.standard_normal(SMALL.n_voxels)
+        whole, step = forward_measure(h, u, snr_db, 4), scene.add_noise(h.entries @ u, snr_db, 4)
+        assert whole.g.tobytes() == step.g.tobytes()
+        assert (whole.noise_power, whole.realized_snr_db) == (step.noise_power, step.realized_snr_db)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 4])
+    def test_row_blocks_round_as_the_whole_product(self, rng, block_rows):
+        # a one-row product is a dot product in numpy, which sums in another order than H @ u
+        h = rng.standard_normal((12, 301)) + 1j * rng.standard_normal((12, 301))
+        u = rng.standard_normal(301) + 1j * rng.standard_normal(301)
+        parts = [scene.rows_times(h[s:s + block_rows], u, len(h)) for s in range(0, len(h), block_rows)]
+        assert np.concatenate(parts).tobytes() == (h @ u).tobytes()
+        assert scene.rows_times(h[:1], u, 1).tobytes() == (h[:1] @ u).tobytes()
