@@ -68,14 +68,21 @@ def soft_threshold_support(a, kappa):
     """``soft_threshold(a, kappa)`` and the sorted flat indices of its nonzero entries.
 
     The indices are those where the shrunk magnitude is positive; every
-    nonzero entry of the result is among them.
+    nonzero entry of the result is among them. Beside |a| and the shrunk
+    magnitudes, the result is the one array of a's size made: the shrink
+    ratio forms in the shrunk magnitudes, and the safe divisor (1 where |a|
+    is 0 or NaN) in |a|.
     """
     if not kappa >= 0:  # NaN too
         raise ValueError("threshold must be >= 0")
     a = np.asarray(a)
-    mag = np.abs(a)
-    shrunk = np.maximum(mag - kappa, 0.0)
-    return a * (shrunk / np.where(mag > 0.0, mag, 1.0)), np.flatnonzero(shrunk > 0.0)
+    mag = np.abs(a).reshape(-1)  # flat, and an array for a 0-d a too
+    shrunk = mag - kappa
+    np.maximum(shrunk, 0.0, out=shrunk)
+    support = np.flatnonzero(shrunk > 0.0)
+    np.copyto(mag, 1, where=~(mag > 0.0))
+    shrunk /= mag
+    return a * shrunk.reshape(a.shape), support
 
 
 def prox_step(products, base, supports, r, divisor, kappa):
@@ -86,8 +93,10 @@ def prox_step(products, base, supports, r, divisor, kappa):
     |(H^H r)_p| <= kappa * divisor, the level at which ``products`` (the run's
     ``linop.SupportProducts``) skips the columns a safe bound screens.
     """
-    h_r = products.adjoint(r, supports, kappa * divisor)
-    x, support = soft_threshold_support(base + h_r / divisor, kappa)
+    h_r = products.adjoint(r, supports, kappa * divisor)  # a new array: the prox argument forms in it
+    h_r /= divisor
+    np.add(base, h_r, out=h_r)
+    x, support = soft_threshold_support(h_r, kappa)
     return x, support, products.forward(x, support)
 
 

@@ -80,13 +80,14 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
             x_new, support, h_x_new = prox_step(products, y, y_supports, b - h_y, lips, lam / lips)
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new
-            y = x_new + beta * (x_new - x)
-            h_y = h_x_new + beta * (h_x_new - h_x)
-            y_supports = (support, x_support)
+            dx = x_new - x
             # an overflow here ends as a rescaled step or a DivergenceError, not as a warning
             with np.errstate(over="ignore"):
-                step = _norm(x_new - x)
+                step = _norm(dx)
                 obj = lasso_objective(h_x_new - b, x_new, lam)
+            y = np.add(x_new, np.multiply(beta, dx, out=dx), out=dx)  # x_new + beta (x_new - x), in dx
+            h_y = h_x_new + beta * (h_x_new - h_x)
+            y_supports = (support, x_support)
             x, h_x, t, x_support = x_new, h_x_new, t_new, support
             yield x, obj, step, 0.0
             yield prev_obj is not None and abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-300)
@@ -134,17 +135,23 @@ def check_lasso_kkt(h, g, lam, v, tol):
     with np.errstate(over="ignore", invalid="ignore"):  # the caller reports a non-finite certificate
         resid = op.forward(vv) - b
         grad = op.adjoint(resid)
-    vmax = float(np.max(np.abs(vv), initial=0.0))
+    objective = lasso_objective(resid, vv, lam)
+    mag = np.abs(vv)
+    vmax = float(np.max(mag, initial=0.0))
     cutoff = 1e-12 * vmax if vmax > 0.0 else 1e-14
-    active = np.abs(vv) > cutoff
-    av = vv[active]
-    max_active = float(np.max(np.abs(grad[active] + lam * av / np.abs(av)), initial=0.0))
-    max_inactive = max(float(np.max(np.abs(grad[~active]), initial=0.0)) - lam, 0.0)
+    active = mag > cutoff
+    # r_p + (lam v_p) / |v_p| into grad on the active entries, its term formed only there
+    term = np.multiply(lam, vv, out=np.empty_like(grad), where=active)
+    np.divide(term, mag, out=term, where=active)
+    np.add(grad, term, out=grad, where=active)
+    np.abs(grad, out=mag)
+    max_active = float(np.max(mag, where=active, initial=0.0))
+    max_inactive = max(float(np.max(mag, where=~active, initial=0.0)) - lam, 0.0)
     return KktReport(
         max_active_violation=max_active,
         max_inactive_excess=max_inactive,
         tolerance=float(tol),
         passed=max_active <= tol and max_inactive <= tol,
-        objective=lasso_objective(resid, vv, lam),
+        objective=objective,
         violation=max(max_active, max_inactive),
     )

@@ -5,12 +5,14 @@ Subcommands:
     solve    --config cfg.json --method admm|fista|pinv [--workers N] [--output DIR]
     compare  --config cfg.json [--workers N] [--output DIR]
 
-Exit status: 0 on success, 2 on configuration or input-file problems (an
-input file that is missing, malformed, holds a non-finite value or does not
-fit in memory, or a scenario whose H does not fit in memory), 3 on solver
-failure. ``--output`` overrides the config's output_dir. ``--workers``
-is accepted for compatibility and has no effect: the collapsed ADMM iteration
-is two products with H and has no per-block work to spread over threads.
+Exit status: 0 on success, 2 on configuration or input-file problems (a
+config file that cannot be read as UTF-8 JSON, an output_dir that cannot be
+created, an input file that is missing, cannot be read, is malformed, holds a
+non-finite value or does not fit in memory, or a scenario whose H does not
+fit in memory), 3 on solver failure. ``--output`` overrides the config's
+output_dir. ``--workers`` is accepted for compatibility and has no effect:
+the collapsed ADMM iteration is two products with H and has no per-block
+work to spread over threads.
 
 ADMM and FISTA stream ``trace_<tag>.csv`` as they iterate. Every run writes
 one record as ``metrics_<tag>.json``: the method's own parameters (``lambda``;
@@ -73,7 +75,10 @@ def cmd_generate(cfg):
         raise ConfigError([f"scenario: H of {rows} x {cols} complex entries ({rows * cols * 16 / 2**30:.1f} GiB) "
                            "does not fit in memory"]) from None
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in its place, or on its path
+        raise ConfigError([f"output_dir: cannot create directory {out}: {exc.strerror}"]) from None
     clean = np.empty(sc.n_measurements, dtype=np.complex128)  # H u, filled as the blocks are written
 
     def measured_blocks():
@@ -194,9 +199,6 @@ def _load_inputs(cfg):
     The files must match the config and hold only finite values.
     """
     out = Path(cfg.output_dir)
-    for name in (MATRIX_FILE, SCENE_FILE, MEASUREMENT_FILE):
-        if not (out / name).exists():
-            raise FileNotFoundError(f"missing input {out / name}; run `generate` first")
     h = _read_input(fileio.read_matrix, out / MATRIX_FILE)
     u_true = _read_input(fileio.read_vector, out / SCENE_FILE)
     g = _read_input(fileio.read_vector, out / MEASUREMENT_FILE)
@@ -206,15 +208,19 @@ def _load_inputs(cfg):
     if u_true.shape[0] != h.shape[1] or g.shape[0] != h.shape[0]:
         raise ConfigError(["scenario: stored vectors do not match the stored matrix"])
     for name, values in ((MATRIX_FILE, h), (SCENE_FILE, u_true), (MEASUREMENT_FILE, g)):
-        if not np.all(np.isfinite(values)):
+        if not linop.all_finite(values):
             raise FileFormatError(f"{out / name} holds a non-finite value")
     return linop.SensingOperator(h), u_true, g
 
 
 def _read_input(read, path):
-    """``read(path)``; a well-formed file too large for memory is an input error that names it."""
+    """``read(path)``; a file that is missing, unreadable or too large for memory is an input error that names it."""
     try:
         return read(path)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"missing input {path}; run `generate` first") from None
+    except OSError as exc:  # a directory in its place, say
+        raise FileFormatError(f"{path} cannot be read: {exc.strerror}") from None
     except MemoryError as exc:
         raise FileFormatError(f"{path} does not fit in memory: {exc}") from None
 

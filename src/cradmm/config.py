@@ -91,12 +91,20 @@ SWEEP_KEYS = {"lambda": ("admm.lam", FINITE_GE0), "rho": ("admm.rho", FINITE_GT0
 
 
 def load_experiment_config(path):
-    """Parse and validate the JSON config file at ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Parse and validate the JSON config file at ``path``.
+
+    A file that is missing or cannot be read as UTF-8 JSON (a directory, say)
+    is a ConfigError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"config file is not valid JSON: {exc}"]) from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"config file is not valid JSON: {exc}"]) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config file is not UTF-8 text: {exc}"]) from None
+    except OSError as exc:
+        raise ConfigError([f"config file {path} cannot be read: {exc.strerror}"]) from None
     return experiment_config_from_dict(raw)
 
 

@@ -16,7 +16,8 @@ class ConfigError(ValueError):
 class FileFormatError(ValueError):
     """A binary or CSV payload failed to parse; the message names the byte offset.
 
-    The CLI also reports a well-formed input file too large for memory as one.
+    The CLI also reports an input file that cannot be read, or a well-formed
+    one too large for memory, as one.
     """
 
 

@@ -56,9 +56,10 @@ import numpy as np
 
 from .scene import is_finite_real, matrix_array, vector_array
 
-# entries per slice when a Gram or a triangular factor is accumulated: a
-# slice is 0.5 MB, so it and its conjugate copy fit in a core's 2 MB L2.
-# Down from 1 << 17 (2 MB slices); peak RSS of the CLI children, one
+# entries per slice when a Gram or a triangular factor is accumulated, or an
+# array scanned for non-finite entries (``all_finite``): a slice is 0.5 MB,
+# so it and its conjugate copy fit in a core's 2 MB L2. Down from 1 << 17
+# (2 MB slices); peak RSS of the CLI children, one
 # OpenBLAS thread: desk-scale compare 41.9 -> 37.8 MB and demo-scale
 # `solve --method pinv` 73.9 -> 70.4 MB. Times hold or fall (medians,
 # 2-vCPU Intel Xeon VM, 1 << 17 -> 1 << 15): the Gram of a 93 x 25000 H
@@ -88,8 +89,9 @@ SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
 def adjoint(h, r):
-    """H^H r for a row-major H, without copying H."""
-    return (np.conj(r) @ h).conj()
+    """H^H r for a row-major H, without copying H; conjugated in place, so its one n-vector is new."""
+    out = np.conj(r) @ h
+    return np.conjugate(out, out=out)
 
 
 def block_diagonal(blocks, mats):
@@ -165,7 +167,7 @@ class SupportProducts:
     When there are more than n / SPARSE_FRACTION of them, or no anchor yet,
     the dense adjoint runs and its residual becomes the new anchor. A support
     wider than that, or a zero threshold, takes the dense adjoint without
-    screening.
+    screening. Every path returns a new array, which the caller may overwrite.
 
     ``sparse_forward_calls`` and ``screened_adjoint_calls`` count the
     products taken on the gathered columns. The gathered columns (at most
@@ -263,6 +265,17 @@ def column_norms(h):
     return np.sqrt(squares) + _norm_floor(h.shape[0])
 
 
+def all_finite(a):
+    """Whether every entry of the matrix or vector ``a`` is finite.
+
+    Scanned over row slices of at most GRAM_CHUNK_ENTRIES entries (one row at
+    least; a vector scans as one column), so no mask as large as ``a`` is made.
+    """
+    rows = a if a.ndim == 2 else a[:, None]
+    step = max(1, GRAM_CHUNK_ENTRIES // max(1, rows.shape[1]))
+    return all(np.isfinite(rows[start:start + step]).all() for start in range(0, rows.shape[0], step))
+
+
 class SensingOperator:
     """A dense complex M x n matrix H with its products and the factors of H alone.
 
@@ -336,6 +349,6 @@ def _block_grams(h, blocks):
     with np.errstate(invalid="ignore", over="ignore"):  # a finite H whose Gram overflows runs on
         grams = [gram(h[start:stop]) for start, stop in blocks]
         full = block_diagonal(blocks, grams)
-    if not np.all(np.isfinite(full)) and not np.all(np.isfinite(h)):
+    if not np.all(np.isfinite(full)) and not all_finite(h):
         raise ValueError("block contains non-finite entries")
     return grams, full

@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import rand_complex
 from cradmm import (
     check_lasso_kkt,
     evaluate_objective,
@@ -23,7 +25,7 @@ from cradmm import (
     write_vector,
 )
 from cradmm import fileio, linop, scene
-from cradmm.cli import cmd_generate, main
+from cradmm.cli import _load_inputs, cmd_generate, main
 from cradmm.errors import ConfigError
 
 TOY_CONFIG = {
@@ -141,6 +143,19 @@ class TestConfigParsing:
         assert capsys.readouterr().err.splitlines() == [f"config error: {clash}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, reason", [("", "Is a directory"), ("missing.json", "No such file or directory")])
+    def test_config_path_that_cannot_be_read_exits_2(self, tmp_path, capsys, name, reason):
+        path = tmp_path / name
+        assert main(["generate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: config file {path} cannot be read: {reason}\n"
+
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"scenario": "\xff"}')
+        assert main(["generate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == ("config error: config file is not UTF-8 text: 'utf-8' codec can't decode "
+                                           "byte 0xff in position 14: invalid start byte\n")
+
 
 class TestGenerate:
     def test_writes_expected_files(self, tmp_path):
@@ -178,6 +193,15 @@ class TestGenerate:
         assert main(["generate", "--config", str(path)]) == 2
         assert not out.exists()
         assert "config error: scenario.grid: with n_theta * n_freq rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output, reason", [("taken", "File exists"), ("taken/out", "Not a directory")])
+    def test_output_dir_blocked_by_a_file_exits_2(self, tmp_path, capsys, output, reason):
+        path, _ = write_config(tmp_path, overrides={"output_dir": str(tmp_path / output)})
+        (tmp_path / "taken").write_text("not a directory")
+        assert main(["generate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (f"config error: output_dir: cannot create directory "
+                                           f"{tmp_path / output}: {reason}\n")
+        assert (tmp_path / "taken").read_text() == "not a directory"
 
     def test_scenario_larger_than_memory_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # a 160 GB H: the reservation of its buffer is stubbed to fail as numpy does, without allocating
@@ -403,6 +427,36 @@ class TestSolve:
         assert f"{name} holds a non-finite value" in capsys.readouterr().err
         assert not list(out.glob("estimate_*.cvec"))
         assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("command", [["solve", "--method", "admm"], ["compare"]])
+    def test_input_that_is_a_directory_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        path, out = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        (out / "H.cmat").unlink()
+        (out / "H.cmat").mkdir()
+        before = sorted(p.name for p in out.iterdir())
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err == f"input error: {out / 'H.cmat'} cannot be read: Is a directory\n"
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_finiteness_scan_makes_no_matrix_sized_mask(self, tmp_path):
+        # the load holds the three files' payloads; a mask of H would add one byte per entry of H
+        path, out = write_config(tmp_path, overrides={"scenario": {"n_theta": 8, "n_freq": 4, "grid": [40, 40, 5]}})
+        cfg = load_experiment_config(path)
+        rng = np.random.default_rng(3)
+        rows, cols = cfg.scenario.n_measurements, cfg.scenario.n_voxels
+        out.mkdir()
+        write_matrix(out / "H.cmat", rand_complex(rng, rows, cols))
+        write_vector(out / "u_true.cvec", rand_complex(rng, cols))
+        write_vector(out / "g.cvec", rand_complex(rng, rows))
+        tracemalloc.start()
+        try:
+            op, u_true, g = _load_inputs(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = op.h.nbytes + u_true.nbytes + g.nbytes
+        assert peak - held <= 2 * linop.GRAM_CHUNK_ENTRIES, (peak - held, op.h.size)
 
     @pytest.mark.parametrize("command", [["solve", "--method", "admm"], ["solve", "--method", "pinv"], ["compare"]])
     def test_matrix_too_large_for_memory_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch, command):

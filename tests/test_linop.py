@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import astuple
 
@@ -25,6 +26,7 @@ from cradmm.linop import (
     SensingOperator,
     SupportProducts,
     adjoint,
+    all_finite,
     as_operator,
     block_diagonal,
     column_norms,
@@ -137,6 +139,23 @@ class TestProducts:
     def test_no_copy_of_contiguous_complex_input(self, rng):
         h = rand_complex(rng, 4, 9)
         assert SensingOperator(h).h is h
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("shape", [(3, GRAM_CHUNK_ENTRIES + 5), (GRAM_CHUNK_ENTRIES // 2 + 7, 4),
+                                       (2 * GRAM_CHUNK_ENTRIES + 3,)])
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)])
+    def test_finds_a_non_finite_entry_in_any_slice(self, rng, shape, bad):
+        a = rand_complex(rng, *shape)
+        assert all_finite(a)
+        for p in (0, a.size // 2, a.size - 1):
+            b = a.copy()
+            b.flat[p] = bad
+            assert not all_finite(b)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (5, 0)])
+    def test_empty_is_finite(self, shape):
+        assert all_finite(np.zeros(shape, dtype=complex))
 
 
 class TestSharedOperator:
