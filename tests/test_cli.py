@@ -734,6 +734,21 @@ class TestCompare:
         header = (out / "summary.csv").read_text().splitlines()[0]
         assert "kkt" not in header
 
+    def test_metrics_key_sets(self, tmp_path):
+        # the exact keys of each method's record, from `solve` and from a sweep point of `compare`
+        common = ["final_objective", "iterations", "kkt_violation", "kkt_violation_rel", "method", "nmse",
+                  "precision", "recall", "wall_seconds"]
+        iterative = common + ["lambda", "screened_adjoint_iters", "sparse_forward_iters", "stop_reason"]
+        admm = iterative + ["N", "dual_residual", "eps_dual", "eps_pri", "primal_residual", "rho"]
+        path, out = write_config(
+            tmp_path, overrides={"sweep": {"lambda": [0.01], "rho": [2.0]}, "admm": {"max_iter": 20}})
+        assert main(["generate", "--config", str(path)]) == 0
+        for method in ("admm", "fista", "pinv"):
+            assert main(["solve", "--config", str(path), "--method", method]) == 0
+        assert main(["compare", "--config", str(path)]) == 0
+        for tag, keys in (("admm", admm), ("fista", iterative), ("pinv", common), ("admm_lam0.01_rho2", admm)):
+            assert sorted(json.loads((out / f"metrics_{tag}.json").read_text())) == sorted(keys), tag
+
     def test_method_failure_marks_row_and_keeps_others(self, tmp_path, monkeypatch):
         path, out = write_config(tmp_path)
         assert main(["generate", "--config", str(path)]) == 0
