@@ -5,33 +5,28 @@ Subcommands:
     solve    --config cfg.json --method admm|fista|pinv [--workers N] [--output DIR]
     compare  --config cfg.json [--workers N] [--output DIR]
 
-Exit status: 0 on success, 2 on configuration or input-file problems (a
+Exit status: 0 on success, 2 on configuration, input or output problems (a
 config file that cannot be read as UTF-8 JSON, an output_dir that cannot be
-created, an input file that is missing, cannot be read, is malformed, holds a
-non-finite value or does not fit in memory, or a scenario whose H does not
-fit in memory), 3 on solver failure. ``--output`` overrides the config's
-output_dir. ``--workers`` is accepted for compatibility and has no effect:
-the collapsed ADMM iteration is two products with H and has no per-block
-work to spread over threads.
+created, an input file that is missing, unreadable, malformed, non-finite or
+too large for memory, a scenario whose H does not fit in memory, or an output
+file that cannot be written), 3 on solver failure. ``--output`` overrides the
+config's output_dir. ``--workers`` is accepted for compatibility and has no
+effect: the collapsed ADMM iteration has no per-block work to spread.
 
-ADMM and FISTA stream ``trace_<tag>.csv`` as they iterate. Every run writes
-one record as ``metrics_<tag>.json``: the method's own parameters (``lambda``;
-ADMM adds ``rho`` and ``N``), the quality metrics and, for an iterative solve,
-``stop_reason`` ("converged" or "max_iter"), ``sparse_forward_iters``, the
-number of iterations whose product H x read only the iterate's support, and
-``screened_adjoint_iters``, the number whose product with H^H skipped the
-columns a safe bound proved the prox would zero; ADMM adds its final primal
-and dual residuals next to their thresholds ``eps_pri`` and ``eps_dual``.
-Every record carries the lasso KKT violation of its estimate at the
-method's lambda (0 for pinv), ``kkt_violation``, and that over lambda,
-``kkt_violation_rel`` (null when lambda is 0); ``final_objective`` comes
-from the same ``check_lasso_kkt`` report. A run's ``summary.csv`` row
-is its record cut to the summary columns.
-Every run of a command shares one ``linop.SensingOperator`` on H, so
-||H||^2, the column norms and the block Grams are formed once per command.
+``METHODS`` gives ``solve --method`` its choices and ``compare`` its runs, in
+order (ADMM once per sweep point). An entry holds the record keys a run has
+before it runs, all that a ``compare`` error row holds, and a runner that
+returns the estimate, the trace (None for pinv) and further record keys. An
+iterative run streams ``trace_<tag>.csv``. Every run writes its record as
+``metrics_<tag>.json``; ``final_objective``, ``kkt_violation`` and
+``kkt_violation_rel`` come from one ``check_lasso_kkt`` report at the
+method's lambda (0 for pinv). Every run of a command shares one
+``linop.SensingOperator`` on H, so its factors are formed once per command.
 """
 
 import argparse
+import collections
+import csv
 import dataclasses
 import json
 import math
@@ -111,60 +106,37 @@ def cmd_solve(cfg, method):
 
 
 def cmd_compare(cfg):
-    """Run every configured method (and the lambda/rho sweep) and summarize.
+    """Run every method of ``METHODS`` (ADMM at each sweep point) and summarize.
 
     A factor of the shared operator that fails to form is retried, and
     reported, by every run that needs it. A run that raises becomes an error
     row, and the remaining runs still go.
     """
-    if cfg.has_sweep:
-        runs = [("admm", sweep_tag(lam, rho), dataclasses.replace(cfg.admm, lam=lam, rho=rho))
-                for lam in cfg.sweep_lambdas for rho in cfg.sweep_rhos]
-    else:
-        runs = [("admm", "admm", cfg.admm)]
     inputs = _load_inputs(cfg)
     rows = []
-    for method, tag, params in runs + [("fista", "fista", None), ("pinv", "pinv", None)]:
-        try:
-            rows.append({**_run(cfg, inputs, method, tag, params), "status": "ok"})
-        except Exception as exc:  # noqa: BLE001
-            rows.append({**_own_keys(cfg, method, params), "status": f"error: {exc}"})
+    for method in METHODS:
+        points = [(method, cfg.admm)]
+        if method == "admm" and cfg.has_sweep:
+            points = [(sweep_tag(lam, rho), dataclasses.replace(cfg.admm, lam=lam, rho=rho))
+                      for lam in cfg.sweep_lambdas for rho in cfg.sweep_rhos]
+        for tag, params in points:
+            try:
+                rows.append({**_run(cfg, inputs, method, tag, params), "status": "ok"})
+            except Exception as exc:  # noqa: BLE001
+                rows.append({"method": method, **METHODS[method].own_keys(cfg, params), "status": f"error: {exc}"})
     _write_summary(Path(cfg.output_dir) / SUMMARY_FILE, rows)
 
 
-def _own_keys(cfg, method, params):
-    """The record keys a method run has before it runs: its name and parameters."""
-    if method == "admm":
-        return {"method": method, "lambda": params.lam, "rho": params.rho, "N": cfg.admm_blocks}
-    if method == "fista":
-        return {"method": method, "lambda": cfg.fista_lam}
-    return {"method": method}
-
-
 def _run(cfg, inputs, method, tag, params):
-    """Run one method, write its artifacts, and return its record.
-
-    The record is what ``metrics_<tag>.json`` holds; ADMM runs with
-    ``params``. Iterative methods stream ``trace_<tag>.csv`` as they go.
-    """
+    """Run one method of ``METHODS``, write its artifacts, and return its record (``metrics_<tag>.json``)."""
     op, u_true, g = inputs
     out = Path(cfg.output_dir)
-    record = _own_keys(cfg, method, params)
+    own_keys, runner = METHODS[method]
+    record = {"method": method, **own_keys(cfg, params)}
     t0 = time.perf_counter()
-    if method == "admm":
-        engine = ConsensusLassoSolver(op, g, params, cfg.admm_blocks)
-        with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
-            estimate, trace, state = engine.run(writer.write_row)
-        record.update(primal_residual=trace[-1].primal_residual, eps_pri=state.eps_pri,
-                      dual_residual=trace[-1].dual_residual, eps_dual=state.eps_dual)
-    elif method == "fista":
-        with fileio.TraceCsvWriter(out / f"trace_{tag}.csv") as writer:
-            estimate, trace = baselines.solve_fista(op, g, cfg.fista_lam, max_iter=cfg.fista_max_iter,
-                                                    tol=cfg.fista_tol, on_iteration=writer.write_row)
-    else:
-        estimate, trace = baselines.solve_pseudoinverse(op, g, cfg.pinv_trunc_rel_tol), ()
+    estimate, trace, method_keys = runner(cfg, op, g, params, out / f"trace_{tag}.csv")
     wall = time.perf_counter() - t0
-    if method != "pinv":
+    if trace is not None:
         record.update(stop_reason=trace.stop_reason, sparse_forward_iters=trace.sparse_forward_iters,
                       screened_adjoint_iters=trace.screened_adjoint_iters)
 
@@ -175,7 +147,8 @@ def _run(cfg, inputs, method, tag, params):
         raise DivergenceError(f"non-finite certificate: objective {kkt.objective} and violation {kkt.violation}")
     precision, recall = metrics.support_metrics(estimate, u_true, cfg.support_rel_threshold)
     record.update(
-        iterations=len(trace),
+        method_keys,
+        iterations=0 if trace is None else len(trace),
         final_objective=kkt.objective,
         nmse=metrics.nmse(estimate, u_true) if np.any(u_true) else None,
         precision=precision,
@@ -191,6 +164,34 @@ def _run(cfg, inputs, method, tag, params):
     metrics_text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     (out / f"metrics_{tag}.json").write_text(metrics_text, encoding="utf-8")
     return record
+
+
+def _run_admm(cfg, op, g, params, trace_path):
+    # the solver is built before the trace opens, so a failed set-up writes no trace
+    engine = ConsensusLassoSolver(op, g, params, cfg.admm_blocks)
+    with fileio.TraceCsvWriter(trace_path) as writer:
+        estimate, trace, state = engine.run(writer.write_row)
+    return estimate, trace, {"primal_residual": trace[-1].primal_residual, "eps_pri": state.eps_pri,
+                             "dual_residual": trace[-1].dual_residual, "eps_dual": state.eps_dual}
+
+
+def _run_fista(cfg, op, g, params, trace_path):
+    with fileio.TraceCsvWriter(trace_path) as writer:
+        estimate, trace = baselines.solve_fista(op, g, cfg.fista_lam, max_iter=cfg.fista_max_iter,
+                                                tol=cfg.fista_tol, on_iteration=writer.write_row)
+    return estimate, trace, {}
+
+
+def _run_pinv(cfg, op, g, params, trace_path):
+    return baselines.solve_pseudoinverse(op, g, cfg.pinv_trunc_rel_tol), None, {}
+
+
+Method = collections.namedtuple("Method", "own_keys run")
+METHODS = {
+    "admm": Method(lambda cfg, params: {"lambda": params.lam, "rho": params.rho, "N": cfg.admm_blocks}, _run_admm),
+    "fista": Method(lambda cfg, params: {"lambda": cfg.fista_lam}, _run_fista),
+    "pinv": Method(lambda cfg, params: {}, _run_pinv),
+}
 
 
 def _load_inputs(cfg):
@@ -226,34 +227,34 @@ def _read_input(read, path):
 
 
 def _write_summary(path, rows):
-    def fmt(value):
-        if value is None:
-            return ""
+    def fmt(value):  # the csv writer writes None as an empty field
         if isinstance(value, float):
             return f"{value:.17g}"
-        return str(value)
+        return value
 
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(row.get(name)) for name in SUMMARY_COLUMNS) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SUMMARY_COLUMNS)
+        writer.writerows([fmt(row.get(name)) for name in SUMMARY_COLUMNS] for row in rows)
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="cradmm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "generate": "synthesize the sensing matrix, phantom, and measurement files",
-        "solve": "run one solver against generated files",
-        "compare": "run all solvers (plus any sweep) and write summary.csv",
+    commands = {
+        "generate": ("synthesize the sensing matrix, phantom, and measurement files",
+                     lambda cfg, args: cmd_generate(cfg)),
+        "solve": ("run one solver against generated files", lambda cfg, args: cmd_solve(cfg, args.method)),
+        "compare": ("run all solvers (plus any sweep) and write summary.csv", lambda cfg, args: cmd_compare(cfg)),
     }
-    for name, help_text in specs.items():
+    for name, (help_text, handler) in commands.items():
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--config", required=True, help="path to the JSON experiment config")
         sp.add_argument("--output", default=None, help="override the config output_dir")
         sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                         help="accepted for compatibility; has no effect on any command")
-    sub.choices["solve"].add_argument("--method", required=True, choices=("admm", "fista", "pinv"))
+    sub.choices["solve"].add_argument("--method", required=True, choices=METHODS)
     return parser
 
 
@@ -263,18 +264,16 @@ def main(argv=None):
         cfg = load_experiment_config(args.config)
         if args.output:
             cfg = dataclasses.replace(cfg, output_dir=args.output)
-        if args.command == "generate":
-            cmd_generate(cfg)
-        elif args.command == "solve":
-            cmd_solve(cfg, args.method)
-        else:
-            cmd_compare(cfg)
+        args.handler(cfg, args)
     except ConfigError as exc:
         for line in exc.violations:
             print(f"config error: {line}", file=sys.stderr)
         return 2
     except (FileNotFoundError, FileFormatError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # every input is read through _read_input, so this is an output
+        print(f"output error: {exc.filename} cannot be written: {exc.strerror}", file=sys.stderr)
         return 2
     except (DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ def imported_names(path):
     )
 
 
-@pytest.mark.parametrize("script", ["layers.py", "run.py"])
+@pytest.mark.parametrize("script", ["layers.py", "run.py", "selftest.py"])
 def test_benchmark_imports_are_exported(script):
     names = imported_names(BENCH / script)
     assert names, f"no `from cradmm import` in bench/{script}"

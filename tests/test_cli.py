@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -24,7 +25,7 @@ from cradmm import (
     write_matrix,
     write_vector,
 )
-from cradmm import fileio, linop, scene
+from cradmm import baselines, fileio, linop, scene
 from cradmm.cli import _load_inputs, cmd_generate, main
 from cradmm.errors import ConfigError
 
@@ -439,6 +440,16 @@ class TestSolve:
         assert capsys.readouterr().err == f"input error: {out / 'H.cmat'} cannot be read: Is a directory\n"
         assert sorted(p.name for p in out.iterdir()) == before
 
+    @pytest.mark.parametrize("name, command", [("H.cmat", ["generate"]),
+                                               ("metrics_pinv.json", ["solve", "--method", "pinv"])])
+    def test_output_that_is_a_directory_exits_2(self, tmp_path, capsys, name, command):
+        path, out = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        (out / name).unlink(missing_ok=True)
+        (out / name).mkdir()
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err == f"output error: {out / name} cannot be written: Is a directory\n"
+
     def test_finiteness_scan_makes_no_matrix_sized_mask(self, tmp_path):
         # the load holds the three files' payloads; a mask of H would add one byte per entry of H
         path, out = write_config(tmp_path, overrides={"scenario": {"n_theta": 8, "n_freq": 4, "grid": [40, 40, 5]}})
@@ -765,6 +776,22 @@ class TestCompare:
         assert "error: synthetic fista failure" in by_method["fista"]
         assert by_method["admm"].endswith("ok")
         assert by_method["pinv"].endswith("ok")
+
+    def test_error_row_with_a_comma_keeps_the_columns(self, tmp_path, monkeypatch):
+        message = "Unable to allocate 37.3 MiB for an array with shape (93, 25000) and data type complex128"
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(baselines, "solve_pseudoinverse", out_of_memory)
+        path, out = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        assert main(["compare", "--config", str(path)]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [11] * 4
+        assert [row[0] for row in rows] == ["method", "admm", "fista", "pinv"]
+        assert [row[-1] for row in rows] == ["status", "ok", "ok", f"error: {message}"]
 
     def test_end_to_end_determinism(self, tmp_path):
         path, out = write_config(tmp_path)
