@@ -29,14 +29,14 @@ per iteration; the objective and the stacked primal and dual norms follow
 from Gram identities at O(n_p + M^2) cost. Both products and the soft
 threshold are one ``prox_step``. The stopping thresholds are formed only
 when the stopping rule is on, or for the final state. ``run_iterations``
-drives the loop.
+drives the loop, one record and stop verdict per iteration.
 ``update_u``, ``update_v`` and ``update_s`` are the same steps written per
 block; they are kept as the reference the collapsed form is tested against.
 
-The set-up holds only G and S, and only S depends on rho. The block Grams
-and G are the operator's, so the points of a (lam, rho) sweep on one
-``linop.SensingOperator`` share them and each builds only its m_i x m_i
-Woodbury blocks.
+The set-up holds only G and S, and only S depends on rho. G is the
+operator's (``linop.SensingOperator.block_gram``), so the points of a
+(lam, rho) sweep on one operator share it and each forms only its S
+(``linop.woodbury``).
 """
 
 import math
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .linop import SupportProducts, adjoint, block_diagonal, gram, lasso_inputs
+from .linop import SupportProducts, adjoint, gram, lasso_inputs, woodbury
 from .scene import is_finite_real, is_integer, matrix_array, vector_array
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
@@ -168,8 +168,8 @@ class BlockSolver:
     """One row block plus the cached small-matrix inverse its updates reuse.
 
     ``gram`` holds H_i H_i^H and ``small_inverse`` (I_m + gram / rho)^-1,
-    both m x m with m the block row count; the N_p x N_p regularized normal
-    matrix is never formed.
+    both m x m with m the block row count (in the engine, views of its G and
+    S); the N_p x N_p regularized normal matrix is never formed.
     """
 
     h_block: np.ndarray
@@ -189,13 +189,6 @@ class BlockSolver:
         return b / self.rho - adjoint(self.h_block, t) / self.rho**2
 
 
-def _woodbury_block(gram, rho):
-    """(I + gram / rho)^-1 for one block's m x m Gram."""
-    small_inverse = np.linalg.inv(np.eye(gram.shape[0], dtype=np.complex128) + gram / rho)
-    # the exact inverse is Hermitian; symmetrize away LU round-off
-    return 0.5 * (small_inverse + small_inverse.conj().T)
-
-
 def precompute_block_solver(h_i, g_i, rho):
     """Cache the Gram and the m x m inverse used by every u-update of a block."""
     if not (is_finite_real(rho) and rho > 0):
@@ -207,7 +200,7 @@ def precompute_block_solver(h_i, g_i, rho):
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(gv))):
         raise ValueError("block contains non-finite entries")
     block_gram = gram(h)
-    return BlockSolver(h_block=h, g_block=gv, small_inverse=_woodbury_block(block_gram, rho),
+    return BlockSolver(h_block=h, g_block=gv, small_inverse=woodbury(block_gram, ((0, h.shape[0]),), rho),
                        rho=float(rho), gram=block_gram)
 
 
@@ -315,24 +308,24 @@ def run_iterations(operator, steps, on_iteration=None):
     """The iteration loop of ADMM and FISTA; returns (estimate, trace).
 
     ``steps(products)``, given the run's ``linop.SupportProducts`` on
-    ``operator``, yields per iteration the estimate and its record fields
-    (objective, primal, dual), then, once resumed, whether its stopping rule
-    holds. Each IterationRecord, timed from the start of the run, goes to the
-    trace and then to ``on_iteration``; a non-finite field raises
-    DivergenceError first. See ConvergenceTrace for the stop reason and counts.
+    ``operator``, yields once per iteration the estimate, its record fields
+    (objective, primal, dual) and whether its stopping rule holds. Each
+    IterationRecord, timed from the start of the run, goes to the trace and
+    then to ``on_iteration``, before the verdict is acted on; a non-finite
+    field raises DivergenceError first. See ConvergenceTrace for the stop
+    reason and counts.
     """
     products = SupportProducts(operator)
-    iterations = steps(products)
     trace = ConvergenceTrace(stop_reason="max_iter")
     start = time.perf_counter()
-    for k, (estimate, *fields) in enumerate(iterations):
+    for k, (estimate, *fields, stop) in enumerate(steps(products)):
         if not all(map(math.isfinite, fields)):
             raise DivergenceError(f"non-finite iterate at iteration {k}")
         record = IterationRecord(k, *fields, time.perf_counter() - start)
         trace.append(record)
         if on_iteration is not None:
             on_iteration(record)
-        if next(iterations):
+        if stop:
             trace.stop_reason = "converged"
             break
     trace.sparse_forward_iters = products.sparse_forward_calls
@@ -343,10 +336,10 @@ def run_iterations(operator, steps, on_iteration=None):
 class ConsensusLassoSolver:
     """Consensus ADMM engine over a fixed row partition, in collapsed form.
 
-    ``block_solvers`` holds the per-block Woodbury factors; ``gram`` (the
-    operator's) and ``woodbury`` are the same blocks assembled into M x M
-    block-diagonal matrices for the collapsed iteration (see the module
-    docstring). A non-finite entry in H or g raises ValueError.
+    ``gram`` (the operator's) and ``woodbury`` are G and S, the M x M
+    block-diagonal matrices of the collapsed iteration (see the module
+    docstring); ``block_solvers`` holds each block with views of its blocks
+    of G and S. A non-finite entry in H or g raises ValueError.
     ``workers`` is accepted for compatibility and has no effect: an iteration
     is at most two products with H and O(n_p + M^2) vector work, with nothing
     left to spread across threads, so results are the same for any worker
@@ -358,17 +351,16 @@ class ConsensusLassoSolver:
         self.entries = self.operator.h
         self.params = params
         self.partition = partition_rows(self.entries, self.g, n_blocks)
-        block_grams, self.gram = self.operator.block_grams(self.partition.blocks)
+        self.gram = self.operator.block_gram(self.partition.blocks)
         if not np.all(np.isfinite(self.g)):
             raise ValueError("block contains non-finite entries")
+        self.woodbury = woodbury(self.gram, self.partition.blocks, params.rho)
         self.block_solvers = [
             BlockSolver(h_block=self.entries[start:stop], g_block=self.g[start:stop],
-                        small_inverse=_woodbury_block(block_gram, params.rho), rho=float(params.rho),
-                        gram=block_gram)
-            for (start, stop), block_gram in zip(self.partition.blocks, block_grams)
+                        small_inverse=self.woodbury[start:stop, start:stop], rho=float(params.rho),
+                        gram=self.gram[start:stop, start:stop])
+            for start, stop in self.partition.blocks
         ]
-        self.woodbury = block_diagonal(self.partition.blocks,
-                                       [b.small_inverse for b in self.block_solvers])
 
     def _stacked_sq_norm(self, a, h_a, x, gram_x):
         """sum_i ||a + H_i^H x_i||^2 from H a and G x, with no product by H.
@@ -416,21 +408,19 @@ class ConsensusLassoSolver:
                 c = e + d
                 v_next, support, h_v_next = prox_step(products, v, support, c, n, kappa)
                 gram_d = self.gram @ d
-                gram_c = gram_e + gram_d
+                w, h_w = v - v_next, h_v - h_v_next
+                v, h_v, e, gram_e = v_next, h_v_next, c, gram_e + gram_d
                 # an overflow here is reported as a DivergenceError, not as a warning
                 with np.errstate(over="ignore"):
-                    primal = math.sqrt(self._stacked_sq_norm(z - v_next, h_z - h_v_next, d, gram_d))
-                    dual = rho * math.sqrt(n) * float(np.linalg.norm(v_next - v))
-                    objective = lasso_objective(h_v_next - self.g, v_next, params.lam)
-                yield v_next, objective, primal, dual
-                w, h_w = v - v_next, h_v - h_v_next
-                v, h_v, e, gram_e = v_next, h_v_next, c, gram_c
-                if stopping or k == params.max_iter - 1:  # only the rule and the final state read the thresholds
-                    u_norm = math.sqrt(self._stacked_sq_norm(z, h_z, d, gram_d))
-                    s_norm = math.sqrt(self._stacked_sq_norm(w, h_w, e, gram_e))
-                    eps_pri = scale + params.eps_rel * max(u_norm, math.sqrt(n) * float(np.linalg.norm(v)))
-                    eps_dual = scale + params.eps_rel * rho * s_norm
-                yield stopping and primal <= eps_pri and dual <= eps_dual
+                    primal = math.sqrt(self._stacked_sq_norm(z - v, h_z - h_v, d, gram_d))
+                    dual = rho * math.sqrt(n) * float(np.linalg.norm(w))
+                    objective = lasso_objective(h_v - self.g, v, params.lam)
+                    if stopping or k == params.max_iter - 1:  # only the rule and the final state read them
+                        u_norm = math.sqrt(self._stacked_sq_norm(z, h_z, d, gram_d))
+                        s_norm = math.sqrt(self._stacked_sq_norm(w, h_w, e, gram_e))
+                        eps_pri = scale + params.eps_rel * max(u_norm, math.sqrt(n) * float(np.linalg.norm(v)))
+                        eps_dual = scale + params.eps_rel * rho * s_norm
+                yield v, objective, primal, dual, stopping and primal <= eps_pri and dual <= eps_dual
 
         v, trace = run_iterations(self.operator, steps, on_iteration)
         return v, trace, AdmmState(v=v, k=len(trace), eps_pri=eps_pri, eps_dual=eps_dual)

@@ -89,8 +89,8 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
             h_y = h_x_new + beta * (h_x_new - h_x)
             y_supports = (support, x_support)
             x, h_x, t, x_support = x_new, h_x_new, t_new, support
-            yield x, obj, step, 0.0
-            yield prev_obj is not None and abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-300)
+            yield x, obj, step, 0.0, (prev_obj is not None
+                                      and abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-300))
             prev_obj = obj
 
     return run_iterations(op, steps, on_iteration)

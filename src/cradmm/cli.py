@@ -272,8 +272,8 @@ def main(argv=None):
     except (FileNotFoundError, FileFormatError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # every input is read through _read_input, so this is an output
-        print(f"output error: {exc.filename} cannot be written: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # an output, as every input is read through _read_input; a failed write() names no file
+        print(f"output error: {exc.filename or cfg.output_dir} cannot be written: {exc.strerror}", file=sys.stderr)
         return 2
     except (DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

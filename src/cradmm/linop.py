@@ -4,8 +4,8 @@ Every solver, the objective and the KKT check take a ``SensingOperator``
 wherever they take H. One operator owns H for a command: the products H x and
 H^H r, and the factors of H alone (||H||_2^2, the column norms, the block
 Grams), each formed once and shared by every run. Every Gram, of H or of a
-row block, comes from ``gram``. ``block_diagonal`` builds an M x M
-block-diagonal matrix from m_i x m_i blocks. ``triangular_factor`` is a
+row block, comes from ``gram``, and ``woodbury`` turns a block-diagonal
+Gram into its block-diagonal Woodbury inverse. ``triangular_factor`` is a
 streamed ("tall-skinny") QR factor of H, min(M, n) square, with the singular
 values of H; the pseudoinverse baseline takes its SVD instead of one of H.
 
@@ -58,14 +58,10 @@ from .scene import is_finite_real, matrix_array, vector_array
 
 # entries per slice when a Gram or a triangular factor is accumulated, or an
 # array scanned for non-finite entries (``all_finite``): a slice is 0.5 MB,
-# so it and its conjugate copy fit in a core's 2 MB L2. Down from 1 << 17
-# (2 MB slices); peak RSS of the CLI children, one
-# OpenBLAS thread: desk-scale compare 41.9 -> 37.8 MB and demo-scale
-# `solve --method pinv` 73.9 -> 70.4 MB. Times hold or fall (medians,
-# 2-vCPU Intel Xeon VM, 1 << 17 -> 1 << 15): the Gram of a 93 x 25000 H
-# 47.6 -> 34.9 ms, its 31 row-block Grams 16.1 -> 16.5 ms and
-# triangular_factor 145 -> 131 ms; at 93 x 2500, 4.4 -> 4.2, 1.7 -> 1.6 and
-# 19.3 -> 16.3 ms.
+# so it and its conjugate copy fit in a core's 2 MB L2. Medians on a 2-vCPU
+# Intel Xeon VM, one OpenBLAS thread: the Gram of a 93 x 25000 H takes
+# 34.9 ms, its 31 row-block Grams 16.5 ms and triangular_factor 131 ms; at
+# 93 x 2500, 4.2, 1.6 and 16.3 ms.
 GRAM_CHUNK_ENTRIES = 1 << 15
 
 # SupportProducts takes the dense H x and H^H r once the support (for H^H r,
@@ -94,15 +90,6 @@ def adjoint(h, r):
     return np.conjugate(out, out=out)
 
 
-def block_diagonal(blocks, mats):
-    """Dense M x M matrix holding mats[i] on the diagonal rows/columns blocks[i]."""
-    size = blocks[-1][1]
-    out = np.zeros((size, size), dtype=np.complex128)
-    for (start, stop), mat in zip(blocks, mats):
-        out[start:stop, start:stop] = mat
-    return out
-
-
 def gram(h):
     """H H^H, accumulated over column slices of H.
 
@@ -116,6 +103,17 @@ def gram(h):
     for start in range(0, cols, step):
         part = h[:, start:start + step]
         out += part @ part.conj().T
+    return out
+
+
+def woodbury(block_gram, blocks, rho):
+    """S: (I + G_ii / rho)^-1 on each diagonal block ``blocks`` of G = ``block_gram``, zero elsewhere."""
+    out = np.zeros_like(block_gram)
+    for start, stop in blocks:
+        block = block_gram[start:stop, start:stop]
+        inverse = np.linalg.inv(np.eye(stop - start, dtype=np.complex128) + block / rho)
+        # the exact inverse is Hermitian; symmetrize away LU round-off
+        out[start:stop, start:stop] = 0.5 * (inverse + inverse.conj().T)
     return out
 
 
@@ -279,7 +277,7 @@ def all_finite(a):
 class SensingOperator:
     """A dense complex M x n matrix H with its products and the factors of H alone.
 
-    ``norm_squared()``, ``column_norms()`` and ``block_grams(blocks)`` are
+    ``norm_squared()``, ``column_norms()`` and ``block_gram(blocks)`` are
     formed on first use and kept; one whose computation raises is not kept.
     Nothing of one solver run (gathered columns, an anchor) is stored here.
     """
@@ -306,7 +304,10 @@ class SensingOperator:
     def norm_squared(self):
         """Exact ||H||_2^2: the largest eigenvalue of the smaller Gram, inf or nan if that overflows."""
         def largest_eigenvalue(h):
-            return max(float(np.linalg.eigvalsh(gram(h if h.shape[0] <= h.shape[1] else h.T))[-1]), 0.0)
+            small = gram(h if h.shape[0] <= h.shape[1] else h.T)
+            if not np.isfinite(small).all():  # eigvalsh may not converge on it
+                return float(np.abs(small).max())
+            return max(float(np.linalg.eigvalsh(small)[-1]), 0.0)
 
         with np.errstate(invalid="ignore", over="ignore"):  # the caller reports a non-finite one
             return self._factor("norm_squared", largest_eigenvalue)
@@ -315,13 +316,13 @@ class SensingOperator:
         """Upper bounds on every ||h_p||, as ``column_norms`` forms them."""
         return self._factor("column_norms", column_norms)
 
-    def block_grams(self, blocks):
-        """The Grams H_i H_i^H of the row ranges ``blocks``, and G, their M x M block diagonal.
+    def block_gram(self, blocks):
+        """G, the M x M block diagonal of the Grams H_i H_i^H of the row ranges ``blocks``.
 
         A non-finite entry of H_i makes diag(H_i H_i^H) non-finite, so H is
         scanned (ValueError if it holds one) only when G is not finite.
         """
-        return self._factor(("block_grams", blocks), _block_grams, blocks)
+        return self._factor(("block_gram", blocks), _block_gram, blocks)
 
 
 def as_operator(h):
@@ -345,10 +346,11 @@ def lasso_inputs(h, g, lam, x=None):
     return op, gv, xv
 
 
-def _block_grams(h, blocks):
+def _block_gram(h, blocks):
+    full = np.zeros((h.shape[0], h.shape[0]), dtype=np.complex128)
     with np.errstate(invalid="ignore", over="ignore"):  # a finite H whose Gram overflows runs on
-        grams = [gram(h[start:stop]) for start, stop in blocks]
-        full = block_diagonal(blocks, grams)
+        for start, stop in blocks:
+            full[start:stop, start:stop] = gram(h[start:stop])
     if not np.all(np.isfinite(full)) and not all_finite(h):
         raise ValueError("block contains non-finite entries")
-    return grams, full
+    return full

@@ -13,6 +13,7 @@ flat index of voxel (ix, iy, iz) is ix + nx * (iy + ny * iz).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,10 +218,12 @@ def build_phantom(config, targets):
         except (TypeError, ValueError):
             raise ValueError(f"target {idx}: box must be three (lo, hi) index pairs") from None
         for lo, hi, limit, axis in ((x0, x1, nx, "x"), (y0, y1, ny, "y"), (z0, z1, nz, "z")):
-            if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo < hi <= limit):
+            if not (is_integer(lo) and is_integer(hi) and 0 <= lo < hi <= limit):
                 raise ValueError(
                     f"target {idx}: {axis} range [{lo}, {hi}) outside grid of {limit} voxels"
                 )
+        if not isinstance(amplitude, numbers.Number) or isinstance(amplitude, bool):
+            raise ValueError(f"target {idx}: amplitude must be a number")
         amplitude = complex(amplitude)
         if not (math.isfinite(amplitude.real) and math.isfinite(amplitude.imag)):
             raise ValueError(f"target {idx}: amplitude must be finite")

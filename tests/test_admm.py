@@ -374,13 +374,16 @@ class TestSolveConsensusLasso:
                 params = AdmmParams(lam=lam, rho=rho, max_iter=60, eps_abs=1e-9, eps_rel=1e-9)
                 shared = ConsensusLassoSolver(op, g, params, 4)
                 fresh = ConsensusLassoSolver(h, g, params, 4)
-                assert shared.gram is op.block_grams(shared.partition.blocks)[1]
+                assert shared.gram is op.block_gram(shared.partition.blocks)
                 assert shared.gram.tobytes() == fresh.gram.tobytes()
                 assert shared.woodbury.tobytes() == fresh.woodbury.tobytes()
                 for a, b, (lo, hi) in zip(shared.block_solvers, fresh.block_solvers, shared.partition.blocks):
                     ref = precompute_block_solver(h[lo:hi], g[lo:hi], rho)
                     assert a.small_inverse.tobytes() == b.small_inverse.tobytes() == ref.small_inverse.tobytes()
                     assert a.gram.tobytes() == ref.gram.tobytes()
+                    # the engine's blocks are views of its G and S, not copies
+                    assert np.shares_memory(a.small_inverse, shared.woodbury)
+                    assert np.shares_memory(a.gram, shared.gram)
                 (v1, t1, s1), (v2, t2, s2) = shared.run(), fresh.run()
                 assert v1.tobytes() == v2.tobytes()
                 assert [r[:4] for r in map(astuple, t1)] == [r[:4] for r in map(astuple, t2)]

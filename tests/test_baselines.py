@@ -216,9 +216,10 @@ class TestFista:
         with pytest.raises(DivergenceError, match="iteration 0"):
             solve_fista([[1.0]], [1e308], 2.0)
 
-    @pytest.mark.parametrize("h", [[[1e200]], [[1e200, 0.0], [0.0, 1e200]]])
+    @pytest.mark.parametrize("h", [[[1e200]], [[1e200, 0.0], [0.0, 1e200]], np.full((3, 5), 1e200)])
     def test_non_finite_lipschitz_constant_raises(self, h):
-        # ||H||^2 = 1e400 overflows to inf; the second's Gram holds inf + nan j, so it is nan
+        # ||H||^2 = 1e400 overflows to inf; the second's Gram holds inf + nan j, so it is nan; the
+        # third's Gram is all inf, on which an eigenvalue solver need not converge
         with pytest.raises(DivergenceError, match="not finite"):
             solve_fista(h, np.ones(len(h)), 0.1)
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -450,6 +451,17 @@ class TestSolve:
         assert main([command[0], "--config", str(path), *command[1:]]) == 2
         assert capsys.readouterr().err == f"output error: {out / name} cannot be written: Is a directory\n"
 
+    def test_failed_write_that_names_no_file_names_the_output_directory(self, tmp_path, capsys, monkeypatch):
+        # a failed write() (a full disk, say) raises an OSError with no file name
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        path, out = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        monkeypatch.setattr(fileio, "write_view_pgm", full_disk)
+        assert main(["solve", "--config", str(path), "--method", "pinv"]) == 2
+        assert capsys.readouterr().err == f"output error: {out} cannot be written: No space left on device\n"
+
     def test_finiteness_scan_makes_no_matrix_sized_mask(self, tmp_path):
         # the load holds the three files' payloads; a mask of H would add one byte per entry of H
         path, out = write_config(tmp_path, overrides={"scenario": {"n_theta": 8, "n_freq": 4, "grid": [40, 40, 5]}})
@@ -628,12 +640,12 @@ class TestCompare:
         # every sweep point shares the command's operator, which forms the block Grams once
         built = []
 
-        def counting_block_grams(h, blocks):
+        def counting_block_gram(h, blocks):
             built.append(blocks)
-            return block_grams(h, blocks)
+            return block_gram(h, blocks)
 
-        block_grams = linop._block_grams
-        monkeypatch.setattr(linop, "_block_grams", counting_block_grams)
+        block_gram = linop._block_gram
+        monkeypatch.setattr(linop, "_block_gram", counting_block_gram)
         path, out = write_config(
             tmp_path,
             overrides={"sweep": {"lambda": [0.01, 0.1], "rho": [0.1, 1.0, 10.0]}, "admm": {"max_iter": 5}},
@@ -646,11 +658,11 @@ class TestCompare:
     def test_failing_setup_marks_every_sweep_row(self, tmp_path, monkeypatch):
         attempts = []
 
-        def failing_block_grams(h, blocks):
+        def failing_block_gram(h, blocks):
             attempts.append(blocks)
             raise ValueError("synthetic set-up failure")
 
-        monkeypatch.setattr(linop, "_block_grams", failing_block_grams)
+        monkeypatch.setattr(linop, "_block_gram", failing_block_gram)
         path, out = write_config(
             tmp_path, overrides={"sweep": {"lambda": [0.01], "rho": [0.1, 1.0]}}
         )

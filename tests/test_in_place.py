@@ -74,8 +74,7 @@ def reference_fista(h, g, lam, max_iter):
                 step = _norm(x_new - x)
                 obj = lasso_objective(h_x_new - b, x_new, lam)
             x, h_x, t, x_support = x_new, h_x_new, t_new, support
-            yield x, obj, step, 0.0
-            yield False
+            yield x, obj, step, 0.0, False
 
     return run_iterations(op, steps)
 

@@ -28,7 +28,6 @@ from cradmm.linop import (
     adjoint,
     all_finite,
     as_operator,
-    block_diagonal,
     column_norms,
     gram,
     triangular_factor,
@@ -193,8 +192,8 @@ class TestSharedOperator:
         op = SensingOperator(h)
         # a fresh operator, then the same one again with every factor already formed
         assert self._results(op, g, lam) == expected
-        assert set(op._factors) == {"norm_squared", "column_norms", ("block_grams", ((0, 4), (4, 8), (8, 12))),
-                                    ("block_grams", ((0, 3), (3, 6), (6, 9), (9, 12)))}
+        assert set(op._factors) == {"norm_squared", "column_norms", ("block_gram", ((0, 4), (4, 8), (8, 12))),
+                                    ("block_gram", ((0, 3), (3, 6), (6, 9), (9, 12)))}
         assert self._results(op, g, lam) == expected
         assert self._results(SensingMatrix(entries=h, row_meta=()), g, lam) == expected
 
@@ -203,12 +202,12 @@ class TestSharedOperator:
         formed = []
         monkeypatch.setattr(linop, "gram", lambda h: formed.append("gram") or gram(h))
         monkeypatch.setattr(linop, "column_norms", lambda h: formed.append("norms") or column_norms(h))
-        first = (op.norm_squared(), op.column_norms(), op.block_grams(((0, 2), (2, 5))))
+        first = (op.norm_squared(), op.column_norms(), op.block_gram(((0, 2), (2, 5))))
         assert formed == ["gram", "norms", "gram", "gram"]  # one Gram per block
-        again = (op.norm_squared(), op.column_norms(), op.block_grams(((0, 2), (2, 5))))
+        again = (op.norm_squared(), op.column_norms(), op.block_gram(((0, 2), (2, 5))))
         assert formed == ["gram", "norms", "gram", "gram"]
         assert first[0] == again[0] and first[1] is again[1] and first[2] is again[2]
-        assert op.block_grams(((0, 5),)) is not first[2]
+        assert op.block_gram(((0, 5),)) is not first[2]
 
     def test_as_operator_wraps_once(self, rng):
         op = SensingOperator(rand_complex(rng, 3, 4))
@@ -230,7 +229,7 @@ class TestBlockFactors:
         np.testing.assert_allclose(engine.woodbury @ (np.eye(7) + engine.gram / rho), np.eye(7), atol=1e-12)
 
     @pytest.mark.parametrize("form", [
-        lambda h: SensingOperator(h).block_grams(((0, 4),))[1],
+        lambda h: SensingOperator(h).block_gram(((0, 4),)),
         lambda h: precompute_block_solver(h, np.ones(4), 0.5).gram,
     ], ids=["operator", "block-solver"])
     def test_gram_of_a_wide_block_holds_one_slice_at_a_time(self, rng, form):
@@ -245,10 +244,6 @@ class TestBlockFactors:
             tracemalloc.stop()
         assert peak < h.nbytes / 4, peak
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
-
-    def test_block_diagonal_layout(self):
-        out = block_diagonal(((0, 1), (1, 3)), [np.array([[2.0]]), np.array([[1.0, 2.0], [3.0, 4.0]])])
-        np.testing.assert_array_equal(out, [[2, 0, 0], [0, 1, 2], [0, 3, 4]])
 
 
 class TestSupportForward:

@@ -98,6 +98,21 @@ class TestBuildPhantom:
         with pytest.raises(ValueError, match="finite"):
             build_phantom(SMALL, [(((0, 1), (0, 1), (0, 1)), math.inf)])
 
+    @pytest.mark.parametrize("target, match", [
+        ((((0, True), (0, 1), (0, 1)), 1.0), "outside grid"),
+        ((((0, 1), (0, 1), (0, 1)), True), "must be a number"),
+        ((((0, 1), (0, 1), (0, 1)), np.True_), "must be a number"),
+        ((((0, 1), (0, 1), (0, 1)), "2+1j"), "must be a number"),
+    ], ids=["bool-bound", "bool-amplitude", "numpy-bool-amplitude", "string-amplitude"])
+    def test_input_the_config_parser_rejects_raises(self, target, match):
+        with pytest.raises(ValueError, match=match):
+            build_phantom(SMALL, [target])
+
+    @pytest.mark.parametrize("amplitude", [np.float64(2.0), np.complex64(2 + 1j), np.int64(2)])
+    def test_numpy_scalar_amplitude_is_accepted(self, amplitude):
+        scene = build_phantom(SMALL, [(((0, 1), (0, 1), (0, 1)), amplitude)])
+        assert scene.reflectivity[0] == complex(amplitude)
+
 
 class TestSynthesizeSensingMatrix:
     def test_demo_scale_shape(self):
