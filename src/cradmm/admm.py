@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .linop import SupportProducts, adjoint, gram, lasso_inputs, woodbury
-from .scene import is_finite_real, is_integer, matrix_array, vector_array
+from .scene import FINITE_GE0, FINITE_GT0, INT_GE1, block_count, is_real, matrix_array, vector_array
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
 # have lost too many digits to cancellation and are recomputed block by block.
@@ -73,7 +73,7 @@ def soft_threshold_support(a, kappa):
     ratio forms in the shrunk magnitudes, and the safe divisor (1 where |a|
     is 0 or NaN) in |a|.
     """
-    if not kappa >= 0:  # NaN too
+    if not (is_real(kappa) and kappa >= 0):  # NaN too; +inf zeroes everything
         raise ValueError("threshold must be >= 0")
     a = np.asarray(a)
     mag = np.abs(a).reshape(-1)  # flat, and an array for a 0-d a too
@@ -126,8 +126,8 @@ def partition_rows(h, g, n_blocks):
     n_rows = entries.shape[0]
     if gv.shape[0] != n_rows:
         raise ValueError(f"measurement length {gv.shape[0]} != matrix row count {n_rows}")
-    if not (is_integer(n_blocks) and 1 <= n_blocks <= n_rows):
-        raise ValueError(f"block count must be an integer in [1, {n_rows}], got {n_blocks!r}")
+    n_blocks = block_count(n_rows).require(
+        n_blocks, f"block count must be an integer in [1, {n_rows}], got {n_blocks!r}")
     base, extra = divmod(n_rows, n_blocks)
     blocks = []
     start = 0
@@ -153,14 +153,12 @@ class AdmmParams:
     eps_rel: float = 1e-4
 
     def __post_init__(self):
-        if not (is_finite_real(self.lam) and self.lam >= 0):
-            raise ValueError("lam must be finite and >= 0")
-        if not (is_finite_real(self.rho) and self.rho > 0):
-            raise ValueError("rho must be finite and > 0")
-        if not (is_integer(self.max_iter) and self.max_iter >= 1):
-            raise ValueError("max_iter must be >= 1 and an integer")
-        if not all(is_finite_real(eps) and eps >= 0 for eps in (self.eps_abs, self.eps_rel)):
-            raise ValueError("tolerances must be finite and >= 0")
+        for name, rule, message in (("lam", FINITE_GE0, "lam must be finite and >= 0"),
+                                    ("rho", FINITE_GT0, "rho must be finite and > 0"),
+                                    ("max_iter", INT_GE1, "max_iter must be >= 1 and an integer"),
+                                    ("eps_abs", FINITE_GE0, "tolerances must be finite and >= 0"),
+                                    ("eps_rel", FINITE_GE0, "tolerances must be finite and >= 0")):
+            object.__setattr__(self, name, rule.require(getattr(self, name), message))
 
 
 @dataclass(frozen=True)
@@ -191,8 +189,7 @@ class BlockSolver:
 
 def precompute_block_solver(h_i, g_i, rho):
     """Cache the Gram and the m x m inverse used by every u-update of a block."""
-    if not (is_finite_real(rho) and rho > 0):
-        raise ValueError("rho must be finite and > 0")
+    rho = FINITE_GT0.require(rho, "rho must be finite and > 0")
     h = np.ascontiguousarray(matrix_array(h_i))
     gv = vector_array(g_i)
     if gv.shape[0] != h.shape[0]:
@@ -201,7 +198,7 @@ def precompute_block_solver(h_i, g_i, rho):
         raise ValueError("block contains non-finite entries")
     block_gram = gram(h)
     return BlockSolver(h_block=h, g_block=gv, small_inverse=woodbury(block_gram, ((0, h.shape[0]),), rho),
-                       rho=float(rho), gram=block_gram)
+                       rho=rho, gram=block_gram)
 
 
 def update_u(solver, v, s_i):
@@ -300,7 +297,7 @@ def lasso_objective(resid, u, lam):
 
 def evaluate_objective(h, g, u, lam):
     """Value of 0.5 ||H u - g||^2 + lam * sum_p |u_p| (complex modulus)."""
-    op, gv, uv = lasso_inputs(h, g, lam, u)
+    op, gv, uv, lam = lasso_inputs(h, g, lam, u)
     return lasso_objective(op.forward(uv) - gv, uv, lam)
 
 
@@ -347,7 +344,7 @@ class ConsensusLassoSolver:
     """
 
     def __init__(self, h, g, params, n_blocks, workers=1):
-        self.operator, self.g, _ = lasso_inputs(h, g, params.lam)
+        self.operator, self.g, _, _ = lasso_inputs(h, g, params.lam)
         self.entries = self.operator.h
         self.params = params
         self.partition = partition_rows(self.entries, self.g, n_blocks)
@@ -357,7 +354,7 @@ class ConsensusLassoSolver:
         self.woodbury = woodbury(self.gram, self.partition.blocks, params.rho)
         self.block_solvers = [
             BlockSolver(h_block=self.entries[start:stop], g_block=self.g[start:stop],
-                        small_inverse=self.woodbury[start:stop, start:stop], rho=float(params.rho),
+                        small_inverse=self.woodbury[start:stop, start:stop], rho=params.rho,
                         gram=self.gram[start:stop, start:stop])
             for start, stop in self.partition.blocks
         ]

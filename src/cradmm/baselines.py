@@ -15,7 +15,7 @@ import numpy as np
 from .admm import lasso_objective, prox_step, run_iterations
 from .errors import DivergenceError
 from .linop import adjoint, lasso_inputs, triangular_factor
-from .scene import is_finite_real, is_integer
+from .scene import FINITE_GE0, IN_UNIT, INT_GE1
 
 
 def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
@@ -29,9 +29,8 @@ def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
     H^H; for a tall H it is V_k S_k^-1 U_k^H (Q^H g), with Q^H g carried
     through the factorization of [H g].
     """
-    if not 0.0 < trunc_rel_tol < 1.0:
-        raise ValueError("trunc_rel_tol must lie in (0, 1)")
-    op, b, _ = lasso_inputs(h, g, 0.0)
+    trunc_rel_tol = IN_UNIT.require(trunc_rel_tol, "trunc_rel_tol must lie in (0, 1)")
+    op, b, _, _ = lasso_inputs(h, g, 0.0)
     rows, cols = op.shape
     if min(rows, cols) == 0:
         return np.zeros(cols, dtype=np.complex128)
@@ -60,11 +59,9 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     ``admm.prox_step`` of y on g - H y and the supports of x and the last x
     (their union holds y's), equal to y - grad / L but for the sign of a zero.
     """
-    op, b, _ = lasso_inputs(h, g, lam)
-    if not (is_integer(max_iter) and max_iter >= 1):
-        raise ValueError("max_iter must be >= 1 and an integer")
-    if not (is_finite_real(tol) and tol >= 0):
-        raise ValueError("tol must be finite and >= 0")
+    op, b, _, lam = lasso_inputs(h, g, lam)
+    max_iter = INT_GE1.require(max_iter, "max_iter must be >= 1 and an integer")
+    tol = FINITE_GE0.require(tol, "tol must be finite and >= 0")
     lips = op.norm_squared() or 1.0
     if not math.isfinite(lips):
         raise DivergenceError(f"||H||^2 is not finite: {lips}")
@@ -129,9 +126,8 @@ def check_lasso_kkt(h, g, lam, v, tol):
     |v_p| <= 1e-12 * max|v| (absolute 1e-14 when v = 0) count as inactive.
     With lam = 0 both conditions collapse to ||r||_inf <= tol.
     """
-    op, b, vv = lasso_inputs(h, g, lam, v)
-    if not (is_finite_real(tol) and tol >= 0):
-        raise ValueError("tol must be finite and >= 0")
+    op, b, vv, lam = lasso_inputs(h, g, lam, v)
+    tol = FINITE_GE0.require(tol, "tol must be finite and >= 0")
     with np.errstate(over="ignore", invalid="ignore"):  # the caller reports a non-finite certificate
         resid = op.forward(vv) - b
         grad = op.adjoint(resid)
@@ -150,7 +146,7 @@ def check_lasso_kkt(h, g, lam, v, tol):
     return KktReport(
         max_active_violation=max_active,
         max_inactive_excess=max_inactive,
-        tolerance=float(tol),
+        tolerance=tol,
         passed=max_active <= tol and max_inactive <= tol,
         objective=objective,
         violation=max(max_active, max_inactive),

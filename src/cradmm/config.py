@@ -8,18 +8,19 @@ the optional ``sweep`` holds the "lambda" and "rho" lists of a compare sweep.
 Every other key is a scalar field listed, with its default and its check, in
 FIELDS below; the README's "Config schema" shows them all. Validation is
 strict: unknown keys and every out-of-range field are reported together in
-one ConfigError.
+one ConfigError. The value rules live in ``scene``, shared with the library;
+only JSON shapes (objects, lists, pairs, strings) are checked here.
 """
 
 import dataclasses
 import functools
 import json
 import math
-from typing import Callable, NamedTuple
 
 from .admm import AdmmParams
 from .errors import ConfigError
-from .scene import ScenarioConfig, is_finite_real, is_integer, is_real
+from .scene import (FINITE_GE0, FINITE_GT0, IN_UNIT, INT_GE0, INT_GE1, SNR_DB, Check, ScenarioConfig,
+                    block_count, is_integer, is_real, target_violations)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,19 +46,6 @@ class ExperimentConfig:
         return bool(self.sweep_lambdas) and bool(self.sweep_rhos)
 
 
-class Check(NamedTuple):
-    """A predicate on a JSON value, the message a failing value gets, and the stored form."""
-
-    accepts: Callable
-    message: str
-    convert: Callable = lambda x: x
-
-
-FINITE_GE0 = Check(lambda x: is_finite_real(x) and x >= 0, "must be a finite number >= 0", float)
-FINITE_GT0 = Check(lambda x: is_finite_real(x) and x > 0, "must be a finite number > 0", float)
-IN_UNIT = Check(lambda x: is_real(x) and 0 < x < 1, "must lie in (0, 1)", float)
-INT_GE1 = Check(lambda x: is_integer(x) and x >= 1, "must be an integer >= 1")
-INT_GE0 = Check(lambda x: is_integer(x) and x >= 0, "must be an integer >= 0")
 NONEMPTY_STR = Check(lambda x: isinstance(x, str) and x != "", "must be a nonempty string")
 
 # (JSON key, ExperimentConfig attribute, default, check) per section, in the
@@ -173,8 +161,7 @@ def _parse_fields(section, name, rows, got, errors):
         if default is None:  # fista.lambda: the ADMM lambda
             default = got["admm.lam"]
         if check is None:  # admm.n_blocks: at most one block per measurement row
-            check = Check(lambda n: is_integer(n) and 1 <= n <= rows,
-                          f"must be an integer in [1, {rows}] (the measurement count)")
+            check = block_count(rows)
         value = section.get(key, default)
         if check.accepts(value):
             got[attr] = check.convert(value)
@@ -197,7 +184,7 @@ def _parse_scenario(raw, errors):
         if snr is None or isinstance(snr, str) and snr.lower() in ("inf", "infinity"):
             kwargs["snr_db"] = math.inf
         elif is_real(snr):  # an int beyond the float range stays one, for violations() to reject
-            kwargs["snr_db"] = float(snr) if is_finite_real(snr) else snr
+            kwargs["snr_db"] = SNR_DB.convert(snr) if SNR_DB.accepts(snr) else snr
         else:
             errors.append('scenario.snr_db: must be a number, null, or "inf"')
     scenario = ScenarioConfig(**kwargs)
@@ -229,13 +216,10 @@ def _parse_targets(section, scenario, errors):
         if not all(is_real(part) for part in parts):
             errors.append(f"{path}.amplitude: must be a number or [re, im] pair")
             continue
-        if not all(is_finite_real(part) for part in parts):
-            errors.append(f"{path}.amplitude: must be finite")
-            continue
-        for (lo, hi), limit, axis in zip(box, scenario.grid, "xyz"):
-            if not 0 <= lo < hi <= limit:
-                errors.append(f"{path}.box: {axis} range [{lo}, {hi}) outside grid of {limit} voxels")
-        targets.append(((tuple(box[0]), tuple(box[1]), tuple(box[2])), complex(*parts)))
+        bad = target_violations(box, parts, scenario.grid, f"{path}.box: ", f"{path}.amplitude: ")
+        errors.extend(bad)
+        if not bad:
+            targets.append(((tuple(box[0]), tuple(box[1]), tuple(box[2])), complex(*parts)))
     return tuple(targets)
 
 

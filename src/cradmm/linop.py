@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from .scene import is_finite_real, matrix_array, vector_array
+from .scene import FINITE_GE0, matrix_array, vector_array
 
 # entries per slice when a Gram or a triangular factor is accumulated, or an
 # array scanned for non-finite entries (``all_finite``): a slice is 0.5 MB,
@@ -331,19 +331,18 @@ def as_operator(h):
 
 
 def lasso_inputs(h, g, lam, x=None):
-    """The operator on H, then g and x (None when not given) as complex vectors.
+    """The operator on H, g and x (None when not given) as complex vectors, and lam as a float.
 
     ValueError unless lam is finite and >= 0, g has one entry per row of H
     and x one per column.
     """
-    if not (is_finite_real(lam) and lam >= 0):
-        raise ValueError("lam must be finite and >= 0")
+    lam = FINITE_GE0.require(lam, "lam must be finite and >= 0")
     op = as_operator(h)
     gv = vector_array(g)
     xv = None if x is None else vector_array(x)
     if gv.shape[0] != op.shape[0] or (xv is not None and xv.shape[0] != op.shape[1]):
         raise ValueError(f"shapes do not match: H {op.shape}, g {gv.shape}, x {getattr(xv, 'shape', None)}")
-    return op, gv, xv
+    return op, gv, xv, lam
 
 
 def _block_gram(h, blocks):

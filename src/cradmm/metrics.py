@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import vector_array
+from .scene import IN_UNIT, vector_array
 
 
 def nmse(u_est, u_true):
@@ -29,8 +29,7 @@ def support_metrics(u_est, u_true, rel_threshold):
     precision 1 against an empty reference and 0 otherwise; recall against an
     empty reference is 1.
     """
-    if not 0.0 < rel_threshold < 1.0:
-        raise ValueError("rel_threshold must lie in (0, 1)")
+    rel_threshold = IN_UNIT.require(rel_threshold, "rel_threshold must lie in (0, 1)")
     est = vector_array(u_est)
     true = vector_array(u_true)
     if est.shape != true.shape:

@@ -10,11 +10,15 @@ range-dependent amplitude and phase roll-off from a virtual focal point.
 
 Voxel ordering is fixed package-wide: x varies fastest, then y, then z, so the
 flat index of voxel (ix, iy, iz) is ix + nx * (iy + ny * iz).
+
+Each input rule is defined once, at the end of this module, for the config
+parser and the library's argument checks alike. A library check accepts Python
+and numpy real scalars, never a bool, and raises ValueError for anything else.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,53 +54,36 @@ class ScenarioConfig:
     rng_seed: int = 0
     snr_db: float = math.inf
 
+    # counts are multiplied as Python ints: numpy integers would wrap
     @property
     def n_measurements(self):
-        return self.n_theta * self.n_freq
+        return int(self.n_theta) * int(self.n_freq)
 
     @property
     def n_voxels(self):
-        nx, ny, nz = self.grid
-        return nx * ny * nz
+        return math.prod(map(int, self.grid))
 
     def violations(self):
         """Return a list of invariant violations (empty when valid)."""
-        out = []
-        theta_ok = is_integer(self.n_theta) and self.n_theta >= 1
-        if not theta_ok:
-            out.append("n_theta: must be an integer >= 1")
-        freq_ok = is_integer(self.n_freq) and self.n_freq >= 1
-        if not freq_ok:
-            out.append("n_freq: must be an integer >= 1")
-        grid_ok = (
-            isinstance(self.grid, (tuple, list))
-            and len(self.grid) == 3
-            and all(is_integer(n) and n >= 1 for n in self.grid)
-        )
-        if not grid_ok:
+        out = [f"{name}: {INT_GE1.message}" for name in ("n_theta", "n_freq")
+               if not INT_GE1.accepts(getattr(self, name))]
+        if not _three(self.grid, INT_GE1):
             out.append("grid: must be three integer voxel counts >= 1")
-        elif theta_ok and freq_ok and self.n_measurements * self.n_voxels > MAX_MATRIX_ENTRIES:
+        elif not out and self.n_measurements * self.n_voxels > MAX_MATRIX_ENTRIES:  # both counts are valid
             out.append("grid: with n_theta * n_freq rows and one column per voxel, "
                        "the sensing matrix exceeds the addressable size")
-        extent_ok = (
-            isinstance(self.roi_extent, (tuple, list))
-            and len(self.roi_extent) == 3
-            and all(_finite_positive(e) for e in self.roi_extent)
-        )
-        if not extent_ok:
+        if not _three(self.roi_extent, FINITE_GT0):
             out.append("roi_extent: must be three finite lengths > 0")
-        if not _finite_positive(self.voxel_size_l):
-            out.append("voxel_size_l: must be a finite length > 0")
-        if not _finite_positive(self.roi_offset_z0):
-            out.append("roi_offset_z0: must be a finite length > 0")
-        if not _finite_positive(self.center_freq_hz):
-            out.append("center_freq_hz: must be a finite frequency > 0")
-        if not (is_finite_real(self.bandwidth_hz) and self.bandwidth_hz >= 0):
+        for name, quantity in (("voxel_size_l", "length"), ("roi_offset_z0", "length"),
+                               ("center_freq_hz", "frequency")):
+            if not FINITE_GT0.accepts(getattr(self, name)):
+                out.append(f"{name}: must be a finite {quantity} > 0")
+        if not FINITE_GE0.accepts(self.bandwidth_hz):
             out.append("bandwidth_hz: must be a finite frequency >= 0")
-        if not (is_integer(self.rng_seed) and self.rng_seed >= 0):
-            out.append("rng_seed: must be an integer >= 0")
-        if not _snr_ok(self.snr_db):
-            out.append("snr_db: must be a real value or +infinity")
+        if not INT_GE0.accepts(self.rng_seed):
+            out.append(f"rng_seed: {INT_GE0.message}")
+        if not SNR_DB.accepts(self.snr_db):
+            out.append(f"snr_db: {SNR_DB.message}")
         return out
 
     def validate(self):
@@ -217,17 +204,13 @@ def build_phantom(config, targets):
             (x0, x1), (y0, y1), (z0, z1) = box
         except (TypeError, ValueError):
             raise ValueError(f"target {idx}: box must be three (lo, hi) index pairs") from None
-        for lo, hi, limit, axis in ((x0, x1, nx, "x"), (y0, y1, ny, "y"), (z0, z1, nz, "z")):
-            if not (is_integer(lo) and is_integer(hi) and 0 <= lo < hi <= limit):
-                raise ValueError(
-                    f"target {idx}: {axis} range [{lo}, {hi}) outside grid of {limit} voxels"
-                )
-        if not isinstance(amplitude, numbers.Number) or isinstance(amplitude, bool):
+        if not (is_real(amplitude) or isinstance(amplitude, (complex, np.complexfloating))):
             raise ValueError(f"target {idx}: amplitude must be a number")
-        amplitude = complex(amplitude)
-        if not (math.isfinite(amplitude.real) and math.isfinite(amplitude.imag)):
-            raise ValueError(f"target {idx}: amplitude must be finite")
-        vol[z0:z1, y0:y1, x0:x1] += amplitude
+        bad = target_violations(((x0, x1), (y0, y1), (z0, z1)), (amplitude.real, amplitude.imag),
+                                config.grid, f"target {idx}: ", f"target {idx}: amplitude ")
+        if bad:
+            raise ValueError(bad[0])
+        vol[z0:z1, y0:y1, x0:x1] += complex(amplitude)
     return Scene(reflectivity=vol.ravel(), grid=tuple(config.grid))
 
 
@@ -327,8 +310,7 @@ def add_noise(clean, snr_db, seed):
     zero signal, yields exactly zero noise (the zero-signal case is flagged
     with an infinite realized SNR).
     """
-    if not _snr_ok(snr_db):
-        raise ValueError("snr_db must be a real value or +infinity")
+    snr_db = SNR_DB.require(snr_db, "snr_db must be a real value or +infinity")
     signal_power = float(np.real(np.vdot(clean, clean)))
     if math.isinf(snr_db) or signal_power == 0.0:
         return Measurement(g=clean, noise_power=0.0, realized_snr_db=math.inf)
@@ -342,13 +324,13 @@ def add_noise(clean, snr_db, seed):
 
 
 def is_integer(x):
-    """An int that is not a bool: JSON ``true`` is not a count."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """A Python or numpy integer that is not a bool: JSON ``true`` is not a count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def is_real(x):
-    """An int or float that is not a bool: JSON ``true`` is not a number."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A Python or numpy integer or float that is not a bool: JSON ``true`` is not a number."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 def is_finite_real(x):
@@ -359,9 +341,47 @@ def is_finite_real(x):
         return False
 
 
-def _finite_positive(x):
-    return is_finite_real(x) and x > 0
+class Check(NamedTuple):
+    """One input rule: its predicate, the config parser's message, and the form a value is kept in."""
+
+    accepts: Callable
+    message: str
+    convert: Callable = lambda x: x
+
+    def require(self, value, message):
+        """``value`` in its kept form, for a library argument; ValueError(message) when refused."""
+        if not self.accepts(value):
+            raise ValueError(message)
+        return self.convert(value)
 
 
-def _snr_ok(x):
-    return is_finite_real(x) or is_real(x) and x == math.inf
+FINITE_GE0 = Check(lambda x: is_finite_real(x) and x >= 0, "must be a finite number >= 0", float)
+FINITE_GT0 = Check(lambda x: is_finite_real(x) and x > 0, "must be a finite number > 0", float)
+IN_UNIT = Check(lambda x: is_real(x) and 0 < x < 1, "must lie in (0, 1)", float)
+INT_GE1 = Check(lambda x: is_integer(x) and x >= 1, "must be an integer >= 1", int)
+INT_GE0 = Check(lambda x: is_integer(x) and x >= 0, "must be an integer >= 0", int)
+SNR_DB = Check(lambda x: is_finite_real(x) or is_real(x) and x == math.inf,
+               "must be a real value or +infinity", float)
+
+
+def block_count(rows):
+    """The rule for the number of ADMM row blocks of ``rows`` measurement rows."""
+    return Check(lambda n: is_integer(n) and 1 <= n <= rows,
+                 f"must be an integer in [1, {rows}] (the measurement count)", int)
+
+
+def target_violations(box, parts, grid, box_prefix, amplitude_prefix):
+    """Messages for a target, three (lo, hi) pairs and real amplitude parts, on ``grid``.
+
+    A non-finite amplitude is its only violation; else each axis whose range is
+    not integers with 0 <= lo < hi <= voxel count is one, in x, y, z order.
+    """
+    if not all(is_finite_real(part) for part in parts):
+        return [f"{amplitude_prefix}must be finite"]
+    return [f"{box_prefix}{axis} range [{lo}, {hi}) outside grid of {limit} voxels"
+            for (lo, hi), limit, axis in zip(box, grid, "xyz")
+            if not (is_integer(lo) and is_integer(hi) and 0 <= lo < hi <= limit)]
+
+
+def _three(values, rule):
+    return isinstance(values, (tuple, list)) and len(values) == 3 and all(map(rule.accepts, values))

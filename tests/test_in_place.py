@@ -52,7 +52,7 @@ def reference_prox_step(products, base, supports, r, divisor, kappa):
 
 def reference_fista(h, g, lam, max_iter):
     """``solve_fista`` with tol = 0 as its iteration was written before, on ``reference_prox_step``."""
-    op, b, _ = lasso_inputs(h, g, lam)
+    op, b, _, _ = lasso_inputs(h, g, lam)
     lips = op.norm_squared() or 1.0
     if not math.isfinite(lips):
         raise DivergenceError(f"||H||^2 is not finite: {lips}")
@@ -81,7 +81,7 @@ def reference_fista(h, g, lam, max_iter):
 
 def reference_kkt(h, g, lam, v):
     """``check_lasso_kkt``'s objective, max_active_violation and max_inactive_excess as they were formed before."""
-    op, b, vv = lasso_inputs(h, g, lam, v)
+    op, b, vv, _ = lasso_inputs(h, g, lam, v)
     with np.errstate(over="ignore", invalid="ignore"):
         resid = op.forward(vv) - b
         grad = op.adjoint(resid)

@@ -6,7 +6,9 @@ the library raises ValueError, whether the library is given the value itself
 or its numpy scalar form, and the library raises nothing else.
 """
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,14 +18,18 @@ from hypothesis import strategies as st
 from cradmm import (
     AdmmParams,
     ScenarioConfig,
+    add_noise,
     build_phantom,
     check_lasso_kkt,
     experiment_config_from_dict,
     partition_rows,
     precompute_block_solver,
+    soft_threshold,
+    solve_consensus_lasso,
     solve_fista,
     solve_pseudoinverse,
     support_metrics,
+    synthesize_sensing_matrix,
 )
 from cradmm.errors import ConfigError
 from cradmm.linop import lasso_inputs
@@ -143,3 +149,73 @@ def test_parser_and_library_agree(pair, value):
     rejected = parser_rejects(section, key, place(value))
     for form in numpy_forms(value):
         assert library_rejects(call, place(form)) == rejected, f"{type(form).__name__} {form!r}"
+
+
+# -- numpy scalars -------------------------------------------------------------
+
+F32 = np.float32(0.1)  # equals the Python float float(F32), not 0.1
+SMALL = ScenarioConfig(n_theta=2, n_freq=2, grid=(4, 3, 2), roi_extent=(6.0, 6.0, 3.0))
+
+
+def admm_run(lam):
+    v, trace, _ = solve_consensus_lasso(H, G, AdmmParams(lam=lam, rho=1.0, max_iter=20), 2)
+    return v.tobytes(), trace.column("objective").tobytes()
+
+
+def fista_run(max_iter):
+    u, trace = solve_fista(H, G, 0.1, max_iter=max_iter, tol=0.0)
+    return u.tobytes(), trace.column("objective").tobytes()
+
+
+def sensing_matrix(n_theta):
+    return synthesize_sensing_matrix(dataclasses.replace(SMALL, n_theta=n_theta)).entries.tobytes()
+
+
+def phantom(lo):
+    return build_phantom(SMALL, [(((lo, 2), (0, 1), (1, 2)), 1.5)]).reflectivity.tobytes()
+
+
+@pytest.mark.parametrize("run, numpy_value, value", [
+    (lambda lam: AdmmParams(lam=lam, rho=1.0), F32, float(F32)),
+    (admm_run, F32, float(F32)),
+    (lambda lam: check_lasso_kkt(H, G, lam, X, 0.0), F32, float(F32)),
+    (fista_run, np.int64(2), 2),
+    (lambda n: partition_rows(H, G, n), np.int64(2), 2),
+    (sensing_matrix, np.int64(2), 2),
+    (phantom, np.int64(0), 0),
+    (lambda tol: solve_pseudoinverse(H, G, tol).tobytes(), F32, float(F32)),
+    (lambda threshold: support_metrics(X, X, threshold), F32, float(F32)),
+], ids=["AdmmParams", "admm-solve", "check_lasso_kkt", "solve_fista", "partition_rows",
+        "ScenarioConfig", "build_phantom", "solve_pseudoinverse", "support_metrics"])
+def test_numpy_scalar_gives_the_result_of_the_python_number(run, numpy_value, value):
+    assert numpy_value == value
+    got, want = run(numpy_value), run(value)
+    assert got == want
+    assert repr(got) == repr(want)  # no numpy scalar is kept where the Python number would be
+
+
+@pytest.mark.parametrize("call", [
+    *(lambda b, place=place, call=call: call((place or (lambda v: v))(b)) for _, _, place, call in PAIRS.values()),
+    lambda b: soft_threshold(X, b),
+    lambda b: add_noise(G, b, 0),
+], ids=[*PAIRS, "soft_threshold", "add_noise"])
+@pytest.mark.parametrize("flag", [np.True_, np.False_, True, False])
+def test_bools_are_refused(call, flag):
+    with pytest.raises(ValueError):
+        call(flag)
+
+
+@pytest.mark.parametrize("kappa", ["1", None, math.nan, -1.0])
+def test_soft_threshold_refuses_a_threshold_with_value_error(kappa):
+    with pytest.raises(ValueError, match="threshold must be >= 0"):
+        soft_threshold(X, kappa)
+
+
+def test_numpy_counts_past_the_addressable_size_get_the_size_violation():
+    # as int64 the entry count 6 * 2**64 wraps to 0
+    counts = dict(n_theta=np.int64(3), n_freq=np.int64(2), grid=(np.int64(2**32), np.int64(2**32), np.int64(1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ScenarioConfig(**counts).violations() == [
+            "grid: with n_theta * n_freq rows and one column per voxel, the sensing matrix exceeds the addressable size"
+        ]
