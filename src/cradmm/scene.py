@@ -13,7 +13,8 @@ flat index of voxel (ix, iy, iz) is ix + nx * (iy + ny * iz).
 
 Each input rule is defined once, at the end of this module, for the config
 parser and the library's argument checks alike. A library check accepts Python
-and numpy real scalars, never a bool, and raises ValueError for anything else.
+and numpy real scalars, never a bool, and raises ValueError for anything else;
+a numpy scalar gives the results of the Python number it equals.
 """
 
 import math
@@ -54,13 +55,17 @@ class ScenarioConfig:
     rng_seed: int = 0
     snr_db: float = math.inf
 
-    # counts are multiplied as Python ints: numpy integers would wrap
-    @property
-    def n_measurements(self):
-        return int(self.n_theta) * int(self.n_freq)
+    def __post_init__(self):  # a numpy scalar becomes the Python number it equals: no length is float32
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.generic):
+                object.__setattr__(self, name, value.item())
 
     @property
-    def n_voxels(self):
+    def n_measurements(self):
+        return self.n_theta * self.n_freq
+
+    @property
+    def n_voxels(self):  # as Python ints: numpy grid counts would wrap
         return math.prod(map(int, self.grid))
 
     def violations(self):

@@ -167,8 +167,8 @@ def fista_run(max_iter):
     return u.tobytes(), trace.column("objective").tobytes()
 
 
-def sensing_matrix(n_theta):
-    return synthesize_sensing_matrix(dataclasses.replace(SMALL, n_theta=n_theta)).entries.tobytes()
+def sensing_matrix(**fields):
+    return synthesize_sensing_matrix(dataclasses.replace(SMALL, **fields)).entries.tobytes()
 
 
 def phantom(lo):
@@ -181,12 +181,14 @@ def phantom(lo):
     (lambda lam: check_lasso_kkt(H, G, lam, X, 0.0), F32, float(F32)),
     (fista_run, np.int64(2), 2),
     (lambda n: partition_rows(H, G, n), np.int64(2), 2),
-    (sensing_matrix, np.int64(2), 2),
+    (lambda n: sensing_matrix(n_theta=n), np.int64(2), 2),
+    (lambda f: sensing_matrix(center_freq_hz=f), np.float32(6e10), float(np.float32(6e10))),
+    (lambda n: sensing_matrix(grid=(4, n, 2)), np.int64(3), 3),
     (phantom, np.int64(0), 0),
     (lambda tol: solve_pseudoinverse(H, G, tol).tobytes(), F32, float(F32)),
     (lambda threshold: support_metrics(X, X, threshold), F32, float(F32)),
 ], ids=["AdmmParams", "admm-solve", "check_lasso_kkt", "solve_fista", "partition_rows",
-        "ScenarioConfig", "build_phantom", "solve_pseudoinverse", "support_metrics"])
+        "ScenarioConfig-count", "ScenarioConfig-frequency", "ScenarioConfig-grid", "build_phantom", "solve_pseudoinverse", "support_metrics"])
 def test_numpy_scalar_gives_the_result_of_the_python_number(run, numpy_value, value):
     assert numpy_value == value
     got, want = run(numpy_value), run(value)
