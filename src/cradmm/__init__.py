@@ -12,7 +12,6 @@ from .admm import (
     ConsensusLassoSolver,
     ConvergenceTrace,
     IterationRecord,
-    Partition,
     evaluate_objective,
     partition_rows,
     precompute_block_solver,
@@ -70,7 +69,6 @@ __all__ = [
     "IterationRecord",
     "KktReport",
     "Measurement",
-    "Partition",
     "Scene",
     "ScenarioConfig",
     "SensingMatrix",

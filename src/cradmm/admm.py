@@ -28,8 +28,9 @@ makes that at most one adjoint product H^H c and one forward product H v
 per iteration; the objective and the stacked primal and dual norms follow
 from Gram identities at O(n_p + M^2) cost. Both products and the soft
 threshold are one ``prox_step``. The stopping thresholds are formed only
-when the stopping rule is on, or for the final state. ``run_iterations``
-drives the loop, one record and stop verdict per iteration.
+when the stopping rule is on, or for the last iteration, whose thresholds are
+the returned ``AdmmState``. ``run_iterations`` drives the loop, one record
+and stop verdict per iteration into a ``ConvergenceTrace`` (a list).
 ``update_u``, ``update_v`` and ``update_s`` are the same steps written per
 block; they are kept as the reference the collapsed form is tested against.
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .linop import SupportProducts, adjoint, gram, lasso_inputs, woodbury
-from .scene import FINITE_GE0, FINITE_GT0, INT_GE1, block_count, is_real, matrix_array, vector_array
+from .scene import FINITE_GE0, FINITE_GT0, INT_GE0, INT_GE1, block_count, is_real, matrix_array, vector_array
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
 # have lost too many digits to cancellation and are recomputed block by block.
@@ -100,32 +101,13 @@ def prox_step(products, base, supports, r, divisor, kappa):
     return x, support, products.forward(x, support)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Contiguous, balanced split of the measurement rows into solver blocks."""
-
-    blocks: tuple
-    n_rows: int
-
-    @property
-    def n_blocks(self):
-        return len(self.blocks)
-
-    def block_sizes(self):
-        return [stop - start for start, stop in self.blocks]
-
-
-def partition_rows(h, g, n_blocks):
-    """Split rows [0, N_t) into n_blocks contiguous ranges differing by at most one row.
+def partition_rows(n_rows, n_blocks):
+    """Split rows [0, n_rows) into n_blocks contiguous (start, stop) ranges differing by at most one row.
 
     When the split is uneven the earlier blocks receive the extra row.
     Stacking the blocks in order reconstructs (H, g) exactly.
     """
-    entries = matrix_array(h)
-    gv = vector_array(g)
-    n_rows = entries.shape[0]
-    if gv.shape[0] != n_rows:
-        raise ValueError(f"measurement length {gv.shape[0]} != matrix row count {n_rows}")
+    n_rows = INT_GE0.require(n_rows, f"row count must be an integer >= 0, got {n_rows!r}")
     n_blocks = block_count(n_rows).require(
         n_blocks, f"block count must be an integer in [1, {n_rows}], got {n_blocks!r}")
     base, extra = divmod(n_rows, n_blocks)
@@ -135,7 +117,7 @@ def partition_rows(h, g, n_blocks):
         size = base + (1 if i < extra else 0)
         blocks.append((start, start + size))
         start += size
-    return Partition(blocks=tuple(blocks), n_rows=n_rows)
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -243,8 +225,8 @@ class IterationRecord:
     elapsed_seconds: float
 
 
-class ConvergenceTrace:
-    """Per-iteration objective, residual norms, and wall-clock timestamps.
+class ConvergenceTrace(list):
+    """Per-iteration IterationRecords: objective, residual norms, and wall-clock timestamps.
 
     ``stop_reason`` ("converged" or "max_iter"), ``sparse_forward_iters`` (the
     iterations whose forward product read only the iterate's support) and
@@ -253,39 +235,17 @@ class ConvergenceTrace:
     ``run_iterations`` for a solver run, and are None for a trace read from disk.
     """
 
-    def __init__(self, records=None, stop_reason=None):
-        self.records = list(records) if records is not None else []
-        self.stop_reason = stop_reason
-        self.sparse_forward_iters = None
-        self.screened_adjoint_iters = None
-
-    def append(self, record):
-        self.records.append(record)
+    stop_reason = sparse_forward_iters = screened_adjoint_iters = None
 
     def column(self, name):
         """One trace field as a numpy array, e.g. column('objective')."""
-        return np.array([getattr(r, name) for r in self.records])
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
+        return np.array([getattr(r, name) for r in self])
 
 
 @dataclass
 class AdmmState:
-    """Final consensus iterate ``v``, iteration count ``k``, and stopping thresholds.
+    """The stopping thresholds of the last iteration, to be read against its primal and dual residuals."""
 
-    ``eps_pri`` and ``eps_dual`` are the thresholds of the last iteration, to
-    be read against its primal and dual residuals.
-    """
-
-    v: np.ndarray
-    k: int
     eps_pri: float
     eps_dual: float
 
@@ -313,7 +273,8 @@ def run_iterations(operator, steps, on_iteration=None):
     reason and counts.
     """
     products = SupportProducts(operator)
-    trace = ConvergenceTrace(stop_reason="max_iter")
+    trace = ConvergenceTrace()
+    trace.stop_reason = "max_iter"
     start = time.perf_counter()
     for k, (estimate, *fields, stop) in enumerate(steps(products)):
         if not all(map(math.isfinite, fields)):
@@ -333,9 +294,10 @@ def run_iterations(operator, steps, on_iteration=None):
 class ConsensusLassoSolver:
     """Consensus ADMM engine over a fixed row partition, in collapsed form.
 
-    ``gram`` (the operator's) and ``woodbury`` are G and S, the M x M
-    block-diagonal matrices of the collapsed iteration (see the module
-    docstring); ``block_solvers`` holds each block with views of its blocks
+    ``blocks`` is the row partition (``partition_rows``), ``gram`` (the
+    operator's) and ``woodbury`` are G and S, the M x M block-diagonal
+    matrices of the collapsed iteration (see the module docstring);
+    ``block_solvers`` holds each block with views of its blocks
     of G and S. A non-finite entry in H or g raises ValueError.
     ``workers`` is accepted for compatibility and has no effect: an iteration
     is at most two products with H and O(n_p + M^2) vector work, with nothing
@@ -347,16 +309,16 @@ class ConsensusLassoSolver:
         self.operator, self.g, _, _ = lasso_inputs(h, g, params.lam)
         self.entries = self.operator.h
         self.params = params
-        self.partition = partition_rows(self.entries, self.g, n_blocks)
-        self.gram = self.operator.block_gram(self.partition.blocks)
+        self.blocks = partition_rows(len(self.g), n_blocks)
+        self.gram = self.operator.block_gram(self.blocks)
         if not np.all(np.isfinite(self.g)):
             raise ValueError("block contains non-finite entries")
-        self.woodbury = woodbury(self.gram, self.partition.blocks, params.rho)
+        self.woodbury = woodbury(self.gram, self.blocks, params.rho)
         self.block_solvers = [
             BlockSolver(h_block=self.entries[start:stop], g_block=self.g[start:stop],
                         small_inverse=self.woodbury[start:stop, start:stop], rho=params.rho,
                         gram=self.gram[start:stop, start:stop])
-            for start, stop in self.partition.blocks
+            for start, stop in self.blocks
         ]
 
     def _stacked_sq_norm(self, a, h_a, x, gram_x):
@@ -364,14 +326,14 @@ class ConsensusLassoSolver:
 
         Falls back to forming each H_i^H x_i when the Gram form cancels.
         """
-        n = self.partition.n_blocks
+        n = len(self.blocks)
         common = n * float(np.real(np.vdot(a, a)))
         cross = 2.0 * float(np.real(np.vdot(h_a, x)))
         quad = float(np.real(np.vdot(x, gram_x)))
         total = common + cross + quad
         if total >= CANCELLATION_RATIO * (common + abs(cross) + quad):
             return total
-        rows = (a + adjoint(self.entries[start:stop], x[start:stop]) for start, stop in self.partition.blocks)
+        rows = (a + adjoint(self.entries[start:stop], x[start:stop]) for start, stop in self.blocks)
         return sum(float(np.real(np.vdot(y, y))) for y in rows)
 
     def run(self, on_iteration=None):
@@ -380,12 +342,12 @@ class ConsensusLassoSolver:
         Records the lasso objective at v, the stacked primal residual
         sqrt(sum_i ||u_i - v||^2) and the dual residual rho sqrt(N) ||v - v_prev||;
         the rule holds once both fall below eps_pri and eps_dual, built from
-        eps_abs / eps_rel in the usual way. The state holds v, the iteration
-        count and the last thresholds. The per-block u_i and s_i are never formed.
+        eps_abs / eps_rel in the usual way. The state holds the last thresholds.
+        The per-block u_i and s_i are never formed.
         """
         params = self.params
         rho = params.rho
-        n = self.partition.n_blocks
+        n = len(self.blocks)
         m, n_p = self.operator.shape
         kappa = params.lam / (rho * n)
         scale = math.sqrt(n * n_p) * params.eps_abs
@@ -420,7 +382,7 @@ class ConsensusLassoSolver:
                 yield v, objective, primal, dual, stopping and primal <= eps_pri and dual <= eps_dual
 
         v, trace = run_iterations(self.operator, steps, on_iteration)
-        return v, trace, AdmmState(v=v, k=len(trace), eps_pri=eps_pri, eps_dual=eps_dual)
+        return v, trace, AdmmState(eps_pri, eps_dual)
 
 
 def solve_consensus_lasso(h, g, params, n_blocks, workers=1, on_iteration=None):

@@ -115,7 +115,7 @@ class KktReport:
     tolerance: float
     passed: bool
     objective: float  # the lasso objective at v, from the same H v - g (evaluate_objective's value)
-    violation: float  # the larger of the two residuals
+    violation: float  # the larger of the two residuals, NaN if either is
 
 
 def check_lasso_kkt(h, g, lam, v, tol):
@@ -149,5 +149,5 @@ def check_lasso_kkt(h, g, lam, v, tol):
         tolerance=tol,
         passed=max_active <= tol and max_inactive <= tol,
         objective=objective,
-        violation=max(max_active, max_inactive),
+        violation=float(np.maximum(max_active, max_inactive)),
     )

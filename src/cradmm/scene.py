@@ -313,9 +313,11 @@ def add_noise(clean, snr_db, seed):
     The per-sample noise variance is chosen so the expected SNR
     10 log10(||clean||^2 / E||w||^2) equals ``snr_db``. An infinite snr_db, or a
     zero signal, yields exactly zero noise (the zero-signal case is flagged
-    with an infinite realized SNR).
+    with an infinite realized SNR). ``seed`` is None (fresh entropy) or an
+    integer >= 0.
     """
     snr_db = SNR_DB.require(snr_db, "snr_db must be a real value or +infinity")
+    seed = SEED.require(seed, "seed must be None or an integer >= 0")
     signal_power = float(np.real(np.vdot(clean, clean)))
     if math.isinf(snr_db) or signal_power == 0.0:
         return Measurement(g=clean, noise_power=0.0, realized_snr_db=math.inf)
@@ -367,6 +369,7 @@ INT_GE1 = Check(lambda x: is_integer(x) and x >= 1, "must be an integer >= 1", i
 INT_GE0 = Check(lambda x: is_integer(x) and x >= 0, "must be an integer >= 0", int)
 SNR_DB = Check(lambda x: is_finite_real(x) or is_real(x) and x == math.inf,
                "must be a real value or +infinity", float)
+SEED = Check(lambda x: x is None or INT_GE0.accepts(x), "must be None or an integer >= 0")
 
 
 def block_count(rows):

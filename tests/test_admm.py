@@ -1,6 +1,7 @@
 import math
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,36 +29,33 @@ HUGE = 10**400
 
 
 class TestPartitionRows:
-    def test_demo_scale_split(self, rng):
-        h = rand_complex(rng, 93, 10)
-        g = rand_complex(rng, 93)
-        part = partition_rows(h, g, 31)
-        assert part.n_blocks == 31
-        assert part.block_sizes() == [3] * 31
+    def test_demo_scale_split(self):
+        blocks = partition_rows(93, 31)
+        assert len(blocks) == 31
+        assert [stop - start for start, stop in blocks] == [3] * 31
 
-    def test_single_block(self, rng):
-        part = partition_rows(rand_complex(rng, 5, 4), rand_complex(rng, 5), 1)
-        assert part.blocks == ((0, 5),)
+    def test_single_block(self):
+        assert partition_rows(5, 1) == ((0, 5),)
 
-    def test_uneven_split_front_loads_extra_row(self, rng):
-        part = partition_rows(rand_complex(rng, 5, 4), rand_complex(rng, 5), 2)
-        assert part.block_sizes() == [3, 2]
+    def test_uneven_split_front_loads_extra_row(self):
+        assert partition_rows(5, 2) == ((0, 3), (3, 5))
 
     def test_blocks_cover_rows_exactly(self, rng):
         h = rand_complex(rng, 11, 6)
         g = rand_complex(rng, 11)
-        part = partition_rows(h, g, 4)
-        stacked_h = np.vstack([h[a:b] for a, b in part.blocks])
-        stacked_g = np.concatenate([g[a:b] for a, b in part.blocks])
+        blocks = partition_rows(len(g), 4)
+        stacked_h = np.vstack([h[a:b] for a, b in blocks])
+        stacked_g = np.concatenate([g[a:b] for a, b in blocks])
         assert np.array_equal(stacked_h, h)
         assert np.array_equal(stacked_g, g)
 
-    def test_invalid_counts_raise(self, rng):
-        h = rand_complex(rng, 5, 4)
-        g = rand_complex(rng, 5)
+    def test_invalid_counts_raise(self):
         for bad in (0, 6, -1, True):  # True is not a count, though it equals 1
             with pytest.raises(ValueError, match="block count"):
-                partition_rows(h, g, bad)
+                partition_rows(5, bad)
+        for bad in (-1, 5.0, True, None):
+            with pytest.raises(ValueError, match="row count"):
+                partition_rows(bad, 1)
 
 
 class TestBlockSolver:
@@ -286,7 +284,7 @@ class TestSolveConsensusLasso:
         np.testing.assert_allclose(v, [2.0, 0.0], atol=1e-9)
         # objective at the optimum: 0.5*(1 + 0.25) + 1*2
         assert trace[-1].objective == pytest.approx(2.625, rel=1e-9)
-        assert state.k == len(trace)
+        assert trace[-1].primal_residual <= state.eps_pri and trace[-1].dual_residual <= state.eps_dual
 
     def test_identity_closed_form_two_blocks(self):
         # oracle: the lasso solution for H = I is the soft threshold of g
@@ -374,10 +372,10 @@ class TestSolveConsensusLasso:
                 params = AdmmParams(lam=lam, rho=rho, max_iter=60, eps_abs=1e-9, eps_rel=1e-9)
                 shared = ConsensusLassoSolver(op, g, params, 4)
                 fresh = ConsensusLassoSolver(h, g, params, 4)
-                assert shared.gram is op.block_gram(shared.partition.blocks)
+                assert shared.gram is op.block_gram(shared.blocks)
                 assert shared.gram.tobytes() == fresh.gram.tobytes()
                 assert shared.woodbury.tobytes() == fresh.woodbury.tobytes()
-                for a, b, (lo, hi) in zip(shared.block_solvers, fresh.block_solvers, shared.partition.blocks):
+                for a, b, (lo, hi) in zip(shared.block_solvers, fresh.block_solvers, shared.blocks):
                     ref = precompute_block_solver(h[lo:hi], g[lo:hi], rho)
                     assert a.small_inverse.tobytes() == b.small_inverse.tobytes() == ref.small_inverse.tobytes()
                     assert a.gram.tobytes() == ref.gram.tobytes()
@@ -400,6 +398,20 @@ class TestSolveConsensusLasso:
             with pytest.raises(ValueError, match="non-finite"):
                 ConsensusLassoSolver(op, np.ones(2), params, 2)
         assert op._factors == {}
+
+    def test_setup_rejects_a_measurement_of_the_wrong_length(self, rng):
+        params = AdmmParams(lam=0.1, rho=1.0, max_iter=5)
+        for rows in (4, 6):
+            with pytest.raises(ValueError, match="shapes"):
+                ConsensusLassoSolver(rand_complex(rng, 5, 8), rand_complex(rng, rows), params, 1)
+
+    def test_run_returns_plain_values(self, rng):
+        params = AdmmParams(lam=0.1, rho=1.0, max_iter=5)
+        engine = ConsensusLassoSolver(rand_complex(rng, 5, 8), rand_complex(rng, 5), params, 2)
+        assert engine.blocks == ((0, 3), (3, 5))
+        _, trace, state = engine.run()
+        assert isinstance(trace, list) and trace.column("k").tolist() == list(range(5))
+        assert [field.name for field in fields(state)] == ["eps_pri", "eps_dual"]
 
     def test_overflowing_gram_of_finite_input_diverges(self):
         # H is finite, so set-up goes on, but its Gram overflows and the run diverges
@@ -473,3 +485,12 @@ class TestSolveConsensusLasso:
             AdmmParams(lam=0.0, rho=0.0)
         with pytest.raises(ValueError):
             AdmmParams(lam=0.0, rho=1.0, max_iter=0)
+
+
+def test_readme_library_quick_start_runs(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    stop_reason, n_iter, primal, eps_pri = capsys.readouterr().out.split()
+    assert stop_reason in ("converged", "max_iter") and 1 <= int(n_iter) <= 1000
+    assert math.isfinite(float(primal)) and float(eps_pri) > 0

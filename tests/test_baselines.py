@@ -95,8 +95,9 @@ def pinv_instances(draw):
     large = small + draw(st.integers(1, 8))
     rows, cols = {"wide": (small, large), "tall": (large, small), "square": (small, small),
                   "one-row": (1, large)}[shape]
-    kind = draw(st.sampled_from(["random", "rank-deficient", "zero", "straddle"]))
-    tol = draw(st.sampled_from([1e-10, 1e-6, 1e-3, 0.1]))
+    kind = draw(st.sampled_from(["random", "rank-deficient", "zero", "straddle", "top-singular"]))
+    # "top-singular" keeps every singular value, so its cond reaches 1e8
+    tol = 1e-10 if kind == "top-singular" else draw(st.sampled_from([1e-10, 1e-6, 1e-3, 0.1]))
     # at 1e200 and 1e-170 the squared singular values leave the float range
     scale = 10.0 ** draw(st.one_of(st.integers(-3, 3), st.sampled_from([-200, -170, 170, 200])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -108,7 +109,7 @@ def pinv_instances(draw):
         h = rand_complex(rng, rows, rank) @ rand_complex(rng, rank, cols)
     elif kind == "zero":
         h = np.zeros((rows, cols), dtype=complex)
-    else:
+    elif kind == "straddle":
         # sigma_max = 1, the smallest just below the threshold, the next just above it
         sing = np.sort(np.exp(rng.uniform(np.log(10 * tol), 0.0, k)))[::-1]
         sing[0] = 1.0
@@ -117,7 +118,15 @@ def pinv_instances(draw):
         if k > 2:
             sing[-2] = tol * (1 + STRADDLE)
         h = with_singular_values(rng, rows, cols, sing)
-    return scale * h, scale * rand_complex(rng, rows), tol
+    else:  # "top-singular"
+        cond = 10.0 ** draw(st.integers(0, 8)) if k > 1 else 1.0
+        sing = np.sort(np.exp(rng.uniform(-np.log(cond), 0.0, k)))[::-1]
+        sing[0], sing[-1] = 1.0, 1.0 / cond
+        h = with_singular_values(rng, rows, cols, sing)
+    # for "top-singular", g = H v_1 (v_1 the top right singular vector) and the estimate is v_1:
+    # a form whose error grows as cond^2, such as the normal equations of a tall H, misses it
+    g = h @ np.linalg.svd(h)[2][0].conj() if kind == "top-singular" else rand_complex(rng, rows)
+    return scale * h, scale * g, tol
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -286,6 +295,13 @@ class TestKkt:
         # H, g and v are finite, but ||H v - g||^2 and H^H (H v - g) overflow: the caller reports it
         report = check_lasso_kkt([[1e200], [1e200]], [1e200, -1e200], 0.1, [1.0], 0.0)
         assert not math.isfinite(report.objective) and not math.isfinite(report.violation)
+        assert not report.passed
+
+    def test_violation_is_nan_when_one_residual_is(self):
+        # H^H g takes 1e350 - 1e350 = inf - inf in its first entry; the objective stays finite
+        report = check_lasso_kkt([[1e200, 1], [-1e200, 1]], [1e150, 1e150], 0.5, [0.0, 0.0], 0.0)
+        assert math.isnan(report.max_inactive_excess) and math.isfinite(report.objective)
+        assert math.isnan(report.violation)
         assert not report.passed
 
     def test_shape_mismatch_raises(self, rng):

@@ -41,9 +41,9 @@ def reference_consensus_lasso(h, g, params, n_blocks):
     """
     h = np.asarray(h, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    part = partition_rows(h, g, n_blocks)
-    solvers = [precompute_block_solver(h[a:b], g[a:b], params.rho) for a, b in part.blocks]
-    n, n_p = part.n_blocks, h.shape[1]
+    blocks = partition_rows(len(g), n_blocks)
+    solvers = [precompute_block_solver(h[a:b], g[a:b], params.rho) for a, b in blocks]
+    n, n_p = len(blocks), h.shape[1]
     u = np.zeros((n, n_p), dtype=complex)
     s = np.zeros((n, n_p), dtype=complex)
     v = np.zeros(n_p, dtype=complex)
@@ -140,7 +140,7 @@ class GramCheckedSolver(ConsensusLassoSolver):
         got = super()._stacked_sq_norm(a, h_a, x, gram_x)
         explicit = sum(
             float(np.real(np.vdot(y, y)))
-            for y in (a + adjoint(self.entries[lo:hi], x[lo:hi]) for lo, hi in self.partition.blocks)
+            for y in (a + adjoint(self.entries[lo:hi], x[lo:hi]) for lo, hi in self.blocks)
         )
         self.pairs.append((got, explicit))
         return got

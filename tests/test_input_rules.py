@@ -76,7 +76,7 @@ PAIRS = {
     "admm.max_iter-AdmmParams": ("admm", "max_iter", None, lambda v: AdmmParams(lam=0.1, rho=1.0, max_iter=v)),
     "admm.eps_abs-AdmmParams": ("admm", "eps_abs", None, lambda v: AdmmParams(lam=0.1, rho=1.0, eps_abs=v)),
     "admm.eps_rel-AdmmParams": ("admm", "eps_rel", None, lambda v: AdmmParams(lam=0.1, rho=1.0, eps_rel=v)),
-    "admm.n_blocks-partition_rows": ("admm", "n_blocks", None, lambda v: partition_rows(H, G, v)),
+    "admm.n_blocks-partition_rows": ("admm", "n_blocks", None, lambda v: partition_rows(len(G), v)),
     "fista.lambda-solve_fista": ("fista", "lambda", None, lambda v: solve_fista(H, G, v, max_iter=1)),
     # g = 0 stays at the zero start, so the rule holds at the second iteration whatever max_iter is
     "fista.max_iter-solve_fista": ("fista", "max_iter", None, lambda v: solve_fista(H, 0 * G, 0.1, max_iter=v)),
@@ -180,7 +180,7 @@ def phantom(lo):
     (admm_run, F32, float(F32)),
     (lambda lam: check_lasso_kkt(H, G, lam, X, 0.0), F32, float(F32)),
     (fista_run, np.int64(2), 2),
-    (lambda n: partition_rows(H, G, n), np.int64(2), 2),
+    (lambda n: partition_rows(len(G), n), np.int64(2), 2),
     (lambda n: sensing_matrix(n_theta=n), np.int64(2), 2),
     (lambda f: sensing_matrix(center_freq_hz=f), np.float32(6e10), float(np.float32(6e10))),
     (lambda n: sensing_matrix(grid=(4, n, 2)), np.int64(3), 3),

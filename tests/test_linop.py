@@ -220,9 +220,9 @@ class TestBlockFactors:
         h = rand_complex(rng, 7, 12)
         rho = 0.7
         engine = ConsensusLassoSolver(h, rand_complex(rng, 7), AdmmParams(lam=0.1, rho=rho), 3)
-        assert engine.partition.blocks == ((0, 3), (3, 5), (5, 7))
+        assert engine.blocks == ((0, 3), (3, 5), (5, 7))
         mask = np.zeros((7, 7), dtype=bool)
-        for a, b in engine.partition.blocks:
+        for a, b in engine.blocks:
             mask[a:b, a:b] = True
             np.testing.assert_allclose(engine.gram[a:b, a:b], h[a:b] @ h[a:b].conj().T, rtol=1e-12)
         assert np.all(engine.gram[~mask] == 0) and np.all(engine.woodbury[~mask] == 0)

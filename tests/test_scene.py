@@ -236,6 +236,18 @@ class TestForwardMeasure:
         with pytest.raises(ValueError, match="snr_db"):
             scene.add_noise(np.ones(2, dtype=complex), math.nan, 0)
 
+    @pytest.mark.parametrize("seed", [True, np.True_, "x", 1.5, -1])
+    def test_seed_that_is_not_none_or_a_count_raises(self, seed):
+        with pytest.raises(ValueError, match="seed must be None or an integer >= 0"):
+            scene.add_noise(np.ones(2, dtype=complex), 10.0, seed)
+
+    def test_seed_none_or_a_numpy_integer_is_accepted(self):
+        clean = np.ones(4, dtype=complex)
+        assert np.all(np.isfinite(scene.add_noise(clean, 10.0, None).g))
+        want = scene.add_noise(clean, 10.0, 3)
+        got = scene.add_noise(clean, 10.0, np.int64(3))
+        assert got.g.tobytes() == want.g.tobytes() and got.noise_power == want.noise_power
+
     @pytest.mark.parametrize("snr_db", [math.inf, 15.0])
     def test_noise_step_of_the_clean_product(self, rng, snr_db):
         h = synthesize_sensing_matrix(SMALL)
