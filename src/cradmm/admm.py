@@ -28,9 +28,9 @@ makes that at most one adjoint product H^H c and one forward product H v
 per iteration; the objective and the stacked primal and dual norms follow
 from Gram identities at O(n_p + M^2) cost. Both products and the soft
 threshold are one ``prox_step``. The stopping thresholds are formed only
-when the stopping rule is on, or for the last iteration, whose thresholds are
-the returned ``AdmmState``. ``run_iterations`` drives the loop, one record
-and stop verdict per iteration into a ``ConvergenceTrace`` (a list).
+when the stopping rule is on; those of the last iteration are the returned
+``AdmmState``. ``run_iterations`` drives the loop and owns its budget, one
+record and stop verdict per iteration into a ``ConvergenceTrace`` (a list).
 ``update_u``, ``update_v`` and ``update_s`` are the same steps written per
 block; they are kept as the reference the collapsed form is tested against.
 
@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .linop import SupportProducts, adjoint, gram, lasso_inputs, woodbury
-from .scene import FINITE_GE0, FINITE_GT0, INT_GE0, INT_GE1, block_count, is_real, matrix_array, vector_array
+from .linop import SupportProducts, adjoint, lasso_inputs, woodbury
+from .scene import FINITE_GE0, FINITE_GT0, INT_GE0, INT_GE1, block_count, is_real
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
 # have lost too many digits to cancellation and are recomputed block by block.
@@ -148,8 +148,8 @@ class BlockSolver:
     """One row block plus the cached small-matrix inverse its updates reuse.
 
     ``gram`` holds H_i H_i^H and ``small_inverse`` (I_m + gram / rho)^-1,
-    both m x m with m the block row count (in the engine, views of its G and
-    S); the N_p x N_p regularized normal matrix is never formed.
+    both m x m with m the block row count (views of the engine's G and S);
+    the N_p x N_p regularized normal matrix is never formed.
     """
 
     h_block: np.ndarray
@@ -170,17 +170,8 @@ class BlockSolver:
 
 
 def precompute_block_solver(h_i, g_i, rho):
-    """Cache the Gram and the m x m inverse used by every u-update of a block."""
-    rho = FINITE_GT0.require(rho, "rho must be finite and > 0")
-    h = np.ascontiguousarray(matrix_array(h_i))
-    gv = vector_array(g_i)
-    if gv.shape[0] != h.shape[0]:
-        raise ValueError(f"block has {h.shape[0]} rows but {gv.shape[0]} measurements")
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(gv))):
-        raise ValueError("block contains non-finite entries")
-    block_gram = gram(h)
-    return BlockSolver(h_block=h, g_block=gv, small_inverse=woodbury(block_gram, ((0, h.shape[0]),), rho),
-                       rho=rho, gram=block_gram)
+    """The BlockSolver of (h_i, g_i) alone, built and checked as a one-block engine builds it."""
+    return ConsensusLassoSolver(h_i, g_i, AdmmParams(lam=0.0, rho=rho), 1).block_solvers[0]
 
 
 def update_u(solver, v, s_i):
@@ -261,12 +252,14 @@ def evaluate_objective(h, g, u, lam):
     return lasso_objective(op.forward(uv) - gv, uv, lam)
 
 
-def run_iterations(operator, steps, on_iteration=None):
+def run_iterations(operator, steps, max_iter, on_iteration=None):
     """The iteration loop of ADMM and FISTA; returns (estimate, trace).
 
     ``steps(products)``, given the run's ``linop.SupportProducts`` on
     ``operator``, yields once per iteration the estimate, its record fields
-    (objective, primal, dual) and whether its stopping rule holds. Each
+    (objective, primal, dual) and whether its stopping rule holds, for as
+    long as it is asked. The loop owns the budget: it asks for at most
+    ``max_iter`` (>= 1) iterates, and none after a verdict holds. Each
     IterationRecord, timed from the start of the run, goes to the trace and
     then to ``on_iteration``, before the verdict is acted on; a non-finite
     field raises DivergenceError first. See ConvergenceTrace for the stop
@@ -276,7 +269,7 @@ def run_iterations(operator, steps, on_iteration=None):
     trace = ConvergenceTrace()
     trace.stop_reason = "max_iter"
     start = time.perf_counter()
-    for k, (estimate, *fields, stop) in enumerate(steps(products)):
+    for k, (estimate, *fields, stop) in zip(range(max_iter), steps(products)):
         if not all(map(math.isfinite, fields)):
             raise DivergenceError(f"non-finite iterate at iteration {k}")
         record = IterationRecord(k, *fields, time.perf_counter() - start)
@@ -342,8 +335,9 @@ class ConsensusLassoSolver:
         Records the lasso objective at v, the stacked primal residual
         sqrt(sum_i ||u_i - v||^2) and the dual residual rho sqrt(N) ||v - v_prev||;
         the rule holds once both fall below eps_pri and eps_dual, built from
-        eps_abs / eps_rel in the usual way. The state holds the last thresholds.
-        The per-block u_i and s_i are never formed.
+        eps_abs / eps_rel in the usual way. The state holds the last thresholds,
+        0.0 and 0.0 when both tolerances are zero. The per-block u_i and s_i
+        are never formed.
         """
         params = self.params
         rho = params.rho
@@ -353,7 +347,7 @@ class ConsensusLassoSolver:
         scale = math.sqrt(n * n_p) * params.eps_abs
         # zero tolerances mean a fixed budget, even at an exact fixed point
         stopping = params.eps_abs > 0 or params.eps_rel > 0
-        eps_pri = eps_dual = None
+        eps_pri = eps_dual = 0.0  # what zero tolerances make of them
 
         def steps(products):
             nonlocal eps_pri, eps_dual
@@ -361,7 +355,7 @@ class ConsensusLassoSolver:
             v = w = np.zeros(n_p, dtype=np.complex128)
             h_v = h_w = e = gram_e = np.zeros(m, dtype=np.complex128)
             support = np.zeros(0, dtype=np.intp)  # of v
-            for k in range(params.max_iter):
+            while True:
                 z, h_z = v - w, h_v - h_w  # u_i = z + H_i^H d_i
                 d = self.woodbury @ ((self.g - h_z) / rho - e)
                 c = e + d
@@ -374,14 +368,14 @@ class ConsensusLassoSolver:
                     primal = math.sqrt(self._stacked_sq_norm(z - v, h_z - h_v, d, gram_d))
                     dual = rho * math.sqrt(n) * float(np.linalg.norm(w))
                     objective = lasso_objective(h_v - self.g, v, params.lam)
-                    if stopping or k == params.max_iter - 1:  # only the rule and the final state read them
+                    if stopping:
                         u_norm = math.sqrt(self._stacked_sq_norm(z, h_z, d, gram_d))
                         s_norm = math.sqrt(self._stacked_sq_norm(w, h_w, e, gram_e))
                         eps_pri = scale + params.eps_rel * max(u_norm, math.sqrt(n) * float(np.linalg.norm(v)))
                         eps_dual = scale + params.eps_rel * rho * s_norm
                 yield v, objective, primal, dual, stopping and primal <= eps_pri and dual <= eps_dual
 
-        v, trace = run_iterations(self.operator, steps, on_iteration)
+        v, trace = run_iterations(self.operator, steps, params.max_iter, on_iteration)
         return v, trace, AdmmState(eps_pri, eps_dual)
 
 

@@ -73,7 +73,7 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
         y_supports = (x_support,)  # index arrays whose union holds supp(y)
         t = 1.0
         prev_obj = None
-        for _ in range(max_iter):
+        while True:
             x_new, support, h_x_new = prox_step(products, y, y_supports, b - h_y, lips, lam / lips)
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new
@@ -90,7 +90,7 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
                                       and abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-300))
             prev_obj = obj
 
-    return run_iterations(op, steps, on_iteration)
+    return run_iterations(op, steps, max_iter, on_iteration)
 
 
 def _norm(a):

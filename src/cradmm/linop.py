@@ -98,7 +98,7 @@ def gram(h):
     is the smaller Gram: H^T conj(H), the conjugate of H^H H.
     """
     rows, cols = h.shape
-    step = max(1, GRAM_CHUNK_ENTRIES // rows)
+    step = max(1, GRAM_CHUNK_ENTRIES // max(1, rows))
     out = np.zeros((rows, rows), dtype=np.complex128)
     for start in range(0, cols, step):
         part = h[:, start:start + step]
@@ -307,7 +307,7 @@ class SensingOperator:
             small = gram(h if h.shape[0] <= h.shape[1] else h.T)
             if not np.isfinite(small).all():  # eigvalsh may not converge on it
                 return float(np.abs(small).max())
-            return max(float(np.linalg.eigvalsh(small)[-1]), 0.0)
+            return float(np.max(np.linalg.eigvalsh(small), initial=0.0))
 
         with np.errstate(invalid="ignore", over="ignore"):  # the caller reports a non-finite one
             return self._factor("norm_squared", largest_eigenvalue)

@@ -313,9 +313,10 @@ def add_noise(clean, snr_db, seed):
     The per-sample noise variance is chosen so the expected SNR
     10 log10(||clean||^2 / E||w||^2) equals ``snr_db``. An infinite snr_db, or a
     zero signal, yields exactly zero noise (the zero-signal case is flagged
-    with an infinite realized SNR). ``seed`` is None (fresh entropy) or an
-    integer >= 0.
+    with an infinite realized SNR). ``clean`` is a 1-D array-like (see
+    ``vector_array``); ``seed`` is None (fresh entropy) or an integer >= 0.
     """
+    clean = vector_array(clean)
     snr_db = SNR_DB.require(snr_db, "snr_db must be a real value or +infinity")
     seed = SEED.require(seed, "seed must be None or an integer >= 0")
     signal_power = float(np.real(np.vdot(clean, clean)))

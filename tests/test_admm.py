@@ -448,10 +448,10 @@ class TestSolveConsensusLasso:
         with pytest.raises(ValueError, match="rho"):
             AdmmParams(lam=0.1, rho=HUGE)
 
-    @pytest.mark.parametrize("eps, norms", [(0.0, 25 + 2), (1e-300, 3 * 25)])
+    @pytest.mark.parametrize("eps, norms", [(0.0, 25), (1e-300, 3 * 25)])
     def test_thresholds_are_formed_only_when_read(self, rng, eps, norms):
         # the primal residual takes one Gram-form norm per iteration; the thresholds
-        # take two more, every iteration under the stopping rule and once without it
+        # take two more under the stopping rule, and zero tolerances make them zero
         counts = []
 
         class Counting(ConsensusLassoSolver):
@@ -464,6 +464,8 @@ class TestSolveConsensusLasso:
         _, trace, state = Counting(h, g, params, 3).run()
         assert len(trace) == 25
         assert len(counts) == norms
+        if eps == 0.0:
+            assert (state.eps_pri, state.eps_dual) == (0.0, 0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["eps_abs", "eps_rel"])

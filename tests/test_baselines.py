@@ -194,6 +194,12 @@ class TestFista:
             u, _ = solve_fista(h, g, 0.0, max_iter=1, tol=0.0)
             np.testing.assert_allclose(u, h.conj().T @ g / np.linalg.norm(h, 2) ** 2, rtol=1e-12)
 
+    def test_empty_h_runs(self):
+        # no columns: the estimate is empty and the objective stays 0.5 ||g||^2
+        u, trace = solve_fista(np.zeros((2, 0)), np.array([1.0, 1.0j]), 0.1, max_iter=5, tol=0.0)
+        assert u.shape == (0,) and len(trace) == 5
+        assert np.all(trace.column("objective") == 1.0)
+
     def test_trace_iterations_and_stop(self, rng):
         h = rand_complex(rng, 4, 4)
         g = rand_complex(rng, 4)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_complex
-from cradmm import AdmmParams, DivergenceError, solve_consensus_lasso, solve_fista
+from cradmm import AdmmParams, DivergenceError, SensingOperator, solve_consensus_lasso, solve_fista
 from cradmm import admm
 
 
@@ -97,3 +97,18 @@ def test_non_finite_iterate_raises_one_message(solve):
     with pytest.raises(DivergenceError, match=r"^non-finite iterate at iteration 0$"):
         solve(np.array([[1.0]]), np.array([1e308]), 2.0, 10, 0.0, seen.append)
     assert seen == []
+
+
+@pytest.mark.parametrize("stop_at", [None, 1, 4, 5])
+def test_the_loop_owns_the_budget(stop_at):
+    # the steps never read the budget: they are advanced max_iter times, or j times if the rule holds at the j-th
+    advanced = []
+
+    def steps(products):
+        while True:
+            advanced.append(len(advanced))
+            yield np.zeros(2), 1.0, 0.0, 0.0, len(advanced) == stop_at
+
+    _, trace = admm.run_iterations(SensingOperator(np.eye(2)), steps, 5)
+    assert len(advanced) == len(trace) == (5 if stop_at is None else stop_at)
+    assert trace.stop_reason == ("max_iter" if stop_at is None else "converged")

@@ -76,7 +76,7 @@ def reference_fista(h, g, lam, max_iter):
             x, h_x, t, x_support = x_new, h_x_new, t_new, support
             yield x, obj, step, 0.0, False
 
-    return run_iterations(op, steps)
+    return run_iterations(op, steps, max_iter)
 
 
 def reference_kkt(h, g, lam, v):

@@ -61,6 +61,12 @@ class TestNormSquared:
         assert SensingOperator(np.zeros((4, 9), dtype=complex)).norm_squared() == 0.0
         assert SensingOperator(np.zeros((9, 4), dtype=complex)).norm_squared() == 0.0
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_matrix(self, shape):
+        # an empty H has an empty Gram, not a slice width divided by zero rows
+        assert SensingOperator(np.zeros(shape)).norm_squared() == 0.0
+        assert gram(np.zeros(shape)).shape == (shape[0], shape[0])
+
     def test_real_input(self, rng):
         h = rng.standard_normal((6, 11))
         assert SensingOperator(h).norm_squared() == pytest.approx(np.linalg.norm(h, 2) ** 2, rel=1e-12)

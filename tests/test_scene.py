@@ -248,6 +248,21 @@ class TestForwardMeasure:
         got = scene.add_noise(clean, 10.0, np.int64(3))
         assert got.g.tobytes() == want.g.tobytes() and got.noise_power == want.noise_power
 
+    @pytest.mark.parametrize("clean", [np.ones((2, 2)), np.ones(()), "x"])
+    def test_clean_that_is_not_a_vector_raises(self, clean):
+        with pytest.raises(ValueError, match="1-D vector"):
+            scene.add_noise(clean, 10.0, 0)
+
+    @pytest.mark.parametrize("snr_db", [math.inf, 10.0])
+    def test_clean_as_a_list_gives_the_array_result(self, snr_db):
+        got = scene.add_noise([1.0, 2.0j, 3.0], snr_db, 5)
+        want = scene.add_noise(np.array([1.0, 2.0j, 3.0]), snr_db, 5)
+        assert got.g.dtype == np.complex128 and got.g.tobytes() == want.g.tobytes()
+
+    def test_complex_clean_is_not_copied(self):
+        clean = np.array([1.0, 2.0j])
+        assert scene.add_noise(clean, math.inf, 0).g is clean
+
     @pytest.mark.parametrize("snr_db", [math.inf, 15.0])
     def test_noise_step_of_the_clean_product(self, rng, snr_db):
         h = synthesize_sensing_matrix(SMALL)
