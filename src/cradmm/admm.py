@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .linop import SupportProducts, adjoint, lasso_inputs, woodbury
-from .scene import FINITE_GE0, FINITE_GT0, INT_GE0, INT_GE1, block_count, is_real
+from .scene import FINITE_GE0, FINITE_GT0, INT_GE1, block_count, is_real
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
 # have lost too many digits to cancellation and are recomputed block by block.
@@ -105,9 +105,10 @@ def partition_rows(n_rows, n_blocks):
     """Split rows [0, n_rows) into n_blocks contiguous (start, stop) ranges differing by at most one row.
 
     When the split is uneven the earlier blocks receive the extra row.
-    Stacking the blocks in order reconstructs (H, g) exactly.
+    Stacking the blocks in order reconstructs (H, g) exactly. There is no
+    split of zero rows: an H with no rows is refused by its row count.
     """
-    n_rows = INT_GE0.require(n_rows, f"row count must be an integer >= 0, got {n_rows!r}")
+    n_rows = INT_GE1.require(n_rows, f"row count must be an integer >= 1, got {n_rows!r}")
     n_blocks = block_count(n_rows).require(
         n_blocks, f"block count must be an integer in [1, {n_rows}], got {n_blocks!r}")
     base, extra = divmod(n_rows, n_blocks)
@@ -291,11 +292,11 @@ class ConsensusLassoSolver:
     operator's) and ``woodbury`` are G and S, the M x M block-diagonal
     matrices of the collapsed iteration (see the module docstring);
     ``block_solvers`` holds each block with views of its blocks
-    of G and S. A non-finite entry in H or g raises ValueError.
-    ``workers`` is accepted for compatibility and has no effect: an iteration
-    is at most two products with H and O(n_p + M^2) vector work, with nothing
-    left to spread across threads, so results are the same for any worker
-    count.
+    of G and S. A non-finite entry in H or g, or an H with no rows, raises
+    ValueError. ``workers`` has no effect and is kept only because the
+    benchmark's per-layer timings pass it: an iteration is at most two
+    products with H and O(n_p + M^2) vector work, with nothing left to
+    spread across threads.
     """
 
     def __init__(self, h, g, params, n_blocks, workers=1):
@@ -379,9 +380,6 @@ class ConsensusLassoSolver:
         return v, trace, AdmmState(eps_pri, eps_dual)
 
 
-def solve_consensus_lasso(h, g, params, n_blocks, workers=1, on_iteration=None):
-    """One-call front end to ConsensusLassoSolver; returns (v, trace, state).
-
-    ``workers`` has no effect (see ConsensusLassoSolver).
-    """
-    return ConsensusLassoSolver(h, g, params, n_blocks, workers=workers).run(on_iteration)
+def solve_consensus_lasso(h, g, params, n_blocks, on_iteration=None):
+    """One-call front end to ConsensusLassoSolver; returns (v, trace, state)."""
+    return ConsensusLassoSolver(h, g, params, n_blocks).run(on_iteration)

@@ -10,8 +10,9 @@ config file that cannot be read as UTF-8 JSON, an output_dir that cannot be
 created, an input file that is missing, unreadable, malformed, non-finite or
 too large for memory, a scenario whose H does not fit in memory, or an output
 file that cannot be written), 3 on solver failure. ``--output`` overrides the
-config's output_dir. ``--workers`` is accepted for compatibility and has no
-effect: the collapsed ADMM iteration has no per-block work to spread.
+config's output_dir and is checked by the same rule, so an empty one exits 2.
+``--workers`` has no effect: the collapsed ADMM iteration has no per-block work
+to spread, and the flag stays only because the benchmark passes it.
 
 ``METHODS`` gives ``solve --method`` its choices and ``compare`` its runs, in
 order (ADMM once per sweep point). An entry holds the record keys a run has
@@ -30,7 +31,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import baselines, fileio, linop, metrics, scene
 from .admm import ConsensusLassoSolver
-from .config import experiment_config_to_dict, load_experiment_config, sweep_tag
+from .config import NONEMPTY_STR, experiment_config_to_dict, load_experiment_config, sweep_tag
 from .errors import ConfigError, DivergenceError, FileFormatError
 
 MATRIX_FILE = "H.cmat"
@@ -252,8 +252,7 @@ def build_parser():
         sp.set_defaults(handler=handler)
         sp.add_argument("--config", required=True, help="path to the JSON experiment config")
         sp.add_argument("--output", default=None, help="override the config output_dir")
-        sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="accepted for compatibility; has no effect on any command")
+        sp.add_argument("--workers", type=int, help="has no effect on any command")
     sub.choices["solve"].add_argument("--method", required=True, choices=METHODS)
     return parser
 
@@ -262,7 +261,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_experiment_config(args.config)
-        if args.output:
+        if args.output is not None:
+            if not NONEMPTY_STR.accepts(args.output):
+                raise ConfigError([f"--output: {NONEMPTY_STR.message}"])
             cfg = dataclasses.replace(cfg, output_dir=args.output)
         args.handler(cfg, args)
     except ConfigError as exc:

@@ -39,15 +39,13 @@ class ScenarioConfig:
     describe the mm-wave demo setup: 31 reflector rotations times 3
     frequencies (93 measurement rows) observing a 50 x 50 x 10 voxel region
     of interest (25000 unknowns) whose center sits 195 wavelengths downrange
-    of the virtual focal point. ``voxel_size_l`` is the nominal cube edge of
-    the scenario and is carried along as a documented constant; the voxel
-    pitch actually used is ``roi_extent / grid`` per axis.
+    of the virtual focal point. The voxel pitch is ``roi_extent / grid`` per
+    axis.
     """
 
     n_theta: int = 31
     n_freq: int = 3
     grid: tuple = (50, 50, 10)
-    voxel_size_l: float = 1.5
     roi_offset_z0: float = 195.0
     roi_extent: tuple = (36.0, 36.0, 7.5)
     center_freq_hz: float = 60.0e9
@@ -79,8 +77,7 @@ class ScenarioConfig:
                        "the sensing matrix exceeds the addressable size")
         if not _three(self.roi_extent, FINITE_GT0):
             out.append("roi_extent: must be three finite lengths > 0")
-        for name, quantity in (("voxel_size_l", "length"), ("roi_offset_z0", "length"),
-                               ("center_freq_hz", "frequency")):
+        for name, quantity in (("roi_offset_z0", "length"), ("center_freq_hz", "frequency")):
             if not FINITE_GT0.accepts(getattr(self, name)):
                 out.append(f"{name}: must be a finite {quantity} > 0")
         if not FINITE_GE0.accepts(self.bandwidth_hz):

@@ -336,13 +336,25 @@ class TestSolveConsensusLasso:
         h = rand_complex(rng, 8, 12)
         g = rand_complex(rng, 8)
         params = AdmmParams(lam=0.2, rho=1.0, max_iter=60, eps_abs=0.0, eps_rel=0.0)
-        v1, t1, _ = solve_consensus_lasso(h, g, params, 4, workers=1)
-        v4, t4, _ = solve_consensus_lasso(h, g, params, 4, workers=4)
+        v1, t1, _ = ConsensusLassoSolver(h, g, params, 4, workers=1).run()
+        v4, t4, _ = ConsensusLassoSolver(h, g, params, 4, workers=4).run()
         assert v1.tobytes() == v4.tobytes()
         for a, b in zip(t1, t4):
             assert (a.k, a.objective, a.primal_residual, a.dual_residual) == (
                 b.k, b.objective, b.primal_residual, b.dual_residual
             )
+
+    def test_takes_no_workers(self):
+        with pytest.raises(TypeError, match="workers"):
+            solve_consensus_lasso(np.eye(2), np.ones(2), AdmmParams(lam=0.1, rho=1.0), 1, workers=2)
+
+    @pytest.mark.parametrize("build", [
+        lambda h, g: solve_consensus_lasso(h, g, AdmmParams(lam=0.1, rho=1.0, max_iter=3), 1),
+        lambda h, g: precompute_block_solver(h, g, 1.0),
+    ], ids=["solve_consensus_lasso", "precompute_block_solver"])
+    def test_an_h_with_no_rows_is_refused_by_its_row_count(self, build):
+        with pytest.raises(ValueError, match=r"row count must be an integer >= 1, got 0"):
+            build(np.zeros((0, 3)), np.zeros(0))
 
     def test_kkt_certificate_on_small_instances(self, rng):
         for _ in range(3):

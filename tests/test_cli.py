@@ -159,6 +159,26 @@ class TestConfigParsing:
                                            "byte 0xff in position 14: invalid start byte\n")
 
 
+class TestOutputOverride:
+    def test_every_output_goes_under_the_override(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        other = tmp_path / "other"
+        for argv in (["generate"], ["solve", "--method", "admm"], ["compare"]):
+            assert main([*argv, "--config", str(path), "--output", str(other)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "other"]
+        written = {p.name for p in other.iterdir()}
+        assert {"H.cmat", "g.cvec", "u_true.cvec", "estimate_admm.cvec", "metrics_pinv.json", "summary.csv"} <= written
+        assert json.loads((other / "manifest.json").read_text())["config"]["output_dir"] == str(other)
+
+    @pytest.mark.parametrize("argv", [["generate"], ["solve", "--method", "admm"], ["compare"]])
+    def test_empty_override_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
+        path, _ = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)  # an empty path would name the working directory
+        assert main([*argv, "--config", str(path), "--output", ""]) == 2
+        assert capsys.readouterr().err == "config error: --output: must be a nonempty string\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 class TestGenerate:
     def test_writes_expected_files(self, tmp_path):
         path, out = write_config(tmp_path)

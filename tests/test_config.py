@@ -43,7 +43,7 @@ SCENARIO_CASES = [
     ("n_theta", 0, ["scenario.n_theta: must be an integer >= 1"]),
     ("n_freq", 2.5, ["scenario.n_freq: must be an integer >= 1"]),
     ("grid", [4, 4], ["scenario.grid: must be three integer voxel counts >= 1"]),
-    ("voxel_size_l", -1.5, ["scenario.voxel_size_l: must be a finite length > 0"]),
+    ("voxel_size_l", -1.5, ["scenario.voxel_size_l: unknown field"]),  # a removed field, whatever its value
     ("roi_offset_z0", 0, ["scenario.roi_offset_z0: must be a finite length > 0"]),
     ("roi_extent", [6.0, 6.0, "a"], ["scenario.roi_extent: must be three finite lengths > 0"]),
     ("center_freq_hz", "60e9", ["scenario.center_freq_hz: must be a finite frequency > 0"]),
@@ -223,7 +223,7 @@ OVERFLOW_CASES = [
     (None, "support_rel_threshold", HUGE, "support_rel_threshold: must lie in (0, 1)"),
     ("sweep", "lambda", [0.1, HUGE], "sweep.lambda: must be a nonempty list of valid values"),
     ("sweep", "rho", [-HUGE], "sweep.rho: must be a nonempty list of valid values"),
-    ("scenario", "voxel_size_l", HUGE, "scenario.voxel_size_l: must be a finite length > 0"),
+    ("admm", "n_blocks", HUGE, "admm.n_blocks: must be an integer in [1, 6] (the measurement count)"),
     ("scenario", "roi_offset_z0", HUGE, "scenario.roi_offset_z0: must be a finite length > 0"),
     ("scenario", "roi_extent", [6.0, HUGE, 3.0], "scenario.roi_extent: must be three finite lengths > 0"),
     ("scenario", "center_freq_hz", HUGE, "scenario.center_freq_hz: must be a finite frequency > 0"),

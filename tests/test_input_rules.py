@@ -89,9 +89,9 @@ PAIRS = {
     "targets.amplitude-build_phantom": (None, "targets", target_amplitude, phantom_of),
     **{
         f"scenario.{key}-ScenarioConfig": ("scenario", key, place, lambda v, key=key: scenario(key, v))
-        for key, place in (("n_theta", None), ("n_freq", None), ("grid", in_triple), ("voxel_size_l", None),
-                           ("roi_offset_z0", None), ("roi_extent", in_triple), ("center_freq_hz", None),
-                           ("bandwidth_hz", None), ("rng_seed", None), ("snr_db", None))
+        for key, place in (("n_theta", None), ("n_freq", None), ("grid", in_triple), ("roi_offset_z0", None),
+                           ("roi_extent", in_triple), ("center_freq_hz", None), ("bandwidth_hz", None),
+                           ("rng_seed", None), ("snr_db", None))
     },
 }
 
