@@ -89,10 +89,10 @@ def soft_threshold_support(a, kappa):
 def prox_step(products, base, supports, r, divisor, kappa):
     """x = soft(base + H^H r / divisor, kappa), its sorted support, and H x.
 
-    ``supports`` (an index array or a tuple of them) holds every nonzero entry
-    of ``base``; outside it the threshold zeroes entry p exactly when
-    |(H^H r)_p| <= kappa * divisor, the level at which ``products`` (the run's
-    ``linop.SupportProducts``) skips the columns a safe bound screens.
+    ``supports`` is a tuple of sorted index arrays whose union holds every
+    nonzero entry of ``base``; outside it the threshold zeroes entry p exactly
+    when |(H^H r)_p| <= kappa * divisor, the level at which ``products`` (the
+    run's ``linop.SupportProducts``) skips the columns a safe bound screens.
     """
     h_r = products.adjoint(r, supports, kappa * divisor)  # a new array: the prox argument forms in it
     h_r /= divisor
@@ -148,16 +148,15 @@ class AdmmParams:
 class BlockSolver:
     """One row block plus the cached small-matrix inverse its updates reuse.
 
-    ``gram`` holds H_i H_i^H and ``small_inverse`` (I_m + gram / rho)^-1,
-    both m x m with m the block row count (views of the engine's G and S);
-    the N_p x N_p regularized normal matrix is never formed.
+    ``small_inverse`` is (I_m + H_i H_i^H / rho)^-1, m x m with m the block
+    row count, a view of the engine's S; the engine's G holds H_i H_i^H. The
+    N_p x N_p regularized normal matrix is never formed.
     """
 
     h_block: np.ndarray
     g_block: np.ndarray
     small_inverse: np.ndarray
     rho: float
-    gram: np.ndarray
 
     @property
     def hg(self):
@@ -291,17 +290,15 @@ class ConsensusLassoSolver:
     ``blocks`` is the row partition (``partition_rows``), ``gram`` (the
     operator's) and ``woodbury`` are G and S, the M x M block-diagonal
     matrices of the collapsed iteration (see the module docstring);
-    ``block_solvers`` holds each block with views of its blocks
-    of G and S. A non-finite entry in H or g, or an H with no rows, raises
-    ValueError. ``workers`` has no effect and is kept only because the
-    benchmark's per-layer timings pass it: an iteration is at most two
-    products with H and O(n_p + M^2) vector work, with nothing left to
-    spread across threads.
+    ``block_solvers`` holds each block with a view of its block of S. A
+    non-finite entry in H or g, or an H with no rows, raises ValueError.
+    ``workers`` has no effect and is kept only because the benchmark's
+    per-layer timings pass it: an iteration is at most two products with H
+    and O(n_p + M^2) vector work, with nothing left to spread across threads.
     """
 
     def __init__(self, h, g, params, n_blocks, workers=1):
         self.operator, self.g, _, _ = lasso_inputs(h, g, params.lam)
-        self.entries = self.operator.h
         self.params = params
         self.blocks = partition_rows(len(self.g), n_blocks)
         self.gram = self.operator.block_gram(self.blocks)
@@ -309,9 +306,8 @@ class ConsensusLassoSolver:
             raise ValueError("block contains non-finite entries")
         self.woodbury = woodbury(self.gram, self.blocks, params.rho)
         self.block_solvers = [
-            BlockSolver(h_block=self.entries[start:stop], g_block=self.g[start:stop],
-                        small_inverse=self.woodbury[start:stop, start:stop], rho=params.rho,
-                        gram=self.gram[start:stop, start:stop])
+            BlockSolver(h_block=self.operator.h[start:stop], g_block=self.g[start:stop],
+                        small_inverse=self.woodbury[start:stop, start:stop], rho=params.rho)
             for start, stop in self.blocks
         ]
 
@@ -327,7 +323,7 @@ class ConsensusLassoSolver:
         total = common + cross + quad
         if total >= CANCELLATION_RATIO * (common + abs(cross) + quad):
             return total
-        rows = (a + adjoint(self.entries[start:stop], x[start:stop]) for start, stop in self.blocks)
+        rows = (a + adjoint(self.operator.h[start:stop], x[start:stop]) for start, stop in self.blocks)
         return sum(float(np.real(np.vdot(y, y))) for y in rows)
 
     def run(self, on_iteration=None):
@@ -360,7 +356,7 @@ class ConsensusLassoSolver:
                 z, h_z = v - w, h_v - h_w  # u_i = z + H_i^H d_i
                 d = self.woodbury @ ((self.g - h_z) / rho - e)
                 c = e + d
-                v_next, support, h_v_next = prox_step(products, v, support, c, n, kappa)
+                v_next, support, h_v_next = prox_step(products, v, (support,), c, n, kappa)
                 gram_d = self.gram @ d
                 w, h_w = v - v_next, h_v - h_v_next
                 v, h_v, e, gram_e = v_next, h_v_next, c, gram_e + gram_d

@@ -108,11 +108,13 @@ def _norm(a):
 
 @dataclass(frozen=True)
 class KktReport:
-    """First-order optimality residuals of the lasso at a candidate point, and its objective."""
+    """First-order optimality residuals of the lasso at a candidate point, and its objective.
+
+    ``passed`` says whether both residuals are within the ``tol`` the check was given.
+    """
 
     max_active_violation: float
     max_inactive_excess: float
-    tolerance: float
     passed: bool
     objective: float  # the lasso objective at v, from the same H v - g (evaluate_objective's value)
     violation: float  # the larger of the two residuals, NaN if either is
@@ -146,7 +148,6 @@ def check_lasso_kkt(h, g, lam, v, tol):
     return KktReport(
         max_active_violation=max_active,
         max_inactive_excess=max_inactive,
-        tolerance=tol,
         passed=max_active <= tol and max_inactive <= tol,
         objective=objective,
         violation=float(np.maximum(max_active, max_inactive)),

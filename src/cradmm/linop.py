@@ -155,9 +155,9 @@ class SupportProducts:
     support, and over the support, gathered anew, when they do not. A wider
     support takes the dense H @ x.
 
-    ``adjoint(r, support, threshold)`` is H^H r for ``admm.prox_step``,
-    whose base has its nonzero entries in ``support`` (an index array, or a
-    tuple of them whose union holds them). Outside the support the prox
+    ``adjoint(r, supports, threshold)`` is H^H r for ``admm.prox_step``,
+    whose base has its nonzero entries in ``supports``, a tuple of sorted
+    index arrays whose union holds them. Outside the support the prox
     zeroes entry p exactly when |(H^H r)_p| <= threshold, and the anchor
     bound of the module docstring proves that for most p without reading
     column p. Those entries are returned as exact zeros; the support and the
@@ -204,8 +204,7 @@ class SupportProducts:
         self.sparse_forward_calls += 1
         return self._block @ x[self.cols]
 
-    def adjoint(self, r, support, threshold):
-        supports = support if isinstance(support, tuple) else (support,)
+    def adjoint(self, r, supports, threshold):
         if threshold <= 0 or not all(self._narrow(len(s)) for s in supports):
             return adjoint(self.h, r)
         if self._anchor is not None:

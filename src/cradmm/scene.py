@@ -128,31 +128,19 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class Scene:
-    """Complex reflectivity on a voxel grid, stored in flat x-fastest order."""
+    """Complex reflectivity on the config's voxel grid, stored in flat x-fastest order."""
 
     reflectivity: np.ndarray
-    grid: tuple
-
-    @property
-    def support(self):
-        """Indices of the nonzero voxels."""
-        return np.flatnonzero(self.reflectivity)
 
 
 @dataclass(frozen=True)
 class SensingMatrix:
-    """Dense complex measurement operator with per-row (rotation, frequency) labels.
+    """Dense complex measurement operator, rows ordered rotation-major.
 
-    Rows are ordered rotation-major: row r * n_freq + f measures rotation r
-    at frequency index f.
+    Row r * n_freq + f of ``entries`` measures rotation r at frequency index f.
     """
 
     entries: np.ndarray
-    row_meta: tuple
-
-    @property
-    def shape(self):
-        return self.entries.shape
 
 
 @dataclass(frozen=True)
@@ -213,7 +201,7 @@ def build_phantom(config, targets):
         if bad:
             raise ValueError(bad[0])
         vol[z0:z1, y0:y1, x0:x1] += complex(amplitude)
-    return Scene(reflectivity=vol.ravel(), grid=tuple(config.grid))
+    return Scene(reflectivity=vol.ravel())
 
 
 def allocate_sensing_entries(config):
@@ -266,15 +254,14 @@ def _rotation_block(config, factors, r):
 def synthesize_sensing_matrix(config):
     """The whole surrogate sensing matrix: the blocks of ``sensing_blocks``, stacked.
 
-    Its array comes from ``allocate_sensing_entries``; ``row_meta`` labels
-    row r * n_freq + f with (r, f).
+    Its array comes from ``allocate_sensing_entries``; row r * n_freq + f is
+    row f of rotation block r.
     """
     blocks = sensing_blocks(config)
     entries = allocate_sensing_entries(config)
     for r, block in enumerate(blocks):
         entries[r * config.n_freq:(r + 1) * config.n_freq] = block
-    row_meta = tuple((r, f) for r in range(config.n_theta) for f in range(config.n_freq))
-    return SensingMatrix(entries=entries, row_meta=row_meta)
+    return SensingMatrix(entries=entries)
 
 
 def rows_times(rows, u, n_rows):
@@ -295,7 +282,7 @@ def forward_measure(h, scene, snr_db, seed):
 
     ``cradmm generate`` never holds H: it sums H u block by block with
     ``rows_times`` and passes the result to ``add_noise``, which gives the
-    same bytes.
+    same bytes. ``seed`` follows ``add_noise``'s rule.
     """
     entries = matrix_array(h)
     u = vector_array(scene)
@@ -311,11 +298,12 @@ def add_noise(clean, snr_db, seed):
     10 log10(||clean||^2 / E||w||^2) equals ``snr_db``. An infinite snr_db, or a
     zero signal, yields exactly zero noise (the zero-signal case is flagged
     with an infinite realized SNR). ``clean`` is a 1-D array-like (see
-    ``vector_array``); ``seed`` is None (fresh entropy) or an integer >= 0.
+    ``vector_array``); ``seed`` is an integer >= 0, the config's ``noise_seed``
+    rule, so every draw is reproducible.
     """
     clean = vector_array(clean)
     snr_db = SNR_DB.require(snr_db, "snr_db must be a real value or +infinity")
-    seed = SEED.require(seed, "seed must be None or an integer >= 0")
+    seed = INT_GE0.require(seed, "seed must be an integer >= 0")
     signal_power = float(np.real(np.vdot(clean, clean)))
     if math.isinf(snr_db) or signal_power == 0.0:
         return Measurement(g=clean, noise_power=0.0, realized_snr_db=math.inf)
@@ -367,7 +355,6 @@ INT_GE1 = Check(lambda x: is_integer(x) and x >= 1, "must be an integer >= 1", i
 INT_GE0 = Check(lambda x: is_integer(x) and x >= 0, "must be an integer >= 0", int)
 SNR_DB = Check(lambda x: is_finite_real(x) or is_real(x) and x == math.inf,
                "must be a real value or +infinity", float)
-SEED = Check(lambda x: x is None or INT_GE0.accepts(x), "must be None or an integer >= 0")
 
 
 def block_count(rows):

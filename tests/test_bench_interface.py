@@ -1,13 +1,15 @@
 """The package interface the benchmark scripts under ``bench/`` rely on.
 
 The benchmark runs outside the test suite, so a rename in ``cradmm`` would
-only show when it runs; these checks catch that here, in a fraction of a
-second.
+only show when it runs; these checks catch that here, in about a second.
 """
 
 import ast
+import os
+import time
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,3 +55,23 @@ def test_solver_builds_with_workers_and_exposes_block_solvers(rng):
     assert all(isinstance(solver, cradmm.BlockSolver) for solver in engine.block_solvers)
     v, trace, _ = engine.run()
     assert len(trace) == 3 and np.all(np.isfinite(v))
+
+
+def test_traced_pass_runs_on_a_tiny_workload(tmp_path, monkeypatch):
+    # the traced pass reads names the untraced runs never touch: SensingMatrix.entries,
+    # Scene.reflectivity, Measurement.g, engine.block_solvers, update_u, workers= and write_trace_csv
+    monkeypatch.syspath_prepend(str(BENCH))
+    with mock.patch.dict(os.environ):  # bench/run.py sets the *_NUM_THREADS variables as it is imported
+        import harness
+        import layers
+        from run import Run
+        from selftest import TINY
+        from workloads import Workload
+
+    workload = Workload("desk-sweep", **TINY, admm_iters=5, fista_iters=5,
+                        sweep={"lambda": [1e-4], "rho": [1.0, 10.0]})
+    run = Run(workload, seed=3, work=tmp_path / "run", deadline=time.monotonic() + 120.0)
+    n_points, shape = layers.layer_pass(run, harness.Tracer(trace_id="t", enabled=False))
+    assert (n_points, shape) == (2, (33, 72))
+    assert run.checks.attempted > 0 and run.checks.failed == 0, run.checks.failures
+    assert (run.out / "trace.csv").is_file()

@@ -140,7 +140,7 @@ class GramCheckedSolver(ConsensusLassoSolver):
         got = super()._stacked_sq_norm(a, h_a, x, gram_x)
         explicit = sum(
             float(np.real(np.vdot(y, y)))
-            for y in (a + adjoint(self.entries[lo:hi], x[lo:hi]) for lo, hi in self.blocks)
+            for y in (a + adjoint(self.operator.h[lo:hi], x[lo:hi]) for lo, hi in self.blocks)
         )
         self.pairs.append((got, explicit))
         return got

@@ -157,7 +157,7 @@ def twin_products(h, anchor_r, threshold):
     if anchor_r is not None:
         empty = np.zeros(0, dtype=np.intp)
         for products in twins:
-            products.adjoint(anchor_r, empty, threshold)
+            products.adjoint(anchor_r, (empty,), threshold)
     return twins
 
 
@@ -186,7 +186,7 @@ def test_prox_step_is_bit_identical_on_both_paths(data):
         base = np.zeros(n, dtype=complex)
         base[rng.choice(n, n // SPARSE_FRACTION, replace=False)] = data.draw(arrays((n // SPARSE_FRACTION,)))
         kappa = 2.0 * float(np.max(np.abs(reference_adjoint(h, anchor_r)))) / divisor
-    supports = data.draw(st.sampled_from([np.flatnonzero(base), (np.flatnonzero(base), np.zeros(0, np.intp))]))
+    supports = data.draw(st.sampled_from([(np.flatnonzero(base),), (np.flatnonzero(base), np.zeros(0, np.intp))]))
     with np.errstate(all="ignore"):
         products, reference = twin_products(h, anchor_r, kappa * divisor)
         got = prox_step(products, base, supports, r, divisor, kappa)
@@ -210,11 +210,11 @@ def test_prox_step_leaves_the_anchor_unchanged(rng):
     empty = np.zeros(0, dtype=np.intp)
     r = rand_complex(rng, m)
     kappa = 0.95 * float(np.max(np.abs(h.conj().T @ r)))
-    x, support, _ = prox_step(products, np.zeros(n, dtype=complex), empty, r, 1, kappa)  # dense: sets the anchor
+    x, support, _ = prox_step(products, np.zeros(n, dtype=complex), (empty,), r, 1, kappa)  # dense: sets the anchor
     expected = (r.tobytes(), np.abs(reference_adjoint(h, r)).tobytes(), math.sqrt(np.vdot(r, r).real))
     assert anchor_bytes(products) == expected
     assert 0 < len(support) <= n // SPARSE_FRACTION
-    prox_step(products, x, support, r + 1e-9 * rand_complex(rng, m), 1, kappa)  # screened
+    prox_step(products, x, (support,), r + 1e-9 * rand_complex(rng, m), 1, kappa)  # screened
     assert products.screened_adjoint_calls == 1
     assert anchor_bytes(products) == expected
 
@@ -326,5 +326,5 @@ def test_prox_step_holds_at_most_four_n_vectors(wide_problem):
     h, _, base, r = wide_problem
     products = SupportProducts(h)
     support = np.arange(h.shape[1])
-    peak = traced_peak(lambda: prox_step(products, base, support, r, 3, 1e-300))
+    peak = traced_peak(lambda: prox_step(products, base, (support,), r, 3, 1e-300))
     assert peak <= 4 * N_VECTOR, peak / N_VECTOR

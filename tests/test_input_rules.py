@@ -85,6 +85,7 @@ PAIRS = {
                                                lambda v: solve_pseudoinverse(H, G, v)),
     "support_rel_threshold-support_metrics": (None, "support_rel_threshold", None,
                                               lambda v: support_metrics(X, X, v)),
+    "noise_seed-add_noise": (None, "noise_seed", None, lambda v: add_noise(G, 10.0, v)),
     "targets.box-build_phantom": (None, "targets", target_box, phantom_of),
     "targets.amplitude-build_phantom": (None, "targets", target_amplitude, phantom_of),
     **{

@@ -201,7 +201,7 @@ class TestSharedOperator:
         assert set(op._factors) == {"norm_squared", "column_norms", ("block_gram", ((0, 4), (4, 8), (8, 12))),
                                     ("block_gram", ((0, 3), (3, 6), (6, 9), (9, 12)))}
         assert self._results(op, g, lam) == expected
-        assert self._results(SensingMatrix(entries=h, row_meta=()), g, lam) == expected
+        assert self._results(SensingMatrix(entries=h), g, lam) == expected
 
     def test_factors_are_formed_once(self, rng, monkeypatch):
         op = SensingOperator(rand_complex(rng, 5, 40))
@@ -234,14 +234,15 @@ class TestBlockFactors:
         assert np.all(engine.gram[~mask] == 0) and np.all(engine.woodbury[~mask] == 0)
         np.testing.assert_allclose(engine.woodbury @ (np.eye(7) + engine.gram / rho), np.eye(7), atol=1e-12)
 
-    @pytest.mark.parametrize("form", [
-        lambda h: SensingOperator(h).block_gram(((0, 4),)),
-        lambda h: precompute_block_solver(h, np.ones(4), 0.5).gram,
+    @pytest.mark.parametrize("form, of_gram", [
+        (lambda h: SensingOperator(h).block_gram(((0, 4),)), lambda gram: gram),
+        (lambda h: precompute_block_solver(h, np.ones(4), 0.5).small_inverse,
+         lambda gram: np.linalg.inv(np.eye(4) + gram / 0.5)),
     ], ids=["operator", "block-solver"])
-    def test_gram_of_a_wide_block_holds_one_slice_at_a_time(self, rng, form):
+    def test_gram_of_a_wide_block_holds_one_slice_at_a_time(self, rng, form, of_gram):
         # 4 rows over 8 Gram slices: one conjugated slice is an eighth of H, against a whole copy unsliced
         h = rand_complex(rng, 4, 2 * GRAM_CHUNK_ENTRIES)
-        expected = h @ h.conj().T
+        expected = of_gram(h @ h.conj().T)
         tracemalloc.start()
         try:
             got = form(h)
@@ -333,7 +334,7 @@ class TestSupportForward:
 class TestSupportAdjoint:
     """The screened adjoint of SupportProducts: the anchor, the crossover, and the rule's safety."""
 
-    NONE = np.zeros(0, dtype=np.intp)
+    NONE = (np.zeros(0, dtype=np.intp),)
 
     def test_first_call_is_the_dense_anchor(self, rng):
         h, r = rand_complex(rng, 6, 200), rand_complex(rng, 6)
@@ -350,9 +351,9 @@ class TestSupportAdjoint:
         threshold = 0.9 * float(np.max(np.abs(adjoint(h, r_a))))
         support = np.sort(rng.choice(n, 5, replace=False))
         products = SupportProducts(h)
-        products.adjoint(r_a, support, threshold)
+        products.adjoint(r_a, (support,), threshold)
         r = r_a + 1e-3 * rand_complex(rng, m)
-        got, dense = products.adjoint(r, support, threshold), adjoint(h, r)
+        got, dense = products.adjoint(r, (support,), threshold), adjoint(h, r)
         assert products.screened_adjoint_calls == 1
         computed = got != 0
         assert np.all(computed[support])
@@ -392,10 +393,10 @@ class TestSupportAdjoint:
         n = 16 * SPARSE_FRACTION
         h, r = rand_complex(rng, 5, n), rand_complex(rng, 5)
         wide = np.arange(n // SPARSE_FRACTION + 1)
-        support, threshold = (wide, 1e9) if case == "wide-support" else (self.NONE, 0.0)
+        supports, threshold = ((wide,), 1e9) if case == "wide-support" else (self.NONE, 0.0)
         products = SupportProducts(h)
         for _ in range(3):
-            assert products.adjoint(r, support, threshold).tobytes() == adjoint(h, r).tobytes()
+            assert products.adjoint(r, supports, threshold).tobytes() == adjoint(h, r).tobytes()
         assert products.screened_adjoint_calls == 0
         assert products._anchor is None and "column_norms" not in products.operator._factors
 
@@ -461,9 +462,9 @@ class LevelSpy:
         self.products = SupportProducts(h)
         self.levels = []
 
-    def adjoint(self, r, support, threshold):
+    def adjoint(self, r, supports, threshold):
         self.levels.append(threshold)
-        return self.products.adjoint(r, support, threshold)
+        return self.products.adjoint(r, supports, threshold)
 
     def forward(self, x, support):
         return self.products.forward(x, support)
@@ -476,7 +477,7 @@ def test_every_screened_entry_is_zeroed_by_the_dense_prox(case):
     h, r, r_a, target, n_blocks, scale = case
     assume(target > 0)
     dense = adjoint(h, r)  # the kernel a dense iteration runs
-    zero, empty = np.zeros(h.shape[1], dtype=complex), np.zeros(0, dtype=np.intp)
+    zero, empty = np.zeros(h.shape[1], dtype=complex), (np.zeros(0, dtype=np.intp),)
     lam, rho, lips = target * scale, scale, scale * n_blocks
     # ADMM: the prox of v + H^H c / N at lam / (rho N); FISTA: the prox of y + H^H (g - H y) / L at lam / L
     for divisor, kappa in ((n_blocks, lam / (rho * n_blocks)), (lips, target / lips)):

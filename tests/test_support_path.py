@@ -178,8 +178,8 @@ def desk_problem():
 
 def explicit_admm_step(lam, rho):
     """ADMM's step as it was written out by hand: the adjoint screened at lam / rho."""
-    def step(products, v, support, c, n, kappa):
-        h_c = products.adjoint(c, support, lam / rho)
+    def step(products, v, supports, c, n, kappa):
+        h_c = products.adjoint(c, supports, lam / rho)
         v_next, support = soft_threshold_support(v + h_c / n, kappa)
         return v_next, support, products.forward(v_next, support)
     return step
