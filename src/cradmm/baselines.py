@@ -1,8 +1,9 @@
 """Reference solvers and an independent optimality check for the lasso.
 
 These exist to benchmark the consensus solver: a truncated-SVD pseudoinverse
-(the classic non-sparse reconstruction, taken from a streamed QR factor of H
-rather than from an SVD of H itself), an accelerated proximal-gradient
+(the classic non-sparse reconstruction, taken from the Gram of a
+well-conditioned wide H, else from a streamed QR factor of H, never from an
+SVD of H itself), an accelerated proximal-gradient
 (Nesterov/FISTA-style) lasso solver, and a first-order KKT test that certifies
 a candidate solution without running any solver at all.
 """
@@ -14,20 +15,47 @@ import numpy as np
 
 from .admm import lasso_objective, prox_step, run_iterations
 from .errors import DivergenceError
-from .linop import adjoint, lasso_inputs, triangular_factor
+from .linop import EPS, adjoint, lasso_inputs, triangular_factor
 from .scene import FINITE_GE0, IN_UNIT, INT_GE1
+
+
+# The Gram route of a wide H runs only while cond(H) = sqrt(w_max / w_min) <= GRAM_COND_LIMIT.
+# Solving with the eigendecomposition of G = H H^H is backward stable for G, so the first
+# estimate H^H y carries a relative error of about c eps cond^2, c a modest multiple of M.
+# One refinement step, with its residual g - H (H^H y) taken through H, leaves about
+# eps cond (the residual's own rounding, which the QR route also carries) plus
+# (c eps cond^2)^2. The second term stays below the first while c^2 eps cond^3 <= 1: at
+# cond = 100 that holds for c up to 6.7e4, so for M in the tens of thousands.
+GRAM_COND_LIMIT = 100.0
+# The route also needs w_min > (tol (1 + TRUNCATION_MARGIN))^2 w_max, so that it keeps every
+# singular value and truncates none. The computed ratio w_min / w_max is within about
+# M eps GRAM_COND_LIMIT^2 (2.2e-12 M) of the exact one, so a margin of 1e-6 decides as an
+# exact SVD would for M up to about 1e6; a value nearer the threshold takes the QR route.
+TRUNCATION_MARGIN = 1e-6
+# Every eigenvalue w, and so 1 / w, must lie in [TINY / EPS, EPS / TINY] = [2^-970, 2^970]:
+# 1 / w then neither overflows nor falls to a subnormal, and a Gram entry, a sum of n
+# products each losing at most TINY EPS / 2 to underflow, is off by less than EPS w_min
+# for any n < 1 / EPS.
+TINY = float(np.finfo(np.float64).tiny)
+GRAM_RANGE = (TINY / EPS, EPS / TINY)
 
 
 def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
     """Minimum-norm least-squares estimate via a truncated SVD.
 
     Singular values below trunc_rel_tol * sigma_max are discarded; directions
-    in the (numerical) null space receive zero weight. The SVD is that of the
-    min(M, n) square streamed QR factor of H (``linop.triangular_factor``),
-    so neither a work copy of H nor its n-long singular vectors are formed:
-    for a wide H the estimate is H^H U_k S_k^-2 U_k^H g, one product with
-    H^H; for a tall H it is V_k S_k^-1 U_k^H (Q^H g), with Q^H g carried
-    through the factorization of [H g].
+    in the (numerical) null space receive zero weight. Neither a work copy of
+    H nor its n-long singular vectors are formed.
+
+    A wide H (M <= n) that passes the guards of ``_gram_route`` (a finite
+    Gram, eigenvalues in GRAM_RANGE, cond(H) <= GRAM_COND_LIMIT and every
+    singular value kept) takes H^H (H H^H)^-1 g from the eigendecomposition
+    of the operator's Gram (``SensingOperator.gram``), refined once. Any
+    other H takes the SVD of the min(M, n) square streamed QR factor of H
+    (``linop.triangular_factor``): for a wide H the estimate is
+    H^H U_k S_k^-2 U_k^H g, one product with H^H; for a tall H it is
+    V_k S_k^-1 U_k^H (Q^H g), with Q^H g carried through the factorization
+    of [H g].
     """
     trunc_rel_tol = IN_UNIT.require(trunc_rel_tol, "trunc_rel_tol must lie in (0, 1)")
     op, b, _, _ = lasso_inputs(h, g, 0.0)
@@ -35,6 +63,9 @@ def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
     if min(rows, cols) == 0:
         return np.zeros(cols, dtype=np.complex128)
     if rows <= cols:
+        estimate = _gram_route(op, b, trunc_rel_tol)
+        if estimate is not None:
+            return estimate
         u_r, sing, _ = np.linalg.svd(triangular_factor(op.h).T)
     else:
         factor = triangular_factor(op.h, b)
@@ -47,6 +78,29 @@ def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
         # divided by sing twice: sing**2 overflows or underflows for a finite H scaled by 1e200 or 1e-170
         return adjoint(op.h, u_k @ ((u_k.conj().T @ b) / sing / sing))
     return vh_r[keep].conj().T @ ((u_k.conj().T @ factor[:cols, cols]) / sing)
+
+
+def _gram_route(op, b, tol):
+    """H^H y with H H^H y = b, from the eigendecomposition G = U diag(w) U^H of the Gram.
+
+    y = U diag(1 / w) U^H b is refined once, y += U diag(1 / w) U^H (b - H H^H y), which
+    takes three passes over H with the final H^H y. None when a guard fails.
+    """
+    gram = op.gram()  # formed with overflow warnings off: a scaled H whose Gram overflows takes the QR route
+    if not np.isfinite(gram).all():
+        return None
+    w, u = np.linalg.eigh(gram)
+    low, high = GRAM_RANGE
+    if not (low <= w[0] and w[-1] <= high and w[0] > (tol * (1.0 + TRUNCATION_MARGIN)) ** 2 * w[-1]
+            and w[0] * GRAM_COND_LIMIT**2 >= w[-1]):
+        return None
+
+    def solve(r):
+        return u @ ((u.conj().T @ r) / w)
+
+    y = solve(b)
+    y += solve(b - op.forward(op.adjoint(y)))
+    return op.adjoint(y)
 
 
 def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):

@@ -83,7 +83,10 @@ def cmd_generate(cfg):
             yield block
 
     fileio.write_matrix_blocks(out / MATRIX_FILE, (sc.n_measurements, sc.n_voxels), measured_blocks())
-    measured = scene.add_noise(clean, sc.snr_db, cfg.noise_seed)
+    try:
+        measured = scene.add_noise(clean, sc.snr_db, cfg.noise_seed)
+    except ValueError as exc:  # a noise power beyond the float range: before g or the manifest is written
+        raise ConfigError([f"scenario.snr_db: {exc}"]) from None
     fileio.write_vector(out / SCENE_FILE, phantom.reflectivity)
     fileio.write_vector(out / MEASUREMENT_FILE, measured.g)
     manifest = {

@@ -2,12 +2,14 @@
 
 Every solver, the objective and the KKT check take a ``SensingOperator``
 wherever they take H. One operator owns H for a command: the products H x and
-H^H r, and the factors of H alone (||H||_2^2, the column norms, the block
-Grams), each formed once and shared by every run. Every Gram, of H or of a
-row block, comes from ``gram``, and ``woodbury`` turns a block-diagonal
-Gram into its block-diagonal Woodbury inverse. ``triangular_factor`` is a
+H^H r, and the factors of H alone (its smaller Gram, ||H||_2^2, the column
+norms, the block Grams), each formed once and shared by every run. Every
+Gram, of H or of a row block, comes from ``gram``, and ``woodbury`` turns a
+block-diagonal Gram into its block-diagonal Woodbury inverse. The
+pseudoinverse baseline solves with the smaller Gram of H when H is
+well-conditioned; otherwise it takes the SVD of ``triangular_factor``, a
 streamed ("tall-skinny") QR factor of H, min(M, n) square, with the singular
-values of H; the pseudoinverse baseline takes its SVD instead of one of H.
+values of H, instead of one of H.
 
 ``SupportProducts`` holds the products of one solver run, which
 ``admm.prox_step`` takes: x = soft(base + H^H r / d, kappa), then H x, with
@@ -58,10 +60,11 @@ from .scene import FINITE_GE0, matrix_array, vector_array
 
 # entries per slice when a Gram or a triangular factor is accumulated, or an
 # array scanned for non-finite entries (``all_finite``): a slice is 0.5 MB,
-# so it and its conjugate copy fit in a core's 2 MB L2. Medians on a 2-vCPU
-# Intel Xeon VM, one OpenBLAS thread: the Gram of a 93 x 25000 H takes
-# 34.9 ms, its 31 row-block Grams 16.5 ms and triangular_factor 131 ms; at
-# 93 x 2500, 4.2, 1.6 and 16.3 ms.
+# so it and its conjugate copy fit in a core's 2 MB L2. Medians of 21 on a
+# 2-vCPU Intel Xeon VM, one OpenBLAS thread: the Gram of a 93 x 25000 H takes
+# 41 ms (35-65 ms from one run to the next), its 31 row-block Grams 16 ms, the
+# pseudoinverse's Gram route once the Gram is formed 6.9 ms and
+# triangular_factor 132 ms; at 93 x 2500, 3.1, 1.2, 2.1 and 11.5 ms.
 GRAM_CHUNK_ENTRIES = 1 << 15
 
 # SupportProducts takes the dense H x and H^H r once the support (for H^H r,
@@ -276,14 +279,18 @@ def all_finite(a):
 class SensingOperator:
     """A dense complex M x n matrix H with its products and the factors of H alone.
 
-    ``norm_squared()``, ``column_norms()`` and ``block_gram(blocks)`` are
-    formed on first use and kept; one whose computation raises is not kept.
-    Nothing of one solver run (gathered columns, an anchor) is stored here.
+    ``gram()``, ``norm_squared()``, ``column_norms()`` and
+    ``block_gram(blocks)`` are formed on first use and kept; one whose
+    computation raises is not kept. ``gram()`` is the smaller Gram of H, from
+    which ``norm_squared()`` (FISTA's step) and the pseudoinverse's Gram route
+    both read, so a command forms it once. Nothing of one solver run
+    (gathered columns, an anchor) is stored here.
     """
 
     def __init__(self, h):
         self.h = np.ascontiguousarray(matrix_array(h))
         self._factors = {}
+        self._gram = None  # the smaller Gram, once gram() forms it
 
     @property
     def shape(self):
@@ -300,10 +307,21 @@ class SensingOperator:
             self._factors[key] = form(self.h, *args)
         return self._factors[key]
 
+    def gram(self):
+        """The smaller Gram: H H^H (M x M) for a wide or square H, H^T conj(H) (n x n) for a tall one.
+
+        Formed once with ``gram``; an entry that overflows is inf or nan, for the caller to test.
+        """
+        if self._gram is None:
+            h = self.h
+            with np.errstate(invalid="ignore", over="ignore"):
+                self._gram = gram(h if h.shape[0] <= h.shape[1] else h.T)
+        return self._gram
+
     def norm_squared(self):
         """Exact ||H||_2^2: the largest eigenvalue of the smaller Gram, inf or nan if that overflows."""
         def largest_eigenvalue(h):
-            small = gram(h if h.shape[0] <= h.shape[1] else h.T)
+            small = self.gram()
             if not np.isfinite(small).all():  # eigvalsh may not converge on it
                 return float(np.abs(small).max())
             return float(np.max(np.linalg.eigvalsh(small), initial=0.0))

@@ -299,7 +299,8 @@ def add_noise(clean, snr_db, seed):
     zero signal, yields exactly zero noise (the zero-signal case is flagged
     with an infinite realized SNR). ``clean`` is a 1-D array-like (see
     ``vector_array``); ``seed`` is an integer >= 0, the config's ``noise_seed``
-    rule, so every draw is reproducible.
+    rule, so every draw is reproducible. ValueError when a negative snr_db
+    puts the noise power, or the realized noise power, beyond the float range.
     """
     clean = vector_array(clean)
     snr_db = SNR_DB.require(snr_db, "snr_db must be a real value or +infinity")
@@ -308,10 +309,18 @@ def add_noise(clean, snr_db, seed):
     if math.isinf(snr_db) or signal_power == 0.0:
         return Measurement(g=clean, noise_power=0.0, realized_snr_db=math.inf)
     n_t = clean.shape[0]
-    noise_power = signal_power * 10.0 ** (-snr_db / 10.0) / n_t
+    beyond = f"snr_db {snr_db} gives a noise power beyond the float range"
+    try:
+        noise_power = signal_power * 10.0 ** (-snr_db / 10.0) / n_t
+    except OverflowError:  # the power of ten itself
+        noise_power = math.inf
+    if not math.isfinite(noise_power):
+        raise ValueError(beyond)
     rng = np.random.default_rng(seed)
     w = math.sqrt(noise_power / 2.0) * (rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t))
     realized = float(np.real(np.vdot(w, w)))
+    if not math.isfinite(realized):
+        raise ValueError(beyond)
     realized_snr = math.inf if realized == 0.0 else 10.0 * math.log10(signal_power / realized)
     return Measurement(g=clean + w, noise_power=noise_power, realized_snr_db=realized_snr)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import rand_complex
 from cradmm import (
     AdmmParams,
+    SensingOperator,
     DivergenceError,
     check_lasso_kkt,
     evaluate_objective,
@@ -17,6 +18,9 @@ from cradmm import (
     solve_fista,
     solve_pseudoinverse,
 )
+from cradmm import baselines, linop
+from cradmm.baselines import GRAM_COND_LIMIT, TRUNCATION_MARGIN
+from cradmm.linop import triangular_factor
 
 
 class TestPseudoinverse:
@@ -98,8 +102,10 @@ def pinv_instances(draw):
     kind = draw(st.sampled_from(["random", "rank-deficient", "zero", "straddle", "top-singular"]))
     # "top-singular" keeps every singular value, so its cond reaches 1e8
     tol = 1e-10 if kind == "top-singular" else draw(st.sampled_from([1e-10, 1e-6, 1e-3, 0.1]))
-    # at 1e200 and 1e-170 the squared singular values leave the float range
-    scale = 10.0 ** draw(st.one_of(st.integers(-3, 3), st.sampled_from([-200, -170, 170, 200])))
+    # at 1e200 and 1e-170 the squared singular values leave the float range; from 1e-150 down and
+    # from 1e150 up they leave the range in which the Gram route may divide by them
+    scale = 10.0 ** draw(st.one_of(st.integers(-3, 3),
+                                   st.sampled_from([-200, -170, -160, -155, -150, 150, 154, 170, 200])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = min(rows, cols)
     if kind == "random":
@@ -134,7 +140,10 @@ def pinv_instances(draw):
 @given(pinv_instances())
 def test_pseudoinverse_matches_dense_pinv(instance):
     h, g, tol = instance
-    got = solve_pseudoinverse(h, g, tol)
+    assert_matches_dense_pinv(h, g, tol, solve_pseudoinverse(h, g, tol))
+
+
+def assert_matches_dense_pinv(h, g, tol, got):
     expected = np.linalg.pinv(h, rcond=tol) @ g
     sing = np.linalg.svd(h, compute_uv=False)
     if sing[0] == 0.0:
@@ -148,6 +157,83 @@ def test_pseudoinverse_matches_dense_pinv(instance):
     relgap = 1.0 - sing[~keep][0] / sing[keep][-1] if not keep.all() else 1.0
     bound = 50 * EPS * cond * (1.0 + 1.0 / relgap)
     assert np.linalg.norm(got - expected) <= bound * np.linalg.norm(expected)
+
+
+class TestPseudoinverseRoute:
+    """A well-conditioned wide H takes the operator's Gram; every other H the streamed QR factor."""
+
+    @staticmethod
+    def _conditioned(rng, rows, cols, cond):
+        sing = np.geomspace(1.0, 1.0 / cond, min(rows, cols))
+        return with_singular_values(rng, rows, cols, sing)
+
+    @staticmethod
+    def _count_factors(monkeypatch):
+        shapes = []
+
+        def counted(h, rhs=None):
+            shapes.append(h.shape)
+            return triangular_factor(h, rhs)
+
+        monkeypatch.setattr(baselines, "triangular_factor", counted)
+        return shapes
+
+    @pytest.mark.parametrize("rows, cols, cond, scale", [
+        (1, 6, 1.0, 1.0), (5, 5, 10.0, 1.0), (12, 480, 3.0, 1.0), (6, 20, 0.99 * GRAM_COND_LIMIT, 1.0),
+        (6, 20, 4.0, 1e-140), (6, 20, 4.0, 1e140),
+    ])
+    def test_well_conditioned_wide_h_never_factors(self, rng, monkeypatch, rows, cols, cond, scale):
+        def refuse(h, rhs=None):
+            raise AssertionError("the streamed QR factor was formed")
+
+        monkeypatch.setattr(baselines, "triangular_factor", refuse)
+        h = scale * self._conditioned(rng, rows, cols, cond)
+        g = scale * rand_complex(rng, rows)
+        assert_matches_dense_pinv(h, g, 1e-10, solve_pseudoinverse(h, g, 1e-10))
+
+    @pytest.mark.parametrize("case", ["rank-deficient", "straddle", "just-above-threshold", "cond-1e8",
+                                      "past-cond-limit", "gram-overflows", "1e-160", "1e-155", "1e-150",
+                                      "1e150", "1e154"])
+    def test_other_wide_h_takes_the_streamed_factor(self, rng, monkeypatch, case):
+        shapes = self._count_factors(monkeypatch)
+        rows, cols, tol = 5, 12, 1e-10
+        scale = float(case) if case.startswith("1e") else 1e200 if case == "gram-overflows" else 1.0
+        if case == "rank-deficient":
+            h = rand_complex(rng, rows, 3) @ rand_complex(rng, 3, cols)
+        elif case in ("straddle", "just-above-threshold"):
+            # sigma_min / sigma_max just below the threshold, or above it by less than TRUNCATION_MARGIN
+            tol = 0.1
+            above = 1 + 0.1 * TRUNCATION_MARGIN if case == "just-above-threshold" else 1 - STRADDLE
+            h = with_singular_values(rng, rows, cols, np.array([1.0, 0.6, 0.3, tol * (1 + STRADDLE), tol * above]))
+        elif case == "cond-1e8":
+            h = self._conditioned(rng, rows, cols, 1e8)
+        elif case == "past-cond-limit":
+            h = self._conditioned(rng, rows, cols, 1.01 * GRAM_COND_LIMIT)
+        elif case == "gram-overflows":
+            h = rand_complex(rng, rows, cols)
+        else:
+            h = self._conditioned(rng, rows, cols, 2.0)
+        h, g = scale * h, scale * rand_complex(rng, rows)
+        got = solve_pseudoinverse(h, g, tol)
+        assert shapes == [(rows, cols)]
+        assert_matches_dense_pinv(h, g, tol, got)
+
+    def test_tall_h_takes_the_factor_of_h_and_g(self, rng, monkeypatch):
+        shapes = self._count_factors(monkeypatch)
+        h = self._conditioned(rng, 12, 5, 2.0)
+        g = rand_complex(rng, 12)
+        assert_matches_dense_pinv(h, g, 1e-10, solve_pseudoinverse(h, g))
+        assert shapes == [(12, 5)]
+
+    def test_gram_is_shared_with_fista(self, rng, monkeypatch):
+        # FISTA's step forms the Gram; the pseudoinverse reads it and gives the bytes of a fresh operator's
+        h = rand_complex(rng, 8, 60)
+        g = rand_complex(rng, 8)
+        fresh = solve_pseudoinverse(h, g)
+        op = SensingOperator(h)
+        solve_fista(op, g, 0.1, max_iter=3)
+        monkeypatch.setattr(linop, "gram", lambda h: pytest.fail("a second Gram was formed"))
+        assert solve_pseudoinverse(op, g).tobytes() == fresh.tobytes()
 
 
 BAD_LAMBDAS = [math.nan, math.inf, -math.inf, 10**400, -0.1]

@@ -209,6 +209,14 @@ class TestGenerate:
         assert not out.exists()
         assert "config error: admm.lambda: must be a finite number >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr_db", [-4000, -3075])
+    def test_noise_power_beyond_the_float_range_exits_2(self, tmp_path, capsys, snr_db):
+        # -4000 dB overflows 10^(-snr/10) itself; at -3075 dB only its product with the signal power
+        path, out = write_config(tmp_path, overrides={"scenario": {"snr_db": snr_db}})
+        assert main(["generate", "--config", str(path)]) == 2
+        assert "config error: scenario.snr_db: " in capsys.readouterr().err
+        assert not (out / "g.cvec").exists() and not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("scenario", [{"n_theta": 10**400}, {"grid": [4, 4, 10**400]}], ids=["n_theta", "grid"])
     def test_count_beyond_the_addressable_size_exits_2_and_writes_nothing(self, tmp_path, capsys, scenario):
         path, out = write_config(tmp_path, overrides={"scenario": scenario})
@@ -718,6 +726,19 @@ class TestCompare:
                     for p in sorted(out.glob("metrics_*.json")) if "pinv" not in p.name]
         assert len(screened) == 5 and all(count > 0 for count in screened)
         assert formed == [(6, 256)]
+
+    def test_compare_forms_the_gram_of_h_once_and_no_streamed_factor(self, tmp_path, monkeypatch):
+        # FISTA's step and the pseudoinverse share one Gram of the whole H; ADMM's row-block Grams
+        # are of another shape and are not counted
+        path, out = write_config(tmp_path, overrides={"sweep": {"lambda": [0.01, 0.1], "rho": [1.0]}})
+        assert main(["generate", "--config", str(path)]) == 0
+        shapes = []
+        gram = linop.gram
+        monkeypatch.setattr(linop, "gram", lambda h: shapes.append(h.shape) or gram(h))
+        monkeypatch.setattr(baselines, "triangular_factor", lambda *args: pytest.fail("the streamed QR ran"))
+        assert main(["compare", "--config", str(path)]) == 0
+        assert shapes.count((6, 32)) == 1 and len(shapes) > 1
+        assert all(line.endswith(",ok") for line in (out / "summary.csv").read_text().splitlines()[1:])
 
     @pytest.mark.parametrize("argv", [["solve", "--method", "admm"], ["solve", "--method", "fista"],
                                       ["solve", "--method", "pinv"], ["compare"]],

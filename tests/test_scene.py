@@ -230,6 +230,15 @@ class TestForwardMeasure:
         with pytest.raises(ValueError, match="snr_db"):
             scene.add_noise(np.ones(2, dtype=complex), math.nan, 0)
 
+    @pytest.mark.parametrize("clean, snr_db", [(np.ones(2), -4000.0), (np.full(2, 10.0), -3075.0),
+                                               (np.ones(100), -3079.0)],
+                             ids=["power-of-ten", "noise-power", "realized-noise-power"])
+    def test_noise_power_beyond_the_float_range_raises(self, clean, snr_db):
+        # 10^400 overflows; 10^307.5 is finite but not 100 times it; at -3079 dB the noise power is
+        # 7.9e307, and the realized noise power, summed over 100 samples, overflows
+        with pytest.raises(ValueError, match="snr_db"):
+            scene.add_noise(clean.astype(complex), snr_db, 0)
+
     @pytest.mark.parametrize("seed", [True, np.True_, "x", 1.5, -1])
     def test_seed_that_is_not_none_or_a_count_raises(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
