@@ -31,6 +31,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -59,7 +60,10 @@ def cmd_generate(cfg):
     block (n_freq rows) at a time and is never held whole. Its full buffer
     is still allocated once, untouched, before anything is written: a
     scenario too large for memory, which ``solve`` could not load, is a
-    config error, and nothing is written.
+    config error, and nothing is written. H is streamed to a temporary file
+    beside ``H.cmat`` and renamed onto it only once the noise is drawn; a
+    ``generate`` refused or failed before that removes the temporary file and
+    leaves the previous inputs whole.
     """
     sc = cfg.scenario
     try:
@@ -82,11 +86,16 @@ def cmd_generate(cfg):
                                                                         sc.n_measurements)
             yield block
 
-    fileio.write_matrix_blocks(out / MATRIX_FILE, (sc.n_measurements, sc.n_voxels), measured_blocks())
+    partial = out / (MATRIX_FILE + ".partial")
     try:
-        measured = scene.add_noise(clean, sc.snr_db, cfg.noise_seed)
-    except ValueError as exc:  # a noise power beyond the float range: before g or the manifest is written
-        raise ConfigError([f"scenario.snr_db: {exc}"]) from None
+        fileio.write_matrix_blocks(partial, (sc.n_measurements, sc.n_voxels), measured_blocks())
+        try:
+            measured = scene.add_noise(clean, sc.snr_db, cfg.noise_seed)
+        except ValueError as exc:  # a noise power beyond the float range
+            raise ConfigError([f"scenario.snr_db: {exc}"]) from None
+        os.replace(partial, out / MATRIX_FILE)
+    finally:
+        partial.unlink(missing_ok=True)
     fileio.write_vector(out / SCENE_FILE, phantom.reflectivity)
     fileio.write_vector(out / MEASUREMENT_FILE, measured.g)
     manifest = {
@@ -276,8 +285,10 @@ def main(argv=None):
     except (FileNotFoundError, FileFormatError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # an output, as every input is read through _read_input; a failed write() names no file
-        print(f"output error: {exc.filename or cfg.output_dir} cannot be written: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # an output, as every input is read through _read_input
+        # a failed write() names no file, and a failed rename names its destination second
+        target = exc.filename2 or exc.filename or cfg.output_dir
+        print(f"output error: {target} cannot be written: {exc.strerror}", file=sys.stderr)
         return 2
     except (DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

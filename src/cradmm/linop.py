@@ -3,11 +3,12 @@
 Every solver, the objective and the KKT check take a ``SensingOperator``
 wherever they take H. One operator owns H for a command: the products H x and
 H^H r, and the factors of H alone (its smaller Gram, ||H||_2^2, the column
-norms, the block Grams), each formed once and shared by every run. Every
-Gram, of H or of a row block, comes from ``gram``, and ``woodbury`` turns a
-block-diagonal Gram into its block-diagonal Woodbury inverse. The
-pseudoinverse baseline solves with the smaller Gram of H when H is
-well-conditioned; otherwise it takes the SVD of ``triangular_factor``, a
+norms, the block Grams), each formed once through one cache, under one
+floating-point policy (an overflow gives inf or nan, no warning), and shared
+by every run. Every Gram, of H or of a row block, comes from ``gram``, and
+``woodbury`` turns a block-diagonal Gram into its block-diagonal Woodbury
+inverse. The pseudoinverse baseline solves with the smaller Gram of H when H
+is well-conditioned; otherwise it takes the SVD of ``triangular_factor``, a
 streamed ("tall-skinny") QR factor of H, min(M, n) square, with the singular
 values of H, instead of one of H.
 
@@ -280,17 +281,18 @@ class SensingOperator:
     """A dense complex M x n matrix H with its products and the factors of H alone.
 
     ``gram()``, ``norm_squared()``, ``column_norms()`` and
-    ``block_gram(blocks)`` are formed on first use and kept; one whose
-    computation raises is not kept. ``gram()`` is the smaller Gram of H, from
-    which ``norm_squared()`` (FISTA's step) and the pseudoinverse's Gram route
-    both read, so a command forms it once. Nothing of one solver run
-    (gathered columns, an anchor) is stored here.
+    ``block_gram(blocks)`` each come from one cache, ``_factor``: formed on
+    first use and kept, and one whose computation raises is not kept. Every
+    factor is formed with overflow and invalid-operation warnings off; an
+    entry that overflows is inf or nan, for the caller to test. ``gram()`` is
+    the smaller Gram of H, from which ``norm_squared()`` (FISTA's step) and
+    the pseudoinverse's Gram route both read, so a command forms it once.
+    Nothing of one solver run (gathered columns, an anchor) is stored here.
     """
 
     def __init__(self, h):
         self.h = np.ascontiguousarray(matrix_array(h))
         self._factors = {}
-        self._gram = None  # the smaller Gram, once gram() forms it
 
     @property
     def shape(self):
@@ -304,34 +306,23 @@ class SensingOperator:
 
     def _factor(self, key, form, *args):
         if key not in self._factors:
-            self._factors[key] = form(self.h, *args)
+            # a finite H whose factor overflows runs on; its callers report a non-finite result
+            with np.errstate(invalid="ignore", over="ignore"):
+                self._factors[key] = form(*args)
         return self._factors[key]
 
     def gram(self):
-        """The smaller Gram: H H^H (M x M) for a wide or square H, H^T conj(H) (n x n) for a tall one.
-
-        Formed once with ``gram``; an entry that overflows is inf or nan, for the caller to test.
-        """
-        if self._gram is None:
-            h = self.h
-            with np.errstate(invalid="ignore", over="ignore"):
-                self._gram = gram(h if h.shape[0] <= h.shape[1] else h.T)
-        return self._gram
+        """The smaller Gram: H H^H (M x M) for a wide or square H, H^T conj(H) (n x n) for a tall one."""
+        h = self.h
+        return self._factor("gram", gram, h if h.shape[0] <= h.shape[1] else h.T)
 
     def norm_squared(self):
         """Exact ||H||_2^2: the largest eigenvalue of the smaller Gram, inf or nan if that overflows."""
-        def largest_eigenvalue(h):
-            small = self.gram()
-            if not np.isfinite(small).all():  # eigvalsh may not converge on it
-                return float(np.abs(small).max())
-            return float(np.max(np.linalg.eigvalsh(small), initial=0.0))
-
-        with np.errstate(invalid="ignore", over="ignore"):  # the caller reports a non-finite one
-            return self._factor("norm_squared", largest_eigenvalue)
+        return self._factor("norm_squared", _largest_eigenvalue, self.gram())
 
     def column_norms(self):
         """Upper bounds on every ||h_p||, as ``column_norms`` forms them."""
-        return self._factor("column_norms", column_norms)
+        return self._factor("column_norms", column_norms, self.h)
 
     def block_gram(self, blocks):
         """G, the M x M block diagonal of the Grams H_i H_i^H of the row ranges ``blocks``.
@@ -339,7 +330,7 @@ class SensingOperator:
         A non-finite entry of H_i makes diag(H_i H_i^H) non-finite, so H is
         scanned (ValueError if it holds one) only when G is not finite.
         """
-        return self._factor(("block_gram", blocks), _block_gram, blocks)
+        return self._factor(("block_gram", blocks), _block_gram, self.h, blocks)
 
 
 def as_operator(h):
@@ -362,11 +353,17 @@ def lasso_inputs(h, g, lam, x=None):
     return op, gv, xv, lam
 
 
+def _largest_eigenvalue(small):
+    """The largest eigenvalue of the Hermitian ``small``, or its largest modulus when it is not finite."""
+    if not np.isfinite(small).all():  # eigvalsh may not converge on it
+        return float(np.abs(small).max())
+    return float(np.max(np.linalg.eigvalsh(small), initial=0.0))
+
+
 def _block_gram(h, blocks):
     full = np.zeros((h.shape[0], h.shape[0]), dtype=np.complex128)
-    with np.errstate(invalid="ignore", over="ignore"):  # a finite H whose Gram overflows runs on
-        for start, stop in blocks:
-            full[start:stop, start:stop] = gram(h[start:stop])
+    for start, stop in blocks:
+        full[start:stop, start:stop] = gram(h[start:stop])
     if not np.all(np.isfinite(full)) and not all_finite(h):
         raise ValueError("block contains non-finite entries")
     return full

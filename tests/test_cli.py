@@ -217,6 +217,16 @@ class TestGenerate:
         assert "config error: scenario.snr_db: " in capsys.readouterr().err
         assert not (out / "g.cvec").exists() and not (out / "manifest.json").exists()
 
+    def test_refused_generate_leaves_the_previous_inputs_whole(self, tmp_path, capsys):
+        path, out = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["H.cmat", "g.cvec", "manifest.json", "u_true.cvec"]  # no temporary file
+        path, _ = write_config(tmp_path, overrides={"scenario": {"rng_seed": 9, "snr_db": -4000}})
+        assert main(["generate", "--config", str(path)]) == 2
+        assert "config error: scenario.snr_db: " in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("scenario", [{"n_theta": 10**400}, {"grid": [4, 4, 10**400]}], ids=["n_theta", "grid"])
     def test_count_beyond_the_addressable_size_exits_2_and_writes_nothing(self, tmp_path, capsys, scenario):
         path, out = write_config(tmp_path, overrides={"scenario": scenario})
@@ -478,6 +488,7 @@ class TestSolve:
         (out / name).mkdir()
         assert main([command[0], "--config", str(path), *command[1:]]) == 2
         assert capsys.readouterr().err == f"output error: {out / name} cannot be written: Is a directory\n"
+        assert not (out / "H.cmat.partial").exists()  # where generate streams H before renaming it
 
     def test_failed_write_that_names_no_file_names_the_output_directory(self, tmp_path, capsys, monkeypatch):
         # a failed write() (a full disk, say) raises an OSError with no file name

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -198,7 +199,8 @@ class TestSharedOperator:
         op = SensingOperator(h)
         # a fresh operator, then the same one again with every factor already formed
         assert self._results(op, g, lam) == expected
-        assert set(op._factors) == {"norm_squared", "column_norms", ("block_gram", ((0, 4), (4, 8), (8, 12))),
+        assert set(op._factors) == {"gram", "norm_squared", "column_norms",
+                                    ("block_gram", ((0, 4), (4, 8), (8, 12))),
                                     ("block_gram", ((0, 3), (3, 6), (6, 9), (9, 12)))}
         assert self._results(op, g, lam) == expected
         assert self._results(SensingMatrix(entries=h), g, lam) == expected
@@ -208,12 +210,39 @@ class TestSharedOperator:
         formed = []
         monkeypatch.setattr(linop, "gram", lambda h: formed.append("gram") or gram(h))
         monkeypatch.setattr(linop, "column_norms", lambda h: formed.append("norms") or column_norms(h))
-        first = (op.norm_squared(), op.column_norms(), op.block_gram(((0, 2), (2, 5))))
-        assert formed == ["gram", "norms", "gram", "gram"]  # one Gram per block
-        again = (op.norm_squared(), op.column_norms(), op.block_gram(((0, 2), (2, 5))))
+        first = (op.gram(), op.norm_squared(), op.column_norms(), op.block_gram(((0, 2), (2, 5))))
+        assert formed == ["gram", "norms", "gram", "gram"]  # the Gram of H, read by the norm; one per block
+        again = (op.gram(), op.norm_squared(), op.column_norms(), op.block_gram(((0, 2), (2, 5))))
         assert formed == ["gram", "norms", "gram", "gram"]
-        assert first[0] == again[0] and first[1] is again[1] and first[2] is again[2]
-        assert op.block_gram(((0, 5),)) is not first[2]
+        assert all(a is b for a, b in zip(first, again))
+        assert op.block_gram(((0, 5),)) is not first[3]
+
+    @pytest.mark.parametrize("factor, form", [("gram", "gram"), ("norm_squared", "_largest_eigenvalue"),
+                                              ("column_norms", "column_norms"), ("block_gram", "_block_gram")])
+    def test_a_factor_whose_form_raises_is_retried_then_kept(self, rng, monkeypatch, factor, form):
+        op = SensingOperator(rand_complex(rng, 5, 40))
+        args = (((0, 2), (2, 5)),) if factor == "block_gram" else ()
+        calls = []
+        real = getattr(linop, form)
+
+        def fails_once(*form_args):
+            calls.append(form)
+            if len(calls) == 1:
+                raise MemoryError("no room for the factor")
+            return real(*form_args)
+
+        monkeypatch.setattr(linop, form, fails_once)
+        with pytest.raises(MemoryError):
+            getattr(op, factor)(*args)
+        kept = getattr(op, factor)(*args)
+        assert getattr(op, factor)(*args) is kept and len(calls) == 2
+
+    def test_factors_of_an_h_that_overflows_raise_no_warning(self, rng):
+        op = SensingOperator(1e200 * rand_complex(rng, 5, 40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factors = (op.gram(), op.norm_squared(), op.column_norms(), op.block_gram(((0, 2), (2, 5))))
+        assert not any(np.isfinite(f).all() for f in factors)
 
     def test_as_operator_wraps_once(self, rng):
         op = SensingOperator(rand_complex(rng, 3, 4))

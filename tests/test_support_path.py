@@ -105,7 +105,7 @@ def test_sweep_points_do_not_share_gathered_columns(sparse_problem):
         assert ftrace.screened_adjoint_iters == fresh_fista[1].screened_adjoint_iters > 0
     assert set(vars(op)) == attributes
     blocks = ConsensusLassoSolver(h, g, params[0], N_BLOCKS).blocks
-    assert set(op._factors) == {"column_norms", "norm_squared", ("block_gram", blocks)}
+    assert set(op._factors) == {"gram", "column_norms", "norm_squared", ("block_gram", blocks)}
     assert op._factors["column_norms"].shape == (h.shape[1],)
 
 
