@@ -34,10 +34,9 @@ record and stop verdict per iteration into a ``ConvergenceTrace`` (a list).
 ``update_u``, ``update_v`` and ``update_s`` are the same steps written per
 block; they are kept as the reference the collapsed form is tested against.
 
-The set-up holds only G and S, and only S depends on rho. G is the
-operator's (``linop.SensingOperator.block_gram``), so the points of a
-(lam, rho) sweep on one operator share it and each forms only its S
-(``linop.woodbury``).
+The set-up holds only G and S, both the operator's (``linop.SensingOperator``
+``block_gram`` and ``woodbury``): one G per row partition and one S per
+(partition, rho), shared by every solver on the operator that reads them.
 """
 
 import math
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .linop import SupportProducts, adjoint, lasso_inputs, woodbury
+from .linop import SupportProducts, adjoint, lasso_inputs
 from .scene import FINITE_GE0, FINITE_GT0, INT_GE1, block_count, is_real
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
@@ -149,8 +148,8 @@ class BlockSolver:
     """One row block plus the cached small-matrix inverse its updates reuse.
 
     ``small_inverse`` is (I_m + H_i H_i^H / rho)^-1, m x m with m the block
-    row count, a view of the engine's S; the engine's G holds H_i H_i^H. The
-    N_p x N_p regularized normal matrix is never formed.
+    row count, a read-only view of the operator's S; its G holds H_i H_i^H.
+    The N_p x N_p regularized normal matrix is never formed.
     """
 
     h_block: np.ndarray
@@ -287,11 +286,12 @@ def run_iterations(operator, steps, max_iter, on_iteration=None):
 class ConsensusLassoSolver:
     """Consensus ADMM engine over a fixed row partition, in collapsed form.
 
-    ``blocks`` is the row partition (``partition_rows``), ``gram`` (the
-    operator's) and ``woodbury`` are G and S, the M x M block-diagonal
-    matrices of the collapsed iteration (see the module docstring);
+    ``blocks`` is the row partition (``partition_rows``), ``gram`` and
+    ``woodbury`` are G and S, the operator's read-only M x M block-diagonal
+    factors of the collapsed iteration (see the module docstring);
     ``block_solvers`` holds each block with a view of its block of S. A
-    non-finite entry in H or g, or an H with no rows, raises ValueError.
+    non-finite entry in H or g, or an H with no rows, raises ValueError; an
+    S that is not finite (G_ii / rho overflows) raises DivergenceError.
     ``workers`` has no effect and is kept only because the benchmark's
     per-layer timings pass it: an iteration is at most two products with H
     and O(n_p + M^2) vector work, with nothing left to spread across threads.
@@ -304,7 +304,9 @@ class ConsensusLassoSolver:
         self.gram = self.operator.block_gram(self.blocks)
         if not np.all(np.isfinite(self.g)):
             raise ValueError("block contains non-finite entries")
-        self.woodbury = woodbury(self.gram, self.blocks, params.rho)
+        self.woodbury = self.operator.woodbury(self.blocks, params.rho)
+        if not np.isfinite(self.woodbury).all():
+            raise DivergenceError(f"Woodbury inverse (I + G_ii / rho)^-1 is not finite at rho {params.rho!r}")
         self.block_solvers = [
             BlockSolver(h_block=self.operator.h[start:stop], g_block=self.g[start:stop],
                         small_inverse=self.woodbury[start:stop, start:stop], rho=params.rho)
@@ -353,15 +355,16 @@ class ConsensusLassoSolver:
             h_v = h_w = e = gram_e = np.zeros(m, dtype=np.complex128)
             support = np.zeros(0, dtype=np.intp)  # of v
             while True:
-                z, h_z = v - w, h_v - h_w  # u_i = z + H_i^H d_i
-                d = self.woodbury @ ((self.g - h_z) / rho - e)
-                c = e + d
-                v_next, support, h_v_next = prox_step(products, v, (support,), c, n, kappa)
-                gram_d = self.gram @ d
-                w, h_w = v - v_next, h_v - h_v_next
-                v, h_v, e, gram_e = v_next, h_v_next, c, gram_e + gram_d
-                # an overflow here is reported as a DivergenceError, not as a warning
-                with np.errstate(over="ignore"):
+                # an overflow in the step, and the nan it leads to, reach the record and so
+                # run_iterations' DivergenceError, not a warning; the caller never runs under it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    z, h_z = v - w, h_v - h_w  # u_i = z + H_i^H d_i
+                    d = self.woodbury @ ((self.g - h_z) / rho - e)
+                    c = e + d
+                    v_next, support, h_v_next = prox_step(products, v, (support,), c, n, kappa)
+                    gram_d = self.gram @ d
+                    w, h_w = v - v_next, h_v - h_v_next
+                    v, h_v, e, gram_e = v_next, h_v_next, c, gram_e + gram_d
                     primal = math.sqrt(self._stacked_sq_norm(z - v, h_z - h_v, d, gram_d))
                     dual = rho * math.sqrt(n) * float(np.linalg.norm(w))
                     objective = lasso_objective(h_v - self.g, v, params.lam)

@@ -2,12 +2,12 @@
 
 Every solver, the objective and the KKT check take a ``SensingOperator``
 wherever they take H. One operator owns H for a command: the products H x and
-H^H r, and the factors of H alone (its smaller Gram, ||H||_2^2, the column
-norms, the block Grams), each formed once through one cache, under one
-floating-point policy (an overflow gives inf or nan, no warning), and shared
-by every run. Every Gram, of H or of a row block, comes from ``gram``, and
-``woodbury`` turns a block-diagonal Gram into its block-diagonal Woodbury
-inverse. The pseudoinverse baseline solves with the smaller Gram of H when H
+H^H r, and every factor derived from H (its smaller Gram, ||H||_2^2, the
+column norms, the block Grams of a row partition and their Woodbury inverses,
+one per (partition, rho)), each formed once through one cache, under one
+floating-point policy (an overflow gives inf or nan, no warning), read-only
+and shared by every run. Every Gram, of H or of a row block, comes from
+``gram``. The pseudoinverse baseline solves with the smaller Gram of H when H
 is well-conditioned; otherwise it takes the SVD of ``triangular_factor``, a
 streamed ("tall-skinny") QR factor of H, min(M, n) square, with the singular
 values of H, instead of one of H.
@@ -107,17 +107,6 @@ def gram(h):
     for start in range(0, cols, step):
         part = h[:, start:start + step]
         out += part @ part.conj().T
-    return out
-
-
-def woodbury(block_gram, blocks, rho):
-    """S: (I + G_ii / rho)^-1 on each diagonal block ``blocks`` of G = ``block_gram``, zero elsewhere."""
-    out = np.zeros_like(block_gram)
-    for start, stop in blocks:
-        block = block_gram[start:stop, start:stop]
-        inverse = np.linalg.inv(np.eye(stop - start, dtype=np.complex128) + block / rho)
-        # the exact inverse is Hermitian; symmetrize away LU round-off
-        out[start:stop, start:stop] = 0.5 * (inverse + inverse.conj().T)
     return out
 
 
@@ -278,13 +267,14 @@ def all_finite(a):
 
 
 class SensingOperator:
-    """A dense complex M x n matrix H with its products and the factors of H alone.
+    """A dense complex M x n matrix H with its products and every factor derived from it.
 
-    ``gram()``, ``norm_squared()``, ``column_norms()`` and
-    ``block_gram(blocks)`` each come from one cache, ``_factor``: formed on
-    first use and kept, and one whose computation raises is not kept. Every
-    factor is formed with overflow and invalid-operation warnings off; an
-    entry that overflows is inf or nan, for the caller to test. ``gram()`` is
+    ``gram()``, ``norm_squared()``, ``column_norms()``, ``block_gram(blocks)``
+    and ``woodbury(blocks, rho)`` (one per partition and rho) each come from
+    one cache, ``_factor``: formed on first use and kept read-only, and one
+    whose computation raises is not kept. Every factor is formed with
+    overflow and invalid-operation warnings off; an entry that overflows is
+    inf or nan, for the caller to test. ``gram()`` is
     the smaller Gram of H, from which ``norm_squared()`` (FISTA's step) and
     the pseudoinverse's Gram route both read, so a command forms it once.
     Nothing of one solver run (gathered columns, an anchor) is stored here.
@@ -308,7 +298,9 @@ class SensingOperator:
         if key not in self._factors:
             # a finite H whose factor overflows runs on; its callers report a non-finite result
             with np.errstate(invalid="ignore", over="ignore"):
-                self._factors[key] = form(*args)
+                factor = self._factors[key] = form(*args)
+            if isinstance(factor, np.ndarray):
+                factor.flags.writeable = False  # shared by every run of the command
         return self._factors[key]
 
     def gram(self):
@@ -331,6 +323,10 @@ class SensingOperator:
         scanned (ValueError if it holds one) only when G is not finite.
         """
         return self._factor(("block_gram", blocks), _block_gram, self.h, blocks)
+
+    def woodbury(self, blocks, rho):
+        """S, the M x M block diagonal of the inverses (I + G_ii / rho)^-1 of the blocks of ``block_gram(blocks)``."""
+        return self._factor(("woodbury", blocks, rho), _woodbury, self.block_gram(blocks), blocks, rho)
 
 
 def as_operator(h):
@@ -367,3 +363,13 @@ def _block_gram(h, blocks):
     if not np.all(np.isfinite(full)) and not all_finite(h):
         raise ValueError("block contains non-finite entries")
     return full
+
+
+def _woodbury(block_gram, blocks, rho):
+    out = np.zeros_like(block_gram)
+    for start, stop in blocks:
+        block = block_gram[start:stop, start:stop]
+        inverse = np.linalg.inv(np.eye(stop - start, dtype=np.complex128) + block / rho)
+        # the exact inverse is Hermitian; symmetrize away LU round-off
+        out[start:stop, start:stop] = 0.5 * (inverse + inverse.conj().T)
+    return out

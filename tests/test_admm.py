@@ -22,7 +22,7 @@ from cradmm import (
     update_u,
     update_v,
 )
-from cradmm import linop
+from cradmm import ScenarioConfig, build_phantom, linop, synthesize_sensing_matrix
 from cradmm.admm import soft_threshold_support
 
 # an integer too large for a float
@@ -376,7 +376,7 @@ class TestSolveConsensusLasso:
         assert all(b.small_inverse.shape == (3, 3) for b in engine.block_solvers)
 
     def test_shared_setup_is_bit_identical_to_fresh_solvers(self, rng):
-        # solvers on one operator share its block Grams; each builds its own Woodbury blocks
+        # solvers on one operator share its block Grams and, per rho, its Woodbury inverse
         h = rand_complex(rng, 10, 24)
         g = rand_complex(rng, 10)
         op = SensingOperator(h)
@@ -386,6 +386,7 @@ class TestSolveConsensusLasso:
                 shared = ConsensusLassoSolver(op, g, params, 4)
                 fresh = ConsensusLassoSolver(h, g, params, 4)
                 assert shared.gram is op.block_gram(shared.blocks)
+                assert shared.woodbury is op.woodbury(shared.blocks, rho)
                 assert shared.gram.tobytes() == fresh.gram.tobytes()
                 assert shared.woodbury.tobytes() == fresh.woodbury.tobytes()
                 for a, b, (lo, hi) in zip(shared.block_solvers, fresh.block_solvers, shared.blocks):
@@ -426,9 +427,9 @@ class TestSolveConsensusLasso:
         assert [field.name for field in fields(state)] == ["eps_pri", "eps_dual"]
 
     def test_overflowing_gram_of_finite_input_diverges(self):
-        # H is finite, so set-up goes on, but its Gram overflows and the run diverges
+        # H is finite, so the input checks pass, but its Gram overflows and so does S: set-up refuses it
         params = AdmmParams(lam=0.1, rho=1.0, max_iter=10, eps_abs=0.0, eps_rel=0.0)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match="iteration 0"):
+        with pytest.raises(DivergenceError, match="not finite at rho 1.0"):
             solve_consensus_lasso(np.full((6, 10), 1e200), np.ones(6), params, 3)
 
     def test_run_memory_does_not_grow_with_block_count(self, rng):
@@ -508,3 +509,49 @@ def test_readme_library_quick_start_runs(capsys):
     stop_reason, n_iter, primal, eps_pri = capsys.readouterr().out.split()
     assert stop_reason in ("converged", "max_iter") and 1 <= int(n_iter) <= 1000
     assert math.isfinite(float(primal)) and float(eps_pri) > 0
+
+
+def toy_problem():
+    """The CLI toy: 6 x 32 surrogate H and the noiseless measurement of a one-box phantom."""
+    cfg = ScenarioConfig(n_theta=3, n_freq=2, grid=(4, 4, 2), roi_extent=(6.0, 6.0, 3.0), rng_seed=5)
+    h = synthesize_sensing_matrix(cfg).entries
+    phantom = build_phantom(cfg, [(((0, 2), (0, 2), (0, 1)), 1.0)])
+    return h, h @ phantom.reflectivity
+
+
+class TestOverflowingRho:
+    """An overflow of the set-up's G_ii / rho or of the step's (g - H z) / rho is a DivergenceError, never a warning."""
+
+    def test_woodbury_overflow_raises_at_setup(self):
+        h, g = toy_problem()
+        op = SensingOperator(h)
+        with pytest.raises(DivergenceError, match=r"not finite at rho 1e-310$"):
+            ConsensusLassoSolver(op, g, AdmmParams(lam=0.05, rho=1e-310, max_iter=50), 3)
+        # G is finite; G_ii / rho overflowed, with no warning, and S is nan on every block
+        blocks = partition_rows(6, 3)
+        assert np.isfinite(op.block_gram(blocks)).all()
+        s = op.woodbury(blocks, 1e-310)
+        assert not any(np.isfinite(s[lo:hi, lo:hi]).any() for lo, hi in blocks)
+
+    def test_step_overflow_raises_from_run(self):
+        h, g = toy_problem()
+        engine = ConsensusLassoSolver(h, 1e10 * g, AdmmParams(lam=0.05, rho=1e-300, max_iter=50), 3)
+        assert np.isfinite(engine.woodbury).all()
+        seen = []
+        with pytest.raises(DivergenceError, match=r"^non-finite iterate at iteration 0$"):
+            engine.run(seen.append)
+        assert seen == []
+
+
+class TestSharedWoodbury:
+    def test_engines_of_one_partition_and_rho_share_s(self, rng):
+        h, g = rand_complex(rng, 9, 40), rand_complex(rng, 9)
+        op = SensingOperator(h)
+        first, second, other_lam, other_rho, other_blocks = (
+            ConsensusLassoSolver(op, g, AdmmParams(lam=lam, rho=rho), n_blocks)
+            for lam, rho, n_blocks in ((0.1, 1.0, 3), (0.1, 1.0, 3), (0.5, 1.0, 3), (0.1, 2.0, 3), (0.1, 1.0, 2)))
+        assert second.woodbury is first.woodbury and other_lam.woodbury is first.woodbury
+        assert other_rho.woodbury is not first.woodbury and other_blocks.woodbury is not first.woodbury
+        assert other_rho.woodbury.tobytes() != first.woodbury.tobytes()
+        for a, b in zip(first.block_solvers, second.block_solvers):
+            assert np.shares_memory(a.small_inverse, b.small_inverse)

@@ -611,6 +611,39 @@ class TestSolve:
         write_vector(out / "g.cvec", np.array([1e308 + 0.0j]))
         assert main(["solve", "--config", str(path), "--method", "admm"]) == 3
 
+    @pytest.mark.parametrize("rho, g_scale", [(1e-310, 1.0), (1e-300, 1e10)], ids=["setup", "step"])
+    def test_rho_that_overflows_exits_3_with_one_line(self, tmp_path, capsys, rho, g_scale):
+        # G_ii / rho overflows as S is formed, or (g - H z) / rho in the first step: one solver error,
+        # no numpy warning (which the test run would raise as an error)
+        path, out = write_config(tmp_path, overrides={"admm": {"rho": rho}})
+        assert main(["generate", "--config", str(path)]) == 0
+        write_vector(out / "g.cvec", g_scale * read_vector(out / "g.cvec"))
+        capsys.readouterr()
+        assert main(["solve", "--config", str(path), "--method", "admm"]) == 3
+        expected = ("Woodbury inverse (I + G_ii / rho)^-1 is not finite at rho 1e-310" if rho == 1e-310
+                    else "non-finite iterate at iteration 0")
+        assert capsys.readouterr().err == f"solver error: {expected}\n"
+        assert not (out / "estimate_admm.cvec").exists()
+        # S is refused at set-up, before the trace opens
+        assert (out / "trace_admm.csv").exists() == (rho != 1e-310)
+        assert main(["compare", "--config", str(path)]) == 0
+        rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[-1]) for row in rows] == [("admm", f"error: {expected}"), ("fista", "ok"),
+                                                       ("pinv", "ok")]
+
+    @pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["default", "error"])
+    def test_rho_that_overflows_exits_3_from_the_console(self, tmp_path, warnings_as_errors):
+        path, _ = write_config(tmp_path, overrides={"admm": {"rho": 1e-310}})
+        assert main(["generate", "--config", str(path)]) == 0
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(scene.__file__).parents[1])
+        if warnings_as_errors:
+            env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+        done = subprocess.run([sys.executable, "-m", "cradmm", "solve", "--config", str(path), "--method", "admm"],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 3
+        assert done.stderr == "solver error: Woodbury inverse (I + G_ii / rho)^-1 is not finite at rho 1e-310\n"
+
 
 class TestCompare:
     def test_without_sweep_three_rows(self, tmp_path):
@@ -693,6 +726,25 @@ class TestCompare:
         assert main(["compare", "--config", str(path)]) == 0
         assert built == [((0, 2), (2, 4), (4, 6))]
         assert len(list(out.glob("estimate_admm_lam*_rho*.cvec"))) == 6
+
+    def test_sweep_forms_one_woodbury_inverse_per_rho(self, tmp_path, monkeypatch):
+        # the points of one rho share the operator's S: a 3 x 3 sweep forms 3, not 9
+        formed = []
+        woodbury = linop._woodbury
+
+        def counting_woodbury(gram, blocks, rho):
+            formed.append(rho)
+            return woodbury(gram, blocks, rho)
+
+        monkeypatch.setattr(linop, "_woodbury", counting_woodbury)
+        path, out = write_config(
+            tmp_path,
+            overrides={"sweep": {"lambda": [0.01, 0.1, 1.0], "rho": [0.1, 1.0, 10.0]}, "admm": {"max_iter": 5}},
+        )
+        assert main(["generate", "--config", str(path)]) == 0
+        assert main(["compare", "--config", str(path)]) == 0
+        assert formed == [0.1, 1.0, 10.0]
+        assert len(list(out.glob("estimate_admm_lam*_rho*.cvec"))) == 9
 
     def test_failing_setup_marks_every_sweep_row(self, tmp_path, monkeypatch):
         attempts = []

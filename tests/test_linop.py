@@ -165,7 +165,7 @@ class TestAllFinite:
 
 
 class TestSharedOperator:
-    """One SensingOperator serves every entry point, and keeps the factors of H alone."""
+    """One SensingOperator serves every entry point, and keeps every factor derived from H."""
 
     @staticmethod
     def _problem(rng):
@@ -201,7 +201,9 @@ class TestSharedOperator:
         assert self._results(op, g, lam) == expected
         assert set(op._factors) == {"gram", "norm_squared", "column_norms",
                                     ("block_gram", ((0, 4), (4, 8), (8, 12))),
-                                    ("block_gram", ((0, 3), (3, 6), (6, 9), (9, 12)))}
+                                    ("block_gram", ((0, 3), (3, 6), (6, 9), (9, 12))),
+                                    ("woodbury", ((0, 4), (4, 8), (8, 12)), 1.0),
+                                    ("woodbury", ((0, 3), (3, 6), (6, 9), (9, 12)), 1.0)}
         assert self._results(op, g, lam) == expected
         assert self._results(SensingMatrix(entries=h), g, lam) == expected
 
@@ -210,18 +212,29 @@ class TestSharedOperator:
         formed = []
         monkeypatch.setattr(linop, "gram", lambda h: formed.append("gram") or gram(h))
         monkeypatch.setattr(linop, "column_norms", lambda h: formed.append("norms") or column_norms(h))
-        first = (op.gram(), op.norm_squared(), op.column_norms(), op.block_gram(((0, 2), (2, 5))))
-        assert formed == ["gram", "norms", "gram", "gram"]  # the Gram of H, read by the norm; one per block
-        again = (op.gram(), op.norm_squared(), op.column_norms(), op.block_gram(((0, 2), (2, 5))))
-        assert formed == ["gram", "norms", "gram", "gram"]
+        woodbury = linop._woodbury
+        monkeypatch.setattr(linop, "_woodbury", lambda *args: formed.append("woodbury") or woodbury(*args))
+        blocks = ((0, 2), (2, 5))
+
+        def factors():
+            return (op.gram(), op.norm_squared(), op.column_norms(), op.block_gram(blocks),
+                    op.woodbury(blocks, 0.5))
+
+        first = factors()
+        # the Gram of H, read by the norm; one Gram per block; S from the block Grams already formed
+        assert formed == ["gram", "norms", "gram", "gram", "woodbury"]
+        again = factors()
+        assert formed == ["gram", "norms", "gram", "gram", "woodbury"]
         assert all(a is b for a, b in zip(first, again))
         assert op.block_gram(((0, 5),)) is not first[3]
+        assert op.woodbury(blocks, 0.25) is not first[4] and op.woodbury(((0, 5),), 0.5) is not first[4]
 
     @pytest.mark.parametrize("factor, form", [("gram", "gram"), ("norm_squared", "_largest_eigenvalue"),
-                                              ("column_norms", "column_norms"), ("block_gram", "_block_gram")])
+                                              ("column_norms", "column_norms"), ("block_gram", "_block_gram"),
+                                              ("woodbury", "_woodbury")])
     def test_a_factor_whose_form_raises_is_retried_then_kept(self, rng, monkeypatch, factor, form):
         op = SensingOperator(rand_complex(rng, 5, 40))
-        args = (((0, 2), (2, 5)),) if factor == "block_gram" else ()
+        args = {"block_gram": (((0, 2), (2, 5)),), "woodbury": (((0, 2), (2, 5)), 0.5)}.get(factor, ())
         calls = []
         real = getattr(linop, form)
 
@@ -241,8 +254,19 @@ class TestSharedOperator:
         op = SensingOperator(1e200 * rand_complex(rng, 5, 40))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            factors = (op.gram(), op.norm_squared(), op.column_norms(), op.block_gram(((0, 2), (2, 5))))
+            factors = (op.gram(), op.norm_squared(), op.column_norms(), op.block_gram(((0, 2), (2, 5))),
+                       op.woodbury(((0, 2), (2, 5)), 1.0))
         assert not any(np.isfinite(f).all() for f in factors)
+
+    def test_factors_are_read_only(self, rng):
+        op = SensingOperator(rand_complex(rng, 5, 40))
+        blocks = ((0, 2), (2, 5))
+        for factor in (op.gram(), op.column_norms(), op.block_gram(blocks), op.woodbury(blocks, 0.5)):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0] = 1.0
+        engine = ConsensusLassoSolver(op, np.ones(5), AdmmParams(lam=0.1, rho=0.5), 2)
+        with pytest.raises(ValueError, match="read-only"):
+            engine.block_solvers[0].small_inverse[0, 0] = 1.0
 
     def test_as_operator_wraps_once(self, rng):
         op = SensingOperator(rand_complex(rng, 3, 4))

@@ -87,7 +87,7 @@ def test_repeat_runs_are_bit_identical(sparse_problem, solve):
 
 def test_sweep_points_do_not_share_gathered_columns(sparse_problem):
     # one operator serves every point; a point's result does not depend on the points run before
-    # it: the operator keeps the factors of H alone, never gathered columns or a screening anchor
+    # it: the operator keeps the factors derived from H, never gathered columns or a screening anchor
     h, g, lam = sparse_problem
     op = SensingOperator(h)
     params = [AdmmParams(lam=f * lam, rho=1.0, max_iter=100, eps_abs=0.0, eps_rel=0.0) for f in (0.5, 1, 2)]
@@ -105,7 +105,8 @@ def test_sweep_points_do_not_share_gathered_columns(sparse_problem):
         assert ftrace.screened_adjoint_iters == fresh_fista[1].screened_adjoint_iters > 0
     assert set(vars(op)) == attributes
     blocks = ConsensusLassoSolver(h, g, params[0], N_BLOCKS).blocks
-    assert set(op._factors) == {"gram", "column_norms", "norm_squared", ("block_gram", blocks)}
+    assert set(op._factors) == {"gram", "column_norms", "norm_squared", ("block_gram", blocks),
+                                ("woodbury", blocks, 1.0)}
     assert op._factors["column_norms"].shape == (h.shape[1],)
 
 
