@@ -261,14 +261,20 @@ def run_iterations(operator, steps, max_iter, on_iteration=None):
     ``max_iter`` (>= 1) iterates, and none after a verdict holds. Each
     IterationRecord, timed from the start of the run, goes to the trace and
     then to ``on_iteration``, before the verdict is acted on; a non-finite
-    field raises DivergenceError first. See ConvergenceTrace for the stop
-    reason and counts.
+    field raises DivergenceError first, which is where an overflow in a step
+    ends: the loop holds the step policy, each step running with overflow and
+    invalid-operation warnings off (as ``linop.SensingOperator`` forms its
+    factors), and the trace, ``on_iteration`` and the verdict outside it. See
+    ConvergenceTrace for the stop reason and counts.
     """
     products = SupportProducts(operator)
+    iterates = steps(products)
     trace = ConvergenceTrace()
     trace.stop_reason = "max_iter"
     start = time.perf_counter()
-    for k, (estimate, *fields, stop) in zip(range(max_iter), steps(products)):
+    for k in range(max_iter):
+        with np.errstate(over="ignore", invalid="ignore"):
+            estimate, *fields, stop = next(iterates)
         if not all(map(math.isfinite, fields)):
             raise DivergenceError(f"non-finite iterate at iteration {k}")
         record = IterationRecord(k, *fields, time.perf_counter() - start)
@@ -355,24 +361,21 @@ class ConsensusLassoSolver:
             h_v = h_w = e = gram_e = np.zeros(m, dtype=np.complex128)
             support = np.zeros(0, dtype=np.intp)  # of v
             while True:
-                # an overflow in the step, and the nan it leads to, reach the record and so
-                # run_iterations' DivergenceError, not a warning; the caller never runs under it
-                with np.errstate(over="ignore", invalid="ignore"):
-                    z, h_z = v - w, h_v - h_w  # u_i = z + H_i^H d_i
-                    d = self.woodbury @ ((self.g - h_z) / rho - e)
-                    c = e + d
-                    v_next, support, h_v_next = prox_step(products, v, (support,), c, n, kappa)
-                    gram_d = self.gram @ d
-                    w, h_w = v - v_next, h_v - h_v_next
-                    v, h_v, e, gram_e = v_next, h_v_next, c, gram_e + gram_d
-                    primal = math.sqrt(self._stacked_sq_norm(z - v, h_z - h_v, d, gram_d))
-                    dual = rho * math.sqrt(n) * float(np.linalg.norm(w))
-                    objective = lasso_objective(h_v - self.g, v, params.lam)
-                    if stopping:
-                        u_norm = math.sqrt(self._stacked_sq_norm(z, h_z, d, gram_d))
-                        s_norm = math.sqrt(self._stacked_sq_norm(w, h_w, e, gram_e))
-                        eps_pri = scale + params.eps_rel * max(u_norm, math.sqrt(n) * float(np.linalg.norm(v)))
-                        eps_dual = scale + params.eps_rel * rho * s_norm
+                z, h_z = v - w, h_v - h_w  # u_i = z + H_i^H d_i
+                d = self.woodbury @ ((self.g - h_z) / rho - e)
+                c = e + d
+                v_next, support, h_v_next = prox_step(products, v, (support,), c, n, kappa)
+                gram_d = self.gram @ d
+                w, h_w = v - v_next, h_v - h_v_next
+                v, h_v, e, gram_e = v_next, h_v_next, c, gram_e + gram_d
+                primal = math.sqrt(self._stacked_sq_norm(z - v, h_z - h_v, d, gram_d))
+                dual = rho * math.sqrt(n) * float(np.linalg.norm(w))
+                objective = lasso_objective(h_v - self.g, v, params.lam)
+                if stopping:
+                    u_norm = math.sqrt(self._stacked_sq_norm(z, h_z, d, gram_d))
+                    s_norm = math.sqrt(self._stacked_sq_norm(w, h_w, e, gram_e))
+                    eps_pri = scale + params.eps_rel * max(u_norm, math.sqrt(n) * float(np.linalg.norm(v)))
+                    eps_dual = scale + params.eps_rel * rho * s_norm
                 yield v, objective, primal, dual, stopping and primal <= eps_pri and dual <= eps_dual
 
         v, trace = run_iterations(self.operator, steps, params.max_iter, on_iteration)

@@ -132,10 +132,8 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new
             dx = x_new - x
-            # an overflow here ends as a rescaled step or a DivergenceError, not as a warning
-            with np.errstate(over="ignore"):
-                step = _norm(dx)
-                obj = lasso_objective(h_x_new - b, x_new, lam)
+            step = _norm(dx)
+            obj = lasso_objective(h_x_new - b, x_new, lam)
             y = np.add(x_new, np.multiply(beta, dx, out=dx), out=dx)  # x_new + beta (x_new - x), in dx
             h_y = h_x_new + beta * (h_x_new - h_x)
             y_supports = (support, x_support)
@@ -148,10 +146,7 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
 
 
 def _norm(a):
-    """||a||_2, rescaled by max|a_p| when the plain sum of squares overflows.
-
-    Call it with overflow warnings off.
-    """
+    """||a||_2, rescaled by max|a_p| when the plain sum of squares overflows."""
     norm = float(np.linalg.norm(a))
     if math.isfinite(norm):
         return norm

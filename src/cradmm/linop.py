@@ -221,10 +221,9 @@ class SupportProducts:
         r_a, abs_q, norm_a = self._anchor
         limit = threshold * (1.0 - SCREEN_MARGIN * EPS) - SCREEN_SLACK * (m + 2) * SUBNORMAL
         # an overflow or a non-finite residual makes a bound infinite or NaN, never screened
-        with np.errstate(over="ignore", invalid="ignore"):
-            reach = (_norm(r - r_a) + 2.0 * _norm_floor(m)
-                     + SCREEN_SLACK * (m + 2) * EPS * (_norm(r) + norm_a))
-            return ~(abs_q + self.operator.column_norms() * reach <= limit)
+        reach = (_norm(r - r_a) + 2.0 * _norm_floor(m)
+                 + SCREEN_SLACK * (m + 2) * EPS * (_norm(r) + norm_a))
+        return ~(abs_q + self.operator.column_norms() * reach <= limit)
 
 
 def _norm(a):
@@ -248,10 +247,9 @@ def column_norms(h):
     range.
     """
     squares = np.zeros(h.shape[1])
-    with np.errstate(over="ignore"):  # an infinite norm screens nothing
-        for row in h:
-            squares += row.real**2
-            squares += row.imag**2
+    for row in h:
+        squares += row.real**2
+        squares += row.imag**2
     return np.sqrt(squares) + _norm_floor(h.shape[0])
 
 
@@ -309,8 +307,8 @@ class SensingOperator:
         return self._factor("gram", gram, h if h.shape[0] <= h.shape[1] else h.T)
 
     def norm_squared(self):
-        """Exact ||H||_2^2: the largest eigenvalue of the smaller Gram, inf or nan if that overflows."""
-        return self._factor("norm_squared", _largest_eigenvalue, self.gram())
+        """Exact ||H||_2^2, the smaller Gram's largest eigenvalue: inf if that overflows, nan if H is not finite."""
+        return self._factor("norm_squared", _largest_eigenvalue, self.gram(), self.h)
 
     def column_norms(self):
         """Upper bounds on every ||h_p||, as ``column_norms`` forms them."""
@@ -349,10 +347,10 @@ def lasso_inputs(h, g, lam, x=None):
     return op, gv, xv, lam
 
 
-def _largest_eigenvalue(small):
-    """The largest eigenvalue of the Hermitian ``small``, or its largest modulus when it is not finite."""
-    if not np.isfinite(small).all():  # eigvalsh may not converge on it
-        return float(np.abs(small).max())
+def _largest_eigenvalue(small, h):
+    """The largest eigenvalue of the Gram ``small`` of ``h``: if it is not finite, inf for a finite h, else nan."""
+    if not np.isfinite(small).all():  # eigvalsh may not converge on it; every |G_ij| <= ||H||^2
+        return math.inf if all_finite(h) else math.nan
     return float(np.max(np.linalg.eigvalsh(small), initial=0.0))
 
 

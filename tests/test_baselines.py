@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -317,12 +318,26 @@ class TestFista:
         with pytest.raises(DivergenceError, match="iteration 0"):
             solve_fista([[1.0]], [1e308], 2.0)
 
-    @pytest.mark.parametrize("h", [[[1e200]], [[1e200, 0.0], [0.0, 1e200]], np.full((3, 5), 1e200)])
-    def test_non_finite_lipschitz_constant_raises(self, h):
-        # ||H||^2 = 1e400 overflows to inf; the second's Gram holds inf + nan j, so it is nan; the
-        # third's Gram is all inf, on which an eigenvalue solver need not converge
-        with pytest.raises(DivergenceError, match="not finite"):
+    @pytest.mark.parametrize("h, norm", [([[1e200]], "inf"), ([[1e200, 0.0], [0.0, 1e200]], "inf"),
+                                         (np.full((3, 5), 1e200), "inf"), ([[1.0, np.nan]], "nan"),
+                                         (np.full((3, 5), 1e160 + 1e160j), "inf")],
+                             ids=["h0", "h1", "h2", "h3", "h4"])
+    def test_non_finite_lipschitz_constant_raises(self, h, norm):
+        # a finite H whose Gram overflows has ||H||^2 = inf: the second's Gram holds inf + nan j, the
+        # third's is all inf, on which an eigenvalue solver need not converge, and the last's may be all
+        # nan; an H holding a NaN has no norm
+        with pytest.raises(DivergenceError, match=rf"^\|\|H\|\|\^2 is not finite: {norm}$"):
             solve_fista(h, np.ones(len(h)), 0.1)
+
+    def test_step_that_overflows_raises_without_a_warning(self, rng):
+        # ||H||^2 is subnormal, so lam / ||H||^2 and the first step overflow; the inf and nan they give
+        # reach the record, not a RuntimeWarning
+        h = 1e-160 * rand_complex(rng, 6, 20)
+        assert 0.0 < SensingOperator(h).norm_squared() < np.finfo(float).tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=r"^non-finite iterate at iteration 0$"):
+                solve_fista(h, rand_complex(rng, 6), 0.1)
 
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ValueError, match="shapes"):

@@ -611,38 +611,49 @@ class TestSolve:
         write_vector(out / "g.cvec", np.array([1e308 + 0.0j]))
         assert main(["solve", "--config", str(path), "--method", "admm"]) == 3
 
-    @pytest.mark.parametrize("rho, g_scale", [(1e-310, 1.0), (1e-300, 1e10)], ids=["setup", "step"])
-    def test_rho_that_overflows_exits_3_with_one_line(self, tmp_path, capsys, rho, g_scale):
-        # G_ii / rho overflows as S is formed, or (g - H z) / rho in the first step: one solver error,
-        # no numpy warning (which the test run would raise as an error)
+    @pytest.mark.parametrize("method, rho, g_scale, h_scale",
+                             [("admm", 1e-310, 1.0, 1.0), ("admm", 1e-300, 1e10, 1.0), ("fista", 1.0, 1e-160, 1e-160)],
+                             ids=["setup", "step", "fista"])
+    def test_rho_that_overflows_exits_3_with_one_line(self, tmp_path, capsys, method, rho, g_scale, h_scale):
+        # G_ii / rho overflows as S is formed, or (g - H z) / rho in ADMM's first step, or, with the problem
+        # scaled by 1e-160, lam / ||H||^2 in FISTA's: one solver error, no numpy warning (which the test run
+        # would raise as an error)
         path, out = write_config(tmp_path, overrides={"admm": {"rho": rho}})
         assert main(["generate", "--config", str(path)]) == 0
         write_vector(out / "g.cvec", g_scale * read_vector(out / "g.cvec"))
+        write_matrix(out / "H.cmat", h_scale * read_matrix(out / "H.cmat"))
         capsys.readouterr()
-        assert main(["solve", "--config", str(path), "--method", "admm"]) == 3
+        assert main(["solve", "--config", str(path), "--method", method]) == 3
         expected = ("Woodbury inverse (I + G_ii / rho)^-1 is not finite at rho 1e-310" if rho == 1e-310
                     else "non-finite iterate at iteration 0")
         assert capsys.readouterr().err == f"solver error: {expected}\n"
-        assert not (out / "estimate_admm.cvec").exists()
+        assert not (out / f"estimate_{method}.cvec").exists()
         # S is refused at set-up, before the trace opens
-        assert (out / "trace_admm.csv").exists() == (rho != 1e-310)
+        assert (out / f"trace_{method}.csv").exists() == (rho != 1e-310)
         assert main(["compare", "--config", str(path)]) == 0
         rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
-        assert [(row[0], row[-1]) for row in rows] == [("admm", f"error: {expected}"), ("fista", "ok"),
-                                                       ("pinv", "ok")]
+        statuses = {"admm": "ok", "fista": "ok", "pinv": "ok", method: f"error: {expected}"}
+        assert [(row[0], row[-1]) for row in rows] == list(statuses.items())
 
-    @pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["default", "error"])
-    def test_rho_that_overflows_exits_3_from_the_console(self, tmp_path, warnings_as_errors):
-        path, _ = write_config(tmp_path, overrides={"admm": {"rho": 1e-310}})
+    @pytest.mark.parametrize("method, warnings_as_errors", [("admm", False), ("admm", True), ("fista", False),
+                                                            ("fista", True)],
+                             ids=["default", "error", "fista-default", "fista-error"])
+    def test_rho_that_overflows_exits_3_from_the_console(self, tmp_path, method, warnings_as_errors):
+        # ADMM's S overflows at rho = 1e-310, FISTA's first step on H rewritten at 1e-160 times its entries
+        path, out = write_config(tmp_path, overrides={"admm": {"rho": 1e-310 if method == "admm" else 1.0}})
         assert main(["generate", "--config", str(path)]) == 0
+        if method == "fista":
+            write_matrix(out / "H.cmat", 1e-160 * read_matrix(out / "H.cmat"))
         env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
         env["PYTHONPATH"] = str(Path(scene.__file__).parents[1])
         if warnings_as_errors:
             env["PYTHONWARNINGS"] = "error::RuntimeWarning"
-        done = subprocess.run([sys.executable, "-m", "cradmm", "solve", "--config", str(path), "--method", "admm"],
+        done = subprocess.run([sys.executable, "-m", "cradmm", "solve", "--config", str(path), "--method", method],
                               env=env, capture_output=True, text=True)
         assert done.returncode == 3
-        assert done.stderr == "solver error: Woodbury inverse (I + G_ii / rho)^-1 is not finite at rho 1e-310\n"
+        expected = ("Woodbury inverse (I + G_ii / rho)^-1 is not finite at rho 1e-310" if method == "admm"
+                    else "non-finite iterate at iteration 0")
+        assert done.stderr == f"solver error: {expected}\n"
 
 
 class TestCompare:

@@ -3,7 +3,8 @@
 Both solvers' traces keep one contract: every record reaches ``on_iteration``
 in order, the stop reason says how the run ended, timestamps never go back,
 the product counts are those of the run's one ``linop.SupportProducts``, and a
-non-finite iterate raises DivergenceError with one message.
+non-finite iterate raises DivergenceError with one message. Only the steps run
+with overflow warnings off; ``on_iteration`` runs under the caller's own.
 """
 
 import numpy as np
@@ -97,6 +98,15 @@ def test_non_finite_iterate_raises_one_message(solve):
     with pytest.raises(DivergenceError, match=r"^non-finite iterate at iteration 0$"):
         solve(np.array([[1.0]]), np.array([1e308]), 2.0, 10, 0.0, seen.append)
     assert seen == []
+
+
+@SOLVERS
+def test_on_iteration_runs_outside_the_step_policy(solve):
+    def overflows(record):
+        return np.float64(1e308) * 10
+
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        solve(np.eye(2), np.ones(2), 0.1, 2, 0.0, overflows)
 
 
 @pytest.mark.parametrize("stop_at", [None, 1, 4, 5])
