@@ -15,7 +15,7 @@ import numpy as np
 
 from .admm import lasso_objective, prox_step, run_iterations
 from .errors import DivergenceError
-from .linop import EPS, adjoint, lasso_inputs, triangular_factor
+from .linop import EPS, lasso_inputs, triangular_factor
 from .scene import FINITE_GE0, IN_UNIT, INT_GE1
 
 
@@ -52,10 +52,10 @@ def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
     singular value kept) takes H^H (H H^H)^-1 g from the eigendecomposition
     of the operator's Gram (``SensingOperator.gram``), refined once. Any
     other H takes the SVD of the min(M, n) square streamed QR factor of H
-    (``linop.triangular_factor``): for a wide H the estimate is
-    H^H U_k S_k^-2 U_k^H g, one product with H^H; for a tall H it is
-    V_k S_k^-1 U_k^H (Q^H g), with Q^H g carried through the factorization
-    of [H g].
+    (``linop.triangular_factor``): for a wide H the estimate H^H U_k S_k^-2 U_k^H g
+    is taken as H^H _solve(U_k, (S_k / s_max)^2, g / s_max) / s_max, the Gram route's
+    solve, which no scale of H alone overflows; for a tall H it is
+    V_k S_k^-1 U_k^H (Q^H g), with Q^H g carried through the factorization of [H g].
     """
     trunc_rel_tol = IN_UNIT.require(trunc_rel_tol, "trunc_rel_tol must lie in (0, 1)")
     op, b, _, _ = lasso_inputs(h, g, 0.0)
@@ -74,9 +74,8 @@ def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
         return np.zeros(cols, dtype=np.complex128)
     keep = sing > trunc_rel_tol * sing[0]
     u_k, sing = u_r[:, keep], sing[keep]
-    if rows <= cols:
-        # divided by sing twice: sing**2 overflows or underflows for a finite H scaled by 1e200 or 1e-170
-        return adjoint(op.h, u_k @ ((u_k.conj().T @ b) / sing / sing))
+    if rows <= cols:  # w = (sigma / sigma_max)^2 lies in (tol^2, 1] at any scale of H
+        return op.adjoint(_solve(u_k, (sing / sing[0]) ** 2, b / sing[0])) / sing[0]
     return vh_r[keep].conj().T @ ((u_k.conj().T @ factor[:cols, cols]) / sing)
 
 
@@ -94,13 +93,14 @@ def _gram_route(op, b, tol):
     if not (low <= w[0] and w[-1] <= high and w[0] > (tol * (1.0 + TRUNCATION_MARGIN)) ** 2 * w[-1]
             and w[0] * GRAM_COND_LIMIT**2 >= w[-1]):
         return None
-
-    def solve(r):
-        return u @ ((u.conj().T @ r) / w)
-
-    y = solve(b)
-    y += solve(b - op.forward(op.adjoint(y)))
+    y = _solve(u, w, b)
+    y += _solve(u, w, b - op.forward(op.adjoint(y)))
     return op.adjoint(y)
+
+
+def _solve(u, w, r):
+    """U diag(1 / w) U^H r, the minimum-norm solve of both wide routes."""
+    return u @ ((u.conj().T @ r) / w)
 
 
 def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):

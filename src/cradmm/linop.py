@@ -41,7 +41,9 @@ to a few roundings relative to bound_p itself. Entry p is screened when
 
 The 16 eps covers those roundings and the prox's own on the way to its
 test |.| <= kappa: forming t, dividing by d (N, or FISTA's Lipschitz
-constant), a modulus, and the threshold's quotient, about 13 eps in all.
+constant), a modulus, and the threshold's quotient. numpy divides a complex
+array by a real d as a product with 1 / d, so the division is two roundings,
+not one; that makes about 13.5 eps in all, which 16 eps still covers.
 The rest covers underflow. u is the smallest subnormal; a product that
 underflows loses at most u / 2, so the two inner products lose at most
 4 M u between them. A 2-norm of an M-vector loses at most f = sqrt(2 M u) to

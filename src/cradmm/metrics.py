@@ -1,5 +1,6 @@
 """Reconstruction quality metrics and axis-aligned maximum-intensity projections."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,16 +9,30 @@ from .scene import IN_UNIT, vector_array
 
 
 def nmse(u_est, u_true):
-    """||u_est - u_true||^2 / ||u_true||^2."""
+    """||u_est - u_true||^2 / ||u_true||^2, +inf where that overflows, never NaN for finite inputs.
+
+    A sum of squares that overflows (an overflowing complex ``vdot`` reads nan) is taken
+    again on both vectors times one power of two that brings their largest part below 1,
+    which leaves the ratio as it is.
+    """
     est = vector_array(u_est)
     true = vector_array(u_true)
     if est.shape != true.shape:
         raise ValueError(f"length mismatch: {est.shape} vs {true.shape}")
-    denom = float(np.real(np.vdot(true, true)))
-    if denom == 0.0:
-        raise ValueError("nmse is undefined for a zero reference vector")
-    diff = est - true
-    return float(np.real(np.vdot(diff, diff))) / denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = _sum_squares(true)
+        if denom == 0.0:
+            raise ValueError("nmse is undefined for a zero reference vector")
+        num = _sum_squares(est - true)
+        if not (math.isfinite(num) and math.isfinite(denom)):
+            peak = max(float(np.max(np.abs(part))) for part in (est.real, est.imag, true.real, true.imag))
+            scale = 2.0 ** -math.frexp(peak)[1]
+            num, denom = _sum_squares(est * scale - true * scale), _sum_squares(true * scale)
+    return num / denom if denom else math.inf  # denom is 0 here only if true's scaled squares underflow
+
+
+def _sum_squares(a):
+    return float(np.real(np.vdot(a, a)))
 
 
 def support_metrics(u_est, u_true, rel_threshold):

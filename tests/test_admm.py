@@ -244,6 +244,12 @@ class TestUpdateVS:
         v = rand_complex(rng, 6)
         np.testing.assert_array_equal(update_s(s, v, v), s)
 
+    def test_mismatched_shapes_raise(self):
+        with pytest.raises(ValueError, match="mismatched averages"):
+            update_v(np.zeros(3), np.zeros(4), AdmmParams(lam=1.0, rho=1.0), 1)
+        with pytest.raises(ValueError, match="mismatched lengths"):
+            update_s(np.zeros(3), np.zeros(3), np.zeros(4))
+
 
 class TestObjectives:
     def test_exact_fit_zero_lambda(self, rng):

@@ -56,6 +56,9 @@ class TestPseudoinverse:
     def test_zero_matrix_gives_zero(self):
         u = solve_pseudoinverse(np.zeros((3, 4)), np.ones(3))
         assert np.all(u == 0)
+        for rows, cols in ((0, 4), (3, 0), (0, 0)):  # an empty H: no SVD, and an estimate of n zeros
+            u = solve_pseudoinverse(np.zeros((rows, cols)), np.ones(rows))
+            assert u.shape == (cols,) and np.all(u == 0)
 
     def test_tolerance_bounds(self, rng):
         h = rand_complex(rng, 2, 2)
@@ -194,10 +197,13 @@ class TestPseudoinverseRoute:
 
     @pytest.mark.parametrize("case", ["rank-deficient", "straddle", "just-above-threshold", "cond-1e8",
                                       "past-cond-limit", "gram-overflows", "1e-160", "1e-155", "1e-150",
-                                      "1e150", "1e154"])
+                                      "1e150", "1e154", "H-only-1e-200", "H-only-1e-160", "H-only-1e154",
+                                      "H-only-1e200"])
     def test_other_wide_h_takes_the_streamed_factor(self, rng, monkeypatch, case):
         shapes = self._count_factors(monkeypatch)
         rows, cols, tol = 5, 12, 1e-10
+        h_only = case.startswith("H-only-")  # only H is scaled, so the estimate scales by 1 / scale
+        case = case.removeprefix("H-only-")
         scale = float(case) if case.startswith("1e") else 1e200 if case == "gram-overflows" else 1.0
         if case == "rank-deficient":
             h = rand_complex(rng, rows, 3) @ rand_complex(rng, 3, cols)
@@ -214,10 +220,17 @@ class TestPseudoinverseRoute:
             h = rand_complex(rng, rows, cols)
         else:
             h = self._conditioned(rng, rows, cols, 2.0)
-        h, g = scale * h, scale * rand_complex(rng, rows)
-        got = solve_pseudoinverse(h, g, tol)
+        g = rand_complex(rng, rows)
+        if h_only:
+            # singular values from 50 to 100, the order of the demo H's; pinv(s H) g = pinv(H) g / s,
+            # and the norms in the bound would overflow on an estimate near 1e200
+            h = 100.0 * h
+            got = solve_pseudoinverse(scale * h, g, tol)
+            assert_matches_dense_pinv(h, g, tol, scale * got)
+        else:
+            h, g = scale * h, scale * g
+            assert_matches_dense_pinv(h, g, tol, solve_pseudoinverse(h, g, tol))
         assert shapes == [(rows, cols)]
-        assert_matches_dense_pinv(h, g, tol, got)
 
     def test_tall_h_takes_the_factor_of_h_and_g(self, rng, monkeypatch):
         shapes = self._count_factors(monkeypatch)

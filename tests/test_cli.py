@@ -468,6 +468,25 @@ class TestSolve:
         assert not list(out.glob("estimate_*.cvec"))
         assert not (out / "summary.csv").exists()
 
+    @pytest.mark.parametrize("case, message", [
+        ("not-json", "config error: config file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("matrix-shape", "config error: scenario: stored matrix is (6, 31), config expects (6, 32)"),
+        ("vector-length", "config error: scenario: stored vectors do not match the stored matrix"),
+    ])
+    def test_input_that_does_not_match_exits_2_with_one_line(self, tmp_path, capsys, case, message):
+        path, out = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        if case == "not-json":
+            path.write_text("scenario = 1\n")
+        elif case == "matrix-shape":
+            write_matrix(out / "H.cmat", read_matrix(out / "H.cmat")[:, 1:])
+        else:
+            write_vector(out / "g.cvec", read_vector(out / "g.cvec")[1:])
+        capsys.readouterr()
+        assert main(["solve", "--config", str(path), "--method", "admm"]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not (out / "estimate_admm.cvec").exists()
+
     @pytest.mark.parametrize("command", [["solve", "--method", "admm"], ["compare"]])
     def test_input_that_is_a_directory_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
         path, out = write_config(tmp_path)
@@ -634,6 +653,20 @@ class TestSolve:
         rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
         statuses = {"admm": "ok", "fista": "ok", "pinv": "ok", method: f"error: {expected}"}
         assert [(row[0], row[-1]) for row in rows] == list(statuses.items())
+
+    def test_pinv_of_h_alone_rewritten_at_1e_160_exits_0(self, tmp_path, capsys):
+        # the streamed QR route solves relative to sigma_max, so the estimate, about 1e160 times the toy's,
+        # is finite and no numpy warning (an error in the test run) is raised on the way; its NMSE overflows
+        path, out = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        write_matrix(out / "H.cmat", 1e-160 * read_matrix(out / "H.cmat"))
+        capsys.readouterr()
+        assert main(["solve", "--config", str(path), "--method", "pinv"]) == 0
+        assert capsys.readouterr().err == ""
+        assert np.all(np.isfinite(read_vector(out / "estimate_pinv.cvec")))
+        assert main(["compare", "--config", str(path)]) == 0
+        row = next(row for row in csv.DictReader((out / "summary.csv").open()) if row["method"] == "pinv")
+        assert (row["status"], row["nmse"]) == ("ok", "inf")
 
     @pytest.mark.parametrize("method, warnings_as_errors", [("admm", False), ("admm", True), ("fista", False),
                                                             ("fista", True)],

@@ -117,9 +117,17 @@ class TestMatrixVectorFormats:
 
     def test_truncated_header_detected(self, tmp_path):
         path = tmp_path / "short.cmat"
-        path.write_bytes(b"CLNSMAT1" + b"\x00" * 4)
-        with pytest.raises(FileFormatError, match="truncated header"):
-            read_matrix(path)
+        for raw in (b"CLNSMAT1" + b"\x00" * 4, b"CLNS"):  # short after the magic, or shorter than it
+            path.write_bytes(raw)
+            with pytest.raises(FileFormatError, match=f"truncated header at offset {len(raw)}"):
+                read_matrix(path)
+
+    def test_payload_of_the_wrong_rank_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="matrix payload must be 2-D"):
+            write_matrix(tmp_path / "m.cmat", np.ones(3, dtype=complex))
+        with pytest.raises(ValueError, match="vector payload must be 1-D"):
+            write_vector(tmp_path / "v.cvec", np.ones((1, 3), dtype=complex))
+        assert not list(tmp_path.iterdir())
 
     def test_dimension_overflow_detected(self, tmp_path):
         path = tmp_path / "huge.cmat"
@@ -229,6 +237,13 @@ class TestTraceCsv:
                 writer.write_row(record)
         assert streamed.read_bytes() == batch.read_bytes()
 
+    @pytest.mark.parametrize("text", ["", "iter,objective,primal_residual,dual_residual\n"])
+    def test_bad_header_is_a_format_error(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match="bad trace header at offset 0"):
+            read_trace_csv(path)
+
     @pytest.mark.parametrize("row", ["x,1,2,3,4", "0,1,two,3,4", "0.5,1,2,3,4", "0,1,2,3", "0,1,2,3,4,5"])
     def test_malformed_row_is_a_format_error(self, tmp_path, row):
         path = tmp_path / "bad.csv"
@@ -269,3 +284,9 @@ class TestViewPgm:
     def test_empty_view_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nonempty"):
             write_view_pgm(np.zeros((0, 2)), tmp_path / "bad.pgm")
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_view_rejected(self, tmp_path, value):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            write_view_pgm(np.array([[0.0, value]]), tmp_path / "bad.pgm")
+        assert not (tmp_path / "bad.pgm").exists()

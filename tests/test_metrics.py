@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,27 @@ class TestNmse:
         with pytest.raises(ValueError, match="length"):
             nmse(np.ones(3), np.ones(4))
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0 + 2.0j, -3.0, 1e150])
+    def test_finite_value_is_the_ratio_of_two_vdots(self, rng, alpha):
+        u = rand_complex(rng, 50)
+        est = alpha * u + rand_complex(rng, 50)
+        diff = est - u
+        assert nmse(est, u) == float(np.real(np.vdot(diff, diff))) / float(np.real(np.vdot(u, u)))
+
+    @pytest.mark.parametrize("est_scale, true_scale, expected", [
+        (1e160, 1.0, math.inf),  # past the float range
+        (1e154, 1.0, (1e154 - 1.0) ** 2),  # ||est - true||^2 overflows, the ratio does not
+        (2e200, 1e200, 1.0),  # both sums of squares overflow
+        (-1e300, 1e300, 4.0),  # est - true overflows
+    ], ids=["inf", "numerator", "both", "difference"])
+    def test_sum_of_squares_that_overflows_is_never_nan(self, rng, est_scale, true_scale, expected):
+        # an overflowing complex vdot reads nan+nanj; the NMSE must read as the ratio, with no warning
+        u = rand_complex(rng, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nmse(est_scale * u, true_scale * u)
+        assert got == pytest.approx(expected, rel=1e-12)
+
 
 class TestSupportMetrics:
     def test_exact_recovery(self, rng):
@@ -59,6 +83,10 @@ class TestSupportMetrics:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError, match="rel_threshold"):
                 support_metrics(np.ones(3), np.ones(3), bad)
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="length"):
+            support_metrics(np.ones(3), np.ones(4), 0.5)
 
 
 class TestProjectViews:

@@ -103,7 +103,8 @@ class TestBuildPhantom:
         ((((0, 1), (0, 1), (0, 1)), True), "must be a number"),
         ((((0, 1), (0, 1), (0, 1)), np.True_), "must be a number"),
         ((((0, 1), (0, 1), (0, 1)), "2+1j"), "must be a number"),
-    ], ids=["bool-bound", "bool-amplitude", "numpy-bool-amplitude", "string-amplitude"])
+        ((((0, 1), (0, 1)), 1.0), "box must be three"),
+    ], ids=["bool-bound", "bool-amplitude", "numpy-bool-amplitude", "string-amplitude", "two-pair-box"])
     def test_input_the_config_parser_rejects_raises(self, target, match):
         with pytest.raises(ValueError, match=match):
             build_phantom(SMALL, [target])
@@ -223,6 +224,8 @@ class TestForwardMeasure:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="columns"):
             forward_measure(np.eye(3), np.zeros(4), math.inf, 0)
+        with pytest.raises(ValueError, match="expected a 2-D matrix"):
+            forward_measure(np.ones(3), np.zeros(3), math.inf, 0)
 
     def test_bad_snr_raises(self):
         with pytest.raises(ValueError, match="snr_db"):
@@ -231,11 +234,12 @@ class TestForwardMeasure:
             scene.add_noise(np.ones(2, dtype=complex), math.nan, 0)
 
     @pytest.mark.parametrize("clean, snr_db", [(np.ones(2), -4000.0), (np.full(2, 10.0), -3075.0),
-                                               (np.ones(100), -3079.0)],
-                             ids=["power-of-ten", "noise-power", "realized-noise-power"])
+                                               (np.ones(100), -3079.0), (np.ones(152), -3060.6)],
+                             ids=["power-of-ten", "noise-power", "realized-noise-power", "realized-sum"])
     def test_noise_power_beyond_the_float_range_raises(self, clean, snr_db):
-        # 10^400 overflows; 10^307.5 is finite but not 100 times it; at -3079 dB the noise power is
-        # 7.9e307, and the realized noise power, summed over 100 samples, overflows
+        # 10^400 overflows; 10^307.5 is finite but not 200 times it, nor is 10^307.9 100 times it; at
+        # -3060.6 dB the noise power is 1.1e306, and the realized noise power, its sum over the 152
+        # samples seed 0 draws, about 1.08 times 152 times it, overflows
         with pytest.raises(ValueError, match="snr_db"):
             scene.add_noise(clean.astype(complex), snr_db, 0)
 
