@@ -27,7 +27,7 @@ Carrying H v and G e from one iteration to the next (G c = G e + G d)
 makes that at most one adjoint product H^H c and one forward product H v
 per iteration; the objective and the stacked primal and dual norms follow
 from Gram identities at O(n_p + M^2) cost. Both products and the soft
-threshold are one ``prox_step``. The stopping thresholds are formed only
+threshold are one ``linop.prox_step``. The stopping thresholds are formed only
 when the stopping rule is on; those of the last iteration are the returned
 ``AdmmState``. ``run_iterations`` drives the loop and owns its budget, one
 record and stop verdict per iteration into a ``ConvergenceTrace`` (a list).
@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .linop import SupportProducts, adjoint, lasso_inputs
-from .scene import FINITE_GE0, FINITE_GT0, INT_GE1, block_count, is_real
+from .linop import SupportProducts, adjoint, lasso_inputs, prox_step, soft_threshold_support
+from .scene import FINITE_GE0, FINITE_GT0, INT_GE1, block_count
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
 # have lost too many digits to cancellation and are recomputed block by block.
@@ -62,42 +62,6 @@ def soft_threshold(a, kappa):
     Works elementwise on arrays.
     """
     return soft_threshold_support(a, kappa)[0]
-
-
-def soft_threshold_support(a, kappa):
-    """``soft_threshold(a, kappa)`` and the sorted flat indices of its nonzero entries.
-
-    The indices are those where the shrunk magnitude is positive; every
-    nonzero entry of the result is among them. Beside |a| and the shrunk
-    magnitudes, the result is the one array of a's size made: the shrink
-    ratio forms in the shrunk magnitudes, and the safe divisor (1 where |a|
-    is 0 or NaN) in |a|.
-    """
-    if not (is_real(kappa) and kappa >= 0):  # NaN too; +inf zeroes everything
-        raise ValueError("threshold must be >= 0")
-    a = np.asarray(a)
-    mag = np.abs(a).reshape(-1)  # flat, and an array for a 0-d a too
-    shrunk = mag - kappa
-    np.maximum(shrunk, 0.0, out=shrunk)
-    support = np.flatnonzero(shrunk > 0.0)
-    np.copyto(mag, 1, where=~(mag > 0.0))
-    shrunk /= mag
-    return a * shrunk.reshape(a.shape), support
-
-
-def prox_step(products, base, supports, r, divisor, kappa):
-    """x = soft(base + H^H r / divisor, kappa), its sorted support, and H x.
-
-    ``supports`` is a tuple of sorted index arrays whose union holds every
-    nonzero entry of ``base``; outside it the threshold zeroes entry p exactly
-    when |(H^H r)_p| <= kappa * divisor, the level at which ``products`` (the
-    run's ``linop.SupportProducts``) skips the columns a safe bound screens.
-    """
-    h_r = products.adjoint(r, supports, kappa * divisor)  # a new array: the prox argument forms in it
-    h_r /= divisor
-    np.add(base, h_r, out=h_r)
-    x, support = soft_threshold_support(h_r, kappa)
-    return x, support, products.forward(x, support)
 
 
 def partition_rows(n_rows, n_blocks):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import lasso_objective, prox_step, run_iterations
+from .admm import lasso_objective, run_iterations
 from .errors import DivergenceError
-from .linop import EPS, lasso_inputs, triangular_factor
+from .linop import EPS, lasso_inputs, prox_step, triangular_factor
 from .scene import FINITE_GE0, IN_UNIT, INT_GE1
 
 
@@ -110,7 +110,7 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     Gram of H. Records the objective and the step norm; the rule holds once
     the relative objective change drops below tol. H x is carried along with
     x and H y extrapolated from it as y is, so an iteration is one
-    ``admm.prox_step`` of y on g - H y and the supports of x and the last x
+    ``linop.prox_step`` of y on g - H y and the supports of x and the last x
     (their union holds y's), equal to y - grad / L but for the sign of a zero.
     """
     op, b, _, lam = lasso_inputs(h, g, lam)

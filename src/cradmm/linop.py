@@ -12,14 +12,13 @@ is well-conditioned; otherwise it takes the SVD of ``triangular_factor``, a
 streamed ("tall-skinny") QR factor of H, min(M, n) square, with the singular
 values of H, instead of one of H.
 
-``SupportProducts`` holds the products of one solver run, which
-``admm.prox_step`` takes: x = soft(base + H^H r / d, kappa), then H x, with
-x mostly zeros for a sparse scene. While its support is narrow, H x reads
-only the columns in it, and H^H r skips every column whose entry a safe
-screening bound proves the threshold will zero (El Ghaoui, Viallon and
-Rabbani, Pacific J. Optim. 8(4), 2012; Fercoq, Gramfort and Salmon, ICML
-2015). Outside the support of base the prox returns 0 exactly when
-|(H^H r)_p| <= t = kappa d. For an anchor residual r_a with q_a = H^H r_a,
+``prox_step``, the proximal step of ADMM and FISTA, takes its products from
+``SupportProducts``, one per solver run, which reads only the columns the
+step needs; ``prox_step`` states the screening contract, at the level
+t = kappa d (El Ghaoui, Viallon and Rabbani, Pacific J. Optim. 8(4), 2012;
+Fercoq, Gramfort and Salmon, ICML 2015). What follows derives the bound that
+proves |(H^H r)_p| <= t without reading column p, and counts the roundings
+its margin covers. For an anchor residual r_a with q_a = H^H r_a,
 Cauchy-Schwarz on column h_p gives
 
     |(H^H r)_p| <= |q_a,p| + ||h_p|| ||r - r_a||.
@@ -39,7 +38,7 @@ to a few roundings relative to bound_p itself. Entry p is screened when
 
     bound_p <= t (1 - 16 eps) - 4 (M + 2) u.
 
-The 16 eps covers those roundings and the prox's own on the way to its
+The 16 eps covers those roundings and ``prox_step``'s own on the way to its
 test |.| <= kappa: forming t, dividing by d (N, or FISTA's Lipschitz
 constant), a modulus, and the threshold's quotient. numpy divides a complex
 array by a real d as a product with 1 / d, so the division is two roundings,
@@ -59,7 +58,7 @@ import math
 
 import numpy as np
 
-from .scene import FINITE_GE0, matrix_array, vector_array
+from .scene import FINITE_GE0, is_real, matrix_array, vector_array
 
 # entries per slice when a Gram or a triangular factor is accumulated, or an
 # array scanned for non-finite entries (``all_finite``): a slice is 0.5 MB,
@@ -150,13 +149,11 @@ class SupportProducts:
     support, and over the support, gathered anew, when they do not. A wider
     support takes the dense H @ x.
 
-    ``adjoint(r, supports, threshold)`` is H^H r for ``admm.prox_step``,
-    whose base has its nonzero entries in ``supports``, a tuple of sorted
-    index arrays whose union holds them. Outside the support the prox
-    zeroes entry p exactly when |(H^H r)_p| <= threshold, and the anchor
-    bound of the module docstring proves that for most p without reading
-    column p. Those entries are returned as exact zeros; the support and the
-    unscreened entries are taken over gathered columns as in ``forward``.
+    ``adjoint(r, supports, threshold)`` is H^H r for ``prox_step``, with the
+    supports and the level its contract names. Entries outside ``supports``
+    that the anchor bound of the module docstring proves <= threshold are
+    returned as exact zeros without reading their columns; the support and
+    the unscreened entries are taken over gathered columns as in ``forward``.
     When there are more than n / SPARSE_FRACTION of them, or no anchor yet,
     the dense adjoint runs and its residual becomes the new anchor. A support
     wider than that, or a zero threshold, takes the dense adjoint without
@@ -226,6 +223,45 @@ class SupportProducts:
         reach = (_norm(r - r_a) + 2.0 * _norm_floor(m)
                  + SCREEN_SLACK * (m + 2) * EPS * (_norm(r) + norm_a))
         return ~(abs_q + self.operator.column_norms() * reach <= limit)
+
+
+def soft_threshold_support(a, kappa):
+    """``admm.soft_threshold(a, kappa)`` and the sorted flat indices of its nonzero entries.
+
+    The indices are those where the shrunk magnitude is positive; every
+    nonzero entry of the result is among them. Beside |a| and the shrunk
+    magnitudes, the result is the one array of a's size made: the shrink
+    ratio forms in the shrunk magnitudes, and the safe divisor (1 where |a|
+    is 0 or NaN) in |a|.
+    """
+    if not (is_real(kappa) and kappa >= 0):  # NaN too; +inf zeroes everything
+        raise ValueError("threshold must be >= 0")
+    a = np.asarray(a)
+    mag = np.abs(a).reshape(-1)  # flat, and an array for a 0-d a too
+    shrunk = mag - kappa
+    np.maximum(shrunk, 0.0, out=shrunk)
+    support = np.flatnonzero(shrunk > 0.0)
+    np.copyto(mag, 1, where=~(mag > 0.0))
+    shrunk /= mag
+    return a * shrunk.reshape(a.shape), support
+
+
+def prox_step(products, base, supports, r, divisor, kappa):
+    """x = soft(base + H^H r / divisor, kappa), its sorted support, and H x.
+
+    The screened proximal step of ADMM and FISTA. ``supports`` is a tuple of
+    sorted index arrays whose union holds every nonzero entry of ``base``;
+    outside it the threshold zeroes entry p exactly when
+    |(H^H r)_p| <= kappa * divisor, so ``products`` (the run's
+    ``SupportProducts``) skips the columns that the module docstring's bound
+    proves at or below that level. That is exact while SCREEN_MARGIN covers
+    the roundings below, which the module docstring counts.
+    """
+    h_r = products.adjoint(r, supports, kappa * divisor)  # a new array: the prox argument forms in it
+    h_r /= divisor
+    np.add(base, h_r, out=h_r)
+    x, support = soft_threshold_support(h_r, kappa)
+    return x, support, products.forward(x, support)
 
 
 def _norm(a):
