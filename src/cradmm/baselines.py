@@ -113,6 +113,14 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     ``linop.prox_step`` of y on g - H y and the supports of x and the last x
     (their union holds y's), equal to y - grad / L but for the sign of a zero.
     """
+    return run_iterations(*fista_setup(h, g, lam, max_iter, tol), on_iteration)
+
+
+def fista_setup(h, g, lam, max_iter=500, tol=1e-10):
+    """The checked arguments of ``solve_fista``'s ``run_iterations``: (operator, steps, max_iter).
+
+    Every refusal of ``solve_fista`` is raised here, before any iteration.
+    """
     op, b, _, lam = lasso_inputs(h, g, lam)
     max_iter = INT_GE1.require(max_iter, "max_iter must be >= 1 and an integer")
     tol = FINITE_GE0.require(tol, "tol must be finite and >= 0")
@@ -142,7 +150,7 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
                                       and abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-300))
             prev_obj = obj
 
-    return run_iterations(op, steps, max_iter, on_iteration)
+    return op, steps, max_iter
 
 
 def _norm(a):

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, fileio, linop, metrics, scene
-from .admm import ConsensusLassoSolver
+from .admm import ConsensusLassoSolver, run_iterations
 from .config import NONEMPTY_STR, experiment_config_to_dict, load_experiment_config, sweep_tag
 from .errors import ConfigError, DivergenceError, FileFormatError
 
@@ -188,9 +188,10 @@ def _run_admm(cfg, op, g, params, trace_path):
 
 
 def _run_fista(cfg, op, g, params, trace_path):
+    # as for ADMM, the set-up runs before the trace opens, so a refused set-up writes no trace
+    run = baselines.fista_setup(op, g, cfg.fista_lam, cfg.fista_max_iter, cfg.fista_tol)
     with fileio.TraceCsvWriter(trace_path) as writer:
-        estimate, trace = baselines.solve_fista(op, g, cfg.fista_lam, max_iter=cfg.fista_max_iter,
-                                                tol=cfg.fista_tol, on_iteration=writer.write_row)
+        estimate, trace = run_iterations(*run, writer.write_row)
     return estimate, trace, {}
 
 

@@ -343,7 +343,8 @@ class TestFista:
             solve_fista(h, np.ones(len(h)), 0.1)
 
     def test_step_that_overflows_raises_without_a_warning(self, rng):
-        # ||H||^2 is subnormal, so lam / ||H||^2 and the first step overflow; the inf and nan they give
+        # ||H||^2 is subnormal, so the first step's divide by it, a product with 1 / ||H||^2, overflows
+        # (lam / ||H||^2 is inf too, but a threshold at inf only zeroes); the inf and nan it gives
         # reach the record, not a RuntimeWarning
         h = 1e-160 * rand_complex(rng, 6, 20)
         assert 0.0 < SensingOperator(h).norm_squared() < np.finfo(float).tiny

@@ -593,6 +593,12 @@ class TestSolve:
         write_vector(out / "g.cvec", np.array([1.0 + 0.0j]))
         assert main(["solve", "--config", str(path), "--method", "fista"]) == 3
         assert not (out / "estimate_fista.cvec").exists()
+        # the set-up is refused before the trace opens, as ADMM's is
+        assert not (out / "trace_fista.csv").exists()
+        assert main(["compare", "--config", str(path)]) == 0
+        fista_row = [line for line in (out / "summary.csv").read_text().splitlines() if line.startswith("fista,")]
+        assert [row.split(",")[-1] for row in fista_row] == ["error: ||H||^2 is not finite: inf"]
+        assert not (out / "trace_fista.csv").exists()
 
     def test_non_finite_certificate_exits_3(self, tmp_path):
         # the pinv estimate of this finite H and g is finite, but 0.5 ||H v - g||^2 and H^H (H v - g) overflow
@@ -635,8 +641,9 @@ class TestSolve:
                              ids=["setup", "step", "fista"])
     def test_rho_that_overflows_exits_3_with_one_line(self, tmp_path, capsys, method, rho, g_scale, h_scale):
         # G_ii / rho overflows as S is formed, or (g - H z) / rho in ADMM's first step, or, with the problem
-        # scaled by 1e-160, lam / ||H||^2 in FISTA's: one solver error, no numpy warning (which the test run
-        # would raise as an error)
+        # scaled by 1e-160, the divide by ||H||^2 in FISTA's (numpy divides by it as a product with
+        # 1 / ||H||^2, which overflows): one solver error, no numpy warning (which the test run would raise
+        # as an error)
         path, out = write_config(tmp_path, overrides={"admm": {"rho": rho}})
         assert main(["generate", "--config", str(path)]) == 0
         write_vector(out / "g.cvec", g_scale * read_vector(out / "g.cvec"))
@@ -929,7 +936,7 @@ class TestCompare:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic fista failure")
 
-        monkeypatch.setattr(cli_mod.baselines, "solve_fista", boom)
+        monkeypatch.setattr(cli_mod.baselines, "fista_setup", boom)
         assert main(["compare", "--config", str(path)]) == 0
         lines = (out / "summary.csv").read_text().splitlines()[1:]
         by_method = {line.split(",")[0]: line for line in lines}
