@@ -116,7 +116,7 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     return run_iterations(*fista_setup(h, g, lam, max_iter, tol), on_iteration)
 
 
-def fista_setup(h, g, lam, max_iter=500, tol=1e-10):
+def fista_setup(h, g, lam, max_iter, tol):
     """The checked arguments of ``solve_fista``'s ``run_iterations``: (operator, steps, max_iter).
 
     Every refusal of ``solve_fista`` is raised here, before any iteration.
