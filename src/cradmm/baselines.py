@@ -113,11 +113,11 @@ def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
     ``linop.prox_step`` of y on g - H y and the supports of x and the last x
     (their union holds y's), equal to y - grad / L but for the sign of a zero.
     """
-    return run_iterations(*fista_setup(h, g, lam, max_iter, tol), on_iteration)
+    return fista_setup(h, g, lam, max_iter, tol)(on_iteration)
 
 
 def fista_setup(h, g, lam, max_iter, tol):
-    """The checked arguments of ``solve_fista``'s ``run_iterations``: (operator, steps, max_iter).
+    """``solve_fista``'s run, set up: a callable that takes ``on_iteration`` and returns (u, trace).
 
     Every refusal of ``solve_fista`` is raised here, before any iteration.
     """
@@ -150,7 +150,7 @@ def fista_setup(h, g, lam, max_iter, tol):
                                       and abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-300))
             prev_obj = obj
 
-    return op, steps, max_iter
+    return lambda on_iteration: run_iterations(op, steps, max_iter, on_iteration)
 
 
 def _norm(a):

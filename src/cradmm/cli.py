@@ -27,9 +27,7 @@ method's lambda (0 for pinv). Every run of a command shares one
 
 import argparse
 import collections
-import csv
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -39,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, fileio, linop, metrics, scene
-from .admm import ConsensusLassoSolver, run_iterations
+from .admm import ConsensusLassoSolver
 from .config import NONEMPTY_STR, experiment_config_to_dict, load_experiment_config, sweep_tag
 from .errors import ConfigError, DivergenceError, FileFormatError
 
@@ -48,9 +46,6 @@ SCENE_FILE = "u_true.cvec"
 MEASUREMENT_FILE = "g.cvec"
 MANIFEST_FILE = "manifest.json"
 SUMMARY_FILE = "summary.csv"
-
-SUMMARY_COLUMNS = ("method", "lambda", "rho", "N", "iterations", "final_objective",
-                   "nmse", "precision", "recall", "wall_seconds", "status")
 
 
 def cmd_generate(cfg):
@@ -109,7 +104,7 @@ def cmd_generate(cfg):
         "noise_power": measured.noise_power,
         "realized_snr_db": None if math.isinf(measured.realized_snr_db) else measured.realized_snr_db,
     }
-    (out / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    fileio.write_json(manifest, out / MANIFEST_FILE)
 
 
 def cmd_solve(cfg, method):
@@ -136,7 +131,7 @@ def cmd_compare(cfg):
                 rows.append({**_run(cfg, inputs, method, tag, params), "status": "ok"})
             except Exception as exc:  # noqa: BLE001
                 rows.append({"method": method, **METHODS[method].own_keys(cfg, params), "status": f"error: {exc}"})
-    _write_summary(Path(cfg.output_dir) / SUMMARY_FILE, rows)
+    fileio.write_summary_csv(rows, Path(cfg.output_dir) / SUMMARY_FILE)
 
 
 def _run(cfg, inputs, method, tag, params):
@@ -173,8 +168,7 @@ def _run(cfg, inputs, method, tag, params):
     views = metrics.project_views(estimate, cfg.scenario.grid)
     for name in ("top", "front", "side"):
         fileio.write_view_pgm(getattr(views, name), out / f"{tag}_{name}.pgm")
-    metrics_text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    (out / f"metrics_{tag}.json").write_text(metrics_text, encoding="utf-8")
+    fileio.write_json(record, out / f"metrics_{tag}.json")
     return record
 
 
@@ -191,7 +185,7 @@ def _run_fista(cfg, op, g, params, trace_path):
     # as for ADMM, the set-up runs before the trace opens, so a refused set-up writes no trace
     run = baselines.fista_setup(op, g, cfg.fista_lam, cfg.fista_max_iter, cfg.fista_tol)
     with fileio.TraceCsvWriter(trace_path) as writer:
-        estimate, trace = run_iterations(*run, writer.write_row)
+        estimate, trace = run(writer.write_row)
     return estimate, trace, {}
 
 
@@ -237,18 +231,6 @@ def _read_input(read, path):
         raise FileFormatError(f"{path} cannot be read: {exc.strerror}") from None
     except MemoryError as exc:
         raise FileFormatError(f"{path} does not fit in memory: {exc}") from None
-
-
-def _write_summary(path, rows):
-    def fmt(value):  # the csv writer writes None as an empty field
-        if isinstance(value, float):
-            return f"{value:.17g}"
-        return value
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerows([fmt(row.get(name)) for name in SUMMARY_COLUMNS] for row in rows)
 
 
 def build_parser():

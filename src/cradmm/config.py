@@ -14,10 +14,12 @@ only JSON shapes (objects, lists, pairs, strings) are checked here.
 
 import dataclasses
 import functools
+import inspect
 import json
 import math
 
 from .admm import AdmmParams
+from .baselines import solve_fista, solve_pseudoinverse
 from .errors import ConfigError
 from .scene import (FINITE_GE0, FINITE_GT0, IN_UNIT, INT_GE0, INT_GE1, SNR_DB, Check, ScenarioConfig,
                     block_count, is_integer, is_real, target_violations)
@@ -52,7 +54,10 @@ NONEMPTY_STR = Check(lambda x: isinstance(x, str) and x != "", "must be a nonemp
 # order their violations are reported; "" is the config root. "admm.lam" is
 # ExperimentConfig.admm.lam. The two cross-section rules are the Nones:
 # fista.lambda defaults to the ADMM lambda, and admm.n_blocks must lie in
-# [1, rows] for the scenario's row count (measurement count).
+# [1, rows] for the scenario's row count (measurement count). Each default of a
+# solver setting is the library's: ADMM's from AdmmParams, FISTA's and pinv's
+# from the signatures of solve_fista and solve_pseudoinverse.
+_FISTA, _PINV = (inspect.signature(solve).parameters for solve in (solve_fista, solve_pseudoinverse))
 FIELDS = {
     "admm": (
         ("lambda", "admm.lam", 0.01, FINITE_GE0),
@@ -64,10 +69,10 @@ FIELDS = {
     ),
     "fista": (
         ("lambda", "fista_lam", None, FINITE_GE0),
-        ("max_iter", "fista_max_iter", 500, INT_GE1),
-        ("tol", "fista_tol", 1e-10, FINITE_GE0),
+        ("max_iter", "fista_max_iter", _FISTA["max_iter"].default, INT_GE1),
+        ("tol", "fista_tol", _FISTA["tol"].default, FINITE_GE0),
     ),
-    "pinv": (("trunc_rel_tol", "pinv_trunc_rel_tol", 1e-10, IN_UNIT),),
+    "pinv": (("trunc_rel_tol", "pinv_trunc_rel_tol", _PINV["trunc_rel_tol"].default, IN_UNIT),),
     "": (
         ("output_dir", "output_dir", "out", NONEMPTY_STR),
         ("noise_seed", "noise_seed", 0, INT_GE0),

@@ -6,15 +6,26 @@ Values are row-major, each an interleaved (real, imaginary) pair of IEEE-754
 binary64 floats; all integers and floats are little-endian. Round-trips are
 bit-exact, including non-finite payload values.
 
-Trace CSV:     header ``iter,objective,primal_residual,dual_residual,elapsed_seconds``
-then one row per iteration, floats printed with 17 significant digits (enough
-to reproduce any binary64 exactly).
+Text files end their lines in ``\n``. Every CSV float is printed with 17
+significant digits (``FLOAT_SPEC``), enough to reproduce any binary64
+exactly; inf and nan print as ``inf`` and ``nan``.
+
+Trace CSV:     header ``TRACE_HEADER``, then one row per iteration.
+Summary CSV:   header ``SUMMARY_COLUMNS``, then one row per record cut to those
+columns; None or an absent key is an empty field, and a field is quoted only
+when it holds a comma, a quote or a ``\n`` (``csv``'s minimal quoting, quotes
+doubled).
+JSON record:   one object as UTF-8 text, two-space indent, keys sorted, a final
+newline; inf and nan are written ``Infinity`` and ``NaN``. The manifest and
+every ``metrics_<tag>.json`` are JSON records.
 
 View PGM:      binary Netpbm P5, maxval 65535 (two bytes per pixel, most
 significant byte first as the format requires), linearly scaled so the peak
 maps to 65535 with ties rounded half-up; all-zero views stay all-zero.
 """
 
+import csv
+import json
 import math
 import os
 import struct
@@ -27,6 +38,9 @@ from .errors import FileFormatError
 MATRIX_MAGIC = b"CLNSMAT1"
 VECTOR_MAGIC = b"CLNSVEC1"
 TRACE_HEADER = "iter,objective,primal_residual,dual_residual,elapsed_seconds"
+SUMMARY_COLUMNS = ("method", "lambda", "rho", "N", "iterations", "final_objective",
+                   "nmse", "precision", "recall", "wall_seconds", "status")
+FLOAT_SPEC = ".17g"  # the format spec of every CSV float
 
 _MATRIX_HEADER = struct.Struct("<8sQQ")
 _VECTOR_HEADER = struct.Struct("<8sQ")
@@ -122,7 +136,7 @@ def _read_payload(fh, offset, n_values):
 
 
 def write_trace_csv(trace, path):
-    """One CSV row per iteration, floats printed with 17 significant digits."""
+    """One CSV row per iteration, floats printed with ``FLOAT_SPEC``."""
     with TraceCsvWriter(path) as writer:
         for record in trace:
             writer.write_row(record)
@@ -137,8 +151,8 @@ class TraceCsvWriter:
 
     def write_row(self, r):
         self._fh.write(
-            f"{r.k},{r.objective:.17g},{r.primal_residual:.17g},"
-            f"{r.dual_residual:.17g},{r.elapsed_seconds:.17g}\n"
+            f"{r.k},{r.objective:{FLOAT_SPEC}},{r.primal_residual:{FLOAT_SPEC}},"
+            f"{r.dual_residual:{FLOAT_SPEC}},{r.elapsed_seconds:{FLOAT_SPEC}}\n"
         )
 
     def close(self):
@@ -167,6 +181,21 @@ def read_trace_csv(path):
         except ValueError:
             raise FileFormatError(f"malformed trace row: {line!r}") from None
     return ConvergenceTrace(records)
+
+
+def write_summary_csv(records, path):
+    """The header ``SUMMARY_COLUMNS``, then each record (a dict) cut to those columns, one row each."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, SUMMARY_COLUMNS, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        for record in records:  # an absent key and a None are both an empty field
+            writer.writerow({k: f"{v:{FLOAT_SPEC}}" if isinstance(v, float) else v for k, v in record.items()})
+
+
+def write_json(record, path):
+    """Write ``record`` as UTF-8 JSON text: two-space indent, sorted keys, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def write_view_pgm(view, path):

@@ -1,5 +1,8 @@
+import csv
+import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from cradmm import (
     write_vector,
     write_view_pgm,
 )
+from cradmm.fileio import SUMMARY_COLUMNS, write_json, write_summary_csv
 
 
 def parse_pgm(raw):
@@ -250,6 +254,52 @@ class TestTraceCsv:
         path.write_text("iter,objective,primal_residual,dual_residual,elapsed_seconds\n" + row + "\n")
         with pytest.raises(FileFormatError, match="malformed trace row"):
             read_trace_csv(path)
+
+
+class TestSummaryCsv:
+    HEADER = b"method,lambda,rho,N,iterations,final_objective,nmse,precision,recall,wall_seconds,status\n"
+
+    def test_bytes_of_each_kind_of_field(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        records = [
+            {"method": "admm", "lambda": 0.1, "rho": math.inf, "N": 31, "iterations": 50, "final_objective": 1.5,
+             "nmse": None, "precision": 0.5, "recall": 1.0, "wall_seconds": 0.25, "status": "ok",
+             "kkt_violation": 2.0},  # a key outside the columns is left out
+            {"method": "fista", "status": 'error: a, "b"\nc'},  # absent keys are empty fields
+        ]
+        write_summary_csv(records, path)
+        assert path.read_bytes() == (
+            self.HEADER
+            + b"admm,0.10000000000000001,inf,31,50,1.5,,0.5,1,0.25,ok\n"
+            + b'fista,,,,,,,,,,"error: a, ""b""\nc"\n'
+        )
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(SUMMARY_COLUMNS)
+        assert rows[2][-1] == 'error: a, "b"\nc'
+
+    def test_no_records_is_header_only(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        write_summary_csv([], path)
+        assert path.read_bytes() == self.HEADER
+
+    def test_readme_documents_the_header(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"`{','.join(SUMMARY_COLUMNS)}`" in readme.split("## File formats", 1)[1]
+
+
+class TestJsonRecord:
+    def test_bytes(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        write_json({"b": math.inf, "a": {"d": None, "c": [1, 0.5]}}, path)
+        assert path.read_bytes() == (
+            b'{\n  "a": {\n    "c": [\n      1,\n      0.5\n    ],\n    "d": null\n  },\n  "b": Infinity\n}\n'
+        )
+
+    def test_non_ascii_text_is_escaped(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        write_json({"status": "error: \u03c1"}, path)
+        assert path.read_bytes() == b'{\n  "status": "error: \\u03c1"\n}\n'
 
 
 class TestViewPgm:
