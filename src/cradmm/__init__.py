@@ -10,9 +10,6 @@ from .admm import (
     AdmmState,
     BlockSolver,
     ConsensusLassoSolver,
-    ConvergenceTrace,
-    IterationRecord,
-    evaluate_objective,
     partition_rows,
     precompute_block_solver,
     soft_threshold,
@@ -21,7 +18,7 @@ from .admm import (
     update_u,
     update_v,
 )
-from .baselines import KktReport, check_lasso_kkt, solve_fista, solve_pseudoinverse
+from .baselines import solve_fista, solve_pseudoinverse
 from .config import (
     ExperimentConfig,
     experiment_config_from_dict,
@@ -40,7 +37,7 @@ from .fileio import (
     write_vector,
     write_view_pgm,
 )
-from .linop import SensingOperator
+from .linop import ConvergenceTrace, IterationRecord, KktReport, SensingOperator, check_lasso_kkt, evaluate_objective
 from .metrics import VolumeViews, nmse, project_views, support_metrics
 from .scene import (
     Measurement,

@@ -29,8 +29,9 @@ per iteration; the objective and the stacked primal and dual norms follow
 from Gram identities at O(n_p + M^2) cost. Both products and the soft
 threshold are one ``linop.prox_step``. The stopping thresholds are formed only
 when the stopping rule is on; those of the last iteration are the returned
-``AdmmState``. ``run_iterations`` drives the loop and owns its budget, one
-record and stop verdict per iteration into a ``ConvergenceTrace`` (a list).
+``AdmmState``. ``linop.run_iterations``, the loop FISTA shares, drives the
+iteration and owns its budget, one record and stop verdict per iteration
+into a ``linop.ConvergenceTrace`` (a list).
 ``update_u``, ``update_v`` and ``update_s`` are the same steps written per
 block; they are kept as the reference the collapsed form is tested against.
 
@@ -40,13 +41,12 @@ The set-up holds only G and S, both the operator's (``linop.SensingOperator``
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
-from .linop import SupportProducts, adjoint, lasso_inputs, prox_step, soft_threshold_support
+from .linop import adjoint, lasso_inputs, lasso_objective, prox_step, run_iterations, soft_threshold_support
 from .scene import FINITE_GE0, FINITE_GT0, INT_GE1, block_count
 
 # Gram-form squared norms below this fraction of their summed term magnitudes
@@ -170,87 +170,12 @@ def update_s(s_i, u_i, v):
     return s_i + (u_i - v)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    k: int
-    objective: float
-    primal_residual: float
-    dual_residual: float
-    elapsed_seconds: float
-
-
-class ConvergenceTrace(list):
-    """Per-iteration IterationRecords: objective, residual norms, and wall-clock timestamps.
-
-    ``stop_reason`` ("converged" or "max_iter"), ``sparse_forward_iters`` (the
-    iterations whose forward product read only the iterate's support) and
-    ``screened_adjoint_iters`` (those whose adjoint product skipped the columns
-    a safe bound screened, see ``linop.SupportProducts``) are set by
-    ``run_iterations`` for a solver run, and are None for a trace read from disk.
-    """
-
-    stop_reason = sparse_forward_iters = screened_adjoint_iters = None
-
-    def column(self, name):
-        """One trace field as a numpy array, e.g. column('objective')."""
-        return np.array([getattr(r, name) for r in self])
-
-
 @dataclass
 class AdmmState:
     """The stopping thresholds of the last iteration, to be read against its primal and dual residuals."""
 
     eps_pri: float
     eps_dual: float
-
-
-def lasso_objective(resid, u, lam):
-    """0.5 ||resid||^2 + lam * sum_p |u_p|, with resid = H u - g already formed."""
-    return 0.5 * float(np.real(np.vdot(resid, resid))) + lam * float(np.abs(u).sum())
-
-
-def evaluate_objective(h, g, u, lam):
-    """Value of 0.5 ||H u - g||^2 + lam * sum_p |u_p| (complex modulus)."""
-    op, gv, uv, lam = lasso_inputs(h, g, lam, u)
-    return lasso_objective(op.forward(uv) - gv, uv, lam)
-
-
-def run_iterations(operator, steps, max_iter, on_iteration=None):
-    """The iteration loop of ADMM and FISTA; returns (estimate, trace).
-
-    ``steps(products)``, given the run's ``linop.SupportProducts`` on
-    ``operator``, yields once per iteration the estimate, its record fields
-    (objective, primal, dual) and whether its stopping rule holds, for as
-    long as it is asked. The loop owns the budget: it asks for at most
-    ``max_iter`` (>= 1) iterates, and none after a verdict holds. Each
-    IterationRecord, timed from the start of the run, goes to the trace and
-    then to ``on_iteration``, before the verdict is acted on; a non-finite
-    field raises DivergenceError first, which is where an overflow in a step
-    ends: the loop holds the step policy, each step running with overflow and
-    invalid-operation warnings off (as ``linop.SensingOperator`` forms its
-    factors), and the trace, ``on_iteration`` and the verdict outside it. See
-    ConvergenceTrace for the stop reason and counts.
-    """
-    products = SupportProducts(operator)
-    iterates = steps(products)
-    trace = ConvergenceTrace()
-    trace.stop_reason = "max_iter"
-    start = time.perf_counter()
-    for k in range(max_iter):
-        with np.errstate(over="ignore", invalid="ignore"):
-            estimate, *fields, stop = next(iterates)
-        if not all(map(math.isfinite, fields)):
-            raise DivergenceError(f"non-finite iterate at iteration {k}")
-        record = IterationRecord(k, *fields, time.perf_counter() - start)
-        trace.append(record)
-        if on_iteration is not None:
-            on_iteration(record)
-        if stop:
-            trace.stop_reason = "converged"
-            break
-    trace.sparse_forward_iters = products.sparse_forward_calls
-    trace.screened_adjoint_iters = products.screened_adjoint_calls
-    return estimate, trace
 
 
 class ConsensusLassoSolver:

@@ -1,21 +1,20 @@
-"""Reference solvers and an independent optimality check for the lasso.
+"""Reference solvers for the lasso.
 
 These exist to benchmark the consensus solver: a truncated-SVD pseudoinverse
 (the classic non-sparse reconstruction, taken from the Gram of a
 well-conditioned wide H, else from a streamed QR factor of H, never from an
-SVD of H itself), an accelerated proximal-gradient
-(Nesterov/FISTA-style) lasso solver, and a first-order KKT test that certifies
-a candidate solution without running any solver at all.
+SVD of H itself) and an accelerated proximal-gradient (Nesterov/FISTA-style)
+lasso solver, which takes its loop, records, objective and prox step from
+``linop`` as ADMM does. The first-order KKT test that certifies a result of
+either solver without running one is ``linop.check_lasso_kkt``.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import lasso_objective, run_iterations
 from .errors import DivergenceError
-from .linop import EPS, lasso_inputs, prox_step, triangular_factor
+from .linop import EPS, lasso_inputs, lasso_objective, prox_step, run_iterations, triangular_factor
 from .scene import FINITE_GE0, IN_UNIT, INT_GE1
 
 
@@ -104,7 +103,7 @@ def _solve(u, w, r):
 
 
 def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
-    """Accelerated proximal gradient, driven by ``admm.run_iterations``; returns (u, trace).
+    """Accelerated proximal gradient, driven by ``linop.run_iterations``; returns (u, trace).
 
     The step is 1 / L with L = ||H||_2^2, computed exactly from the smaller
     Gram of H. Records the objective and the step norm; the rule holds once
@@ -161,51 +160,3 @@ def _norm(a):
     magnitudes = np.abs(a)
     scale = float(magnitudes.max())
     return scale * float(np.linalg.norm(magnitudes / scale))
-
-
-@dataclass(frozen=True)
-class KktReport:
-    """First-order optimality residuals of the lasso at a candidate point, and its objective.
-
-    ``passed`` says whether both residuals are within the ``tol`` the check was given.
-    """
-
-    max_active_violation: float
-    max_inactive_excess: float
-    passed: bool
-    objective: float  # the lasso objective at v, from the same H v - g (evaluate_objective's value)
-    violation: float  # the larger of the two residuals, NaN if either is
-
-
-def check_lasso_kkt(h, g, lam, v, tol):
-    """Check lasso stationarity at v without solving anything.
-
-    With r = H^H (H v - g): active entries (v_p != 0) must satisfy
-    r_p + lam * v_p / |v_p| = 0, inactive ones |r_p| <= lam. Entries with
-    |v_p| <= 1e-12 * max|v| (absolute 1e-14 when v = 0) count as inactive.
-    With lam = 0 both conditions collapse to ||r||_inf <= tol.
-    """
-    op, b, vv, lam = lasso_inputs(h, g, lam, v)
-    tol = FINITE_GE0.require(tol, "tol must be finite and >= 0")
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports a non-finite certificate
-        resid = op.forward(vv) - b
-        grad = op.adjoint(resid)
-    objective = lasso_objective(resid, vv, lam)
-    mag = np.abs(vv)
-    vmax = float(np.max(mag, initial=0.0))
-    cutoff = 1e-12 * vmax if vmax > 0.0 else 1e-14
-    active = mag > cutoff
-    # r_p + (lam v_p) / |v_p| into grad on the active entries, its term formed only there
-    term = np.multiply(lam, vv, out=np.empty_like(grad), where=active)
-    np.divide(term, mag, out=term, where=active)
-    np.add(grad, term, out=grad, where=active)
-    np.abs(grad, out=mag)
-    max_active = float(np.max(mag, where=active, initial=0.0))
-    max_inactive = max(float(np.max(mag, where=~active, initial=0.0)) - lam, 0.0)
-    return KktReport(
-        max_active_violation=max_active,
-        max_inactive_excess=max_inactive,
-        passed=max_active <= tol and max_inactive <= tol,
-        objective=objective,
-        violation=float(np.maximum(max_active, max_inactive)),
-    )

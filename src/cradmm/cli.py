@@ -149,7 +149,7 @@ def _run(cfg, inputs, method, tag, params):
 
     # the pseudoinverse has no lambda: its objective is the data-fit term alone
     lam = record.get("lambda", 0.0)
-    kkt = baselines.check_lasso_kkt(op, g, lam, estimate, 0.0)
+    kkt = linop.check_lasso_kkt(op, g, lam, estimate, 0.0)
     if not (math.isfinite(kkt.objective) and math.isfinite(kkt.violation)):
         raise DivergenceError(f"non-finite certificate: objective {kkt.objective} and violation {kkt.violation}")
     precision, recall = metrics.support_metrics(estimate, u_true, cfg.support_rel_threshold)

@@ -13,8 +13,8 @@ exactly; inf and nan print as ``inf`` and ``nan``.
 Trace CSV:     header ``TRACE_HEADER``, then one row per iteration.
 Summary CSV:   header ``SUMMARY_COLUMNS``, then one row per record cut to those
 columns; None or an absent key is an empty field, and a field is quoted only
-when it holds a comma, a quote or a ``\n`` (``csv``'s minimal quoting, quotes
-doubled).
+when it holds a comma, a quote, a carriage return or a line feed (quotes
+doubled), so ``csv.reader`` reads every row back as the 11 columns.
 JSON record:   one object as UTF-8 text, two-space indent, keys sorted, a final
 newline; inf and nan are written ``Infinity`` and ``NaN``. The manifest and
 every ``metrics_<tag>.json`` are JSON records.
@@ -24,7 +24,6 @@ significant byte first as the format requires), linearly scaled so the peak
 maps to 65535 with ties rounded half-up; all-zero views stay all-zero.
 """
 
-import csv
 import json
 import math
 import os
@@ -32,8 +31,8 @@ import struct
 
 import numpy as np
 
-from .admm import ConvergenceTrace, IterationRecord
 from .errors import FileFormatError
+from .linop import ConvergenceTrace, IterationRecord
 
 MATRIX_MAGIC = b"CLNSMAT1"
 VECTOR_MAGIC = b"CLNSVEC1"
@@ -186,10 +185,20 @@ def read_trace_csv(path):
 def write_summary_csv(records, path):
     """The header ``SUMMARY_COLUMNS``, then each record (a dict) cut to those columns, one row each."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, SUMMARY_COLUMNS, extrasaction="ignore", lineterminator="\n")
-        writer.writeheader()
-        for record in records:  # an absent key and a None are both an empty field
-            writer.writerow({k: f"{v:{FLOAT_SPEC}}" if isinstance(v, float) else v for k, v in record.items()})
+        for row in (SUMMARY_COLUMNS, *([record.get(k) for k in SUMMARY_COLUMNS] for record in records)):
+            fh.write(",".join(map(_summary_field, row)) + "\n")
+
+
+def _summary_field(value):
+    """One summary field: None is empty, a float takes ``FLOAT_SPEC``.
+
+    Quoted, its quotes doubled, when it holds a comma, a quote, a carriage
+    return or a line feed. ``csv``'s minimal quoting with lines ending in a
+    line feed leaves a carriage return bare (Python 3.11), and ``csv.reader``
+    then splits the row.
+    """
+    text = "" if value is None else f"{value:{FLOAT_SPEC}}" if isinstance(value, float) else str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def write_json(record, path):

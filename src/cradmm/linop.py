@@ -1,4 +1,4 @@
-"""The sensing matrix H as a linear operator, shared by every solver.
+"""The sensing matrix H as a linear operator, and everything the solvers share.
 
 Every solver, the objective and the KKT check take a ``SensingOperator``
 wherever they take H. One operator owns H for a command: the products H x and
@@ -11,6 +11,14 @@ and shared by every run. Every Gram, of H or of a row block, comes from
 is well-conditioned; otherwise it takes the SVD of ``triangular_factor``, a
 streamed ("tall-skinny") QR factor of H, min(M, n) square, with the singular
 values of H, instead of one of H.
+
+ADMM (``admm``) and FISTA (``baselines``) share the rest of their run from
+here, so neither solver module imports the other: ``run_iterations``, the
+loop that owns the budget and the step policy and records one
+``IterationRecord`` per iteration into a ``ConvergenceTrace`` (which
+``fileio`` reads and writes), the objective ``lasso_objective``, and
+``check_lasso_kkt``, the certificate of either solver's result (a
+``KktReport``), formed from dense products of its own.
 
 ``prox_step``, the proximal step of ADMM and FISTA, takes its products from
 ``SupportProducts``, one per solver run, which reads only the columns the
@@ -55,9 +63,12 @@ neither a conjugate copy nor a transposed copy of H is ever made.
 """
 
 import math
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DivergenceError
 from .scene import FINITE_GE0, is_real, matrix_array, vector_array
 
 # entries per slice when a Gram or a triangular factor is accumulated, or an
@@ -383,6 +394,129 @@ def lasso_inputs(h, g, lam, x=None):
     if gv.shape[0] != op.shape[0] or (xv is not None and xv.shape[0] != op.shape[1]):
         raise ValueError(f"shapes do not match: H {op.shape}, g {gv.shape}, x {getattr(xv, 'shape', None)}")
     return op, gv, xv, lam
+
+
+@dataclass(frozen=True)
+class IterationRecord:
+    k: int
+    objective: float
+    primal_residual: float
+    dual_residual: float
+    elapsed_seconds: float
+
+
+class ConvergenceTrace(list):
+    """Per-iteration IterationRecords: objective, residual norms, and wall-clock timestamps.
+
+    ``stop_reason`` ("converged" or "max_iter"), ``sparse_forward_iters`` (the
+    iterations whose forward product read only the iterate's support) and
+    ``screened_adjoint_iters`` (those whose adjoint product skipped the columns
+    a safe bound screened, see ``SupportProducts``) are set by
+    ``run_iterations`` for a solver run, and are None for a trace read from disk.
+    """
+
+    stop_reason = sparse_forward_iters = screened_adjoint_iters = None
+
+    def column(self, name):
+        """One trace field as a numpy array, e.g. column('objective')."""
+        return np.array([getattr(r, name) for r in self])
+
+
+def lasso_objective(resid, u, lam):
+    """0.5 ||resid||^2 + lam * sum_p |u_p|, with resid = H u - g already formed."""
+    return 0.5 * float(np.real(np.vdot(resid, resid))) + lam * float(np.abs(u).sum())
+
+
+def evaluate_objective(h, g, u, lam):
+    """Value of 0.5 ||H u - g||^2 + lam * sum_p |u_p| (complex modulus)."""
+    op, gv, uv, lam = lasso_inputs(h, g, lam, u)
+    return lasso_objective(op.forward(uv) - gv, uv, lam)
+
+
+def run_iterations(operator, steps, max_iter, on_iteration=None):
+    """The iteration loop of ADMM and FISTA; returns (estimate, trace).
+
+    ``steps(products)``, given the run's ``SupportProducts`` on
+    ``operator``, yields once per iteration the estimate, its record fields
+    (objective, primal, dual) and whether its stopping rule holds, for as
+    long as it is asked. The loop owns the budget: it asks for at most
+    ``max_iter`` (>= 1) iterates, and none after a verdict holds. Each
+    IterationRecord, timed from the start of the run, goes to the trace and
+    then to ``on_iteration``, before the verdict is acted on; a non-finite
+    field raises DivergenceError first, which is where an overflow in a step
+    ends: the loop holds the step policy, each step running with overflow and
+    invalid-operation warnings off (as ``SensingOperator`` forms its
+    factors), and the trace, ``on_iteration`` and the verdict outside it. See
+    ConvergenceTrace for the stop reason and counts.
+    """
+    products = SupportProducts(operator)
+    iterates = steps(products)
+    trace = ConvergenceTrace()
+    trace.stop_reason = "max_iter"
+    start = time.perf_counter()
+    for k in range(max_iter):
+        with np.errstate(over="ignore", invalid="ignore"):
+            estimate, *fields, stop = next(iterates)
+        if not all(map(math.isfinite, fields)):
+            raise DivergenceError(f"non-finite iterate at iteration {k}")
+        record = IterationRecord(k, *fields, time.perf_counter() - start)
+        trace.append(record)
+        if on_iteration is not None:
+            on_iteration(record)
+        if stop:
+            trace.stop_reason = "converged"
+            break
+    trace.sparse_forward_iters = products.sparse_forward_calls
+    trace.screened_adjoint_iters = products.screened_adjoint_calls
+    return estimate, trace
+
+
+@dataclass(frozen=True)
+class KktReport:
+    """First-order optimality residuals of the lasso at a candidate point, and its objective.
+
+    ``passed`` says whether both residuals are within the ``tol`` the check was given.
+    """
+
+    max_active_violation: float
+    max_inactive_excess: float
+    passed: bool
+    objective: float  # the lasso objective at v, from the same H v - g (evaluate_objective's value)
+    violation: float  # the larger of the two residuals, NaN if either is
+
+
+def check_lasso_kkt(h, g, lam, v, tol):
+    """Check lasso stationarity at v without solving anything.
+
+    With r = H^H (H v - g): active entries (v_p != 0) must satisfy
+    r_p + lam * v_p / |v_p| = 0, inactive ones |r_p| <= lam. Entries with
+    |v_p| <= 1e-12 * max|v| (absolute 1e-14 when v = 0) count as inactive.
+    With lam = 0 both conditions collapse to ||r||_inf <= tol.
+    """
+    op, b, vv, lam = lasso_inputs(h, g, lam, v)
+    tol = FINITE_GE0.require(tol, "tol must be finite and >= 0")
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports a non-finite certificate
+        resid = op.forward(vv) - b
+        grad = op.adjoint(resid)
+    objective = lasso_objective(resid, vv, lam)
+    mag = np.abs(vv)
+    vmax = float(np.max(mag, initial=0.0))
+    cutoff = 1e-12 * vmax if vmax > 0.0 else 1e-14
+    active = mag > cutoff
+    # r_p + (lam v_p) / |v_p| into grad on the active entries, its term formed only there
+    term = np.multiply(lam, vv, out=np.empty_like(grad), where=active)
+    np.divide(term, mag, out=term, where=active)
+    np.add(grad, term, out=grad, where=active)
+    np.abs(grad, out=mag)
+    max_active = float(np.max(mag, where=active, initial=0.0))
+    max_inactive = max(float(np.max(mag, where=~active, initial=0.0)) - lam, 0.0)
+    return KktReport(
+        max_active_violation=max_active,
+        max_inactive_excess=max_inactive,
+        passed=max_active <= tol and max_inactive <= tol,
+        objective=objective,
+        violation=float(np.maximum(max_active, max_inactive)),
+    )
 
 
 def _largest_eigenvalue(small, h):

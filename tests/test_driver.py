@@ -1,4 +1,4 @@
-"""The iteration loop ADMM and FISTA share (``admm.run_iterations``).
+"""The iteration loop ADMM and FISTA share (``linop.run_iterations``).
 
 Both solvers' traces keep one contract: every record reaches ``on_iteration``
 in order, the stop reason says how the run ended, timestamps never go back,
@@ -12,7 +12,7 @@ import pytest
 
 from conftest import rand_complex
 from cradmm import AdmmParams, DivergenceError, SensingOperator, solve_consensus_lasso, solve_fista
-from cradmm import admm
+from cradmm import linop
 
 
 def run_admm(h, g, lam, max_iter, tol, on_iteration=None):
@@ -43,12 +43,12 @@ def made_products(monkeypatch):
     """Every SupportProducts the driver makes, in order."""
     made = []
 
-    class Recording(admm.SupportProducts):
+    class Recording(linop.SupportProducts):
         def __init__(self, h):
             super().__init__(h)
             made.append(self)
 
-    monkeypatch.setattr(admm, "SupportProducts", Recording)
+    monkeypatch.setattr(linop, "SupportProducts", Recording)
     return made
 
 
@@ -119,6 +119,6 @@ def test_the_loop_owns_the_budget(stop_at):
             advanced.append(len(advanced))
             yield np.zeros(2), 1.0, 0.0, 0.0, len(advanced) == stop_at
 
-    _, trace = admm.run_iterations(SensingOperator(np.eye(2)), steps, 5)
+    _, trace = linop.run_iterations(SensingOperator(np.eye(2)), steps, 5)
     assert len(advanced) == len(trace) == (5 if stop_at is None else stop_at)
     assert trace.stop_reason == ("max_iter" if stop_at is None else "converged")

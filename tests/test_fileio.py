@@ -278,6 +278,16 @@ class TestSummaryCsv:
         assert rows[0] == list(SUMMARY_COLUMNS)
         assert rows[2][-1] == 'error: a, "b"\nc'
 
+    @pytest.mark.parametrize("status", ["error: a\rb", "error: a\r\nb", "\r"], ids=["inside", "crlf", "alone"])
+    def test_a_carriage_return_is_quoted(self, tmp_path, status):
+        path = tmp_path / "summary.csv"
+        write_summary_csv([{"method": "pinv", "status": status}], path)
+        assert path.read_bytes() == self.HEADER + b'pinv,,,,,,,,,,"' + status.encode() + b'"\n'
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [11, 11]
+        assert rows[1][-1] == status
+
     def test_no_records_is_header_only(self, tmp_path):
         path = tmp_path / "summary.csv"
         write_summary_csv([], path)
