@@ -7,9 +7,14 @@ SVD of H itself) and an accelerated proximal-gradient (Nesterov/FISTA-style)
 lasso solver, which takes its loop, records, objective and prox step from
 ``linop`` as ADMM does. The first-order KKT test that certifies a result of
 either solver without running one is ``linop.check_lasso_kkt``.
+
+FISTA's settings are one validated ``FistaParams``, as ADMM's are one
+``admm.AdmmParams``; ``fista_setup`` takes them and floors the Lipschitz
+constant at LIPSCHITZ_FLOOR, so that its step 1 / L is finite.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +42,15 @@ TRUNCATION_MARGIN = 1e-6
 # for any n < 1 / EPS.
 TINY = float(np.finfo(np.float64).tiny)
 GRAM_RANGE = (TINY / EPS, EPS / TINY)
+# The least L whose reciprocal numpy forms finite (1 / (1 / DBL_MAX) is inf). prox_step divides
+# H^H r by L as a product with 1 / L, so a subnormal ||H||^2 below this would make every entry
+# inf or nan; FISTA floors L at it once, in set-up, which changes no run that finished without it.
+LIPSCHITZ_FLOOR = float(np.nextafter(1.0 / np.finfo(np.float64).max, 1.0))
+# singular values below this fraction of the largest are truncated, by default
+PINV_TRUNC_REL_TOL = 1e-10
 
 
-def solve_pseudoinverse(h, g, trunc_rel_tol=1e-10):
+def solve_pseudoinverse(h, g, trunc_rel_tol=PINV_TRUNC_REL_TOL):
     """Minimum-norm least-squares estimate via a truncated SVD.
 
     Singular values below trunc_rel_tol * sigma_max are discarded; directions
@@ -102,28 +113,48 @@ def _solve(u, w, r):
     return u @ ((u.conj().T @ r) / w)
 
 
-def solve_fista(h, g, lam, max_iter=500, tol=1e-10, on_iteration=None):
+@dataclass(frozen=True)
+class FistaParams:
+    """FISTA's knobs: 1-norm weight, budget and the relative objective change that stops it.
+
+    Setting tol = 0 disables early stopping, so exactly max_iter iterations run.
+    """
+
+    lam: float
+    max_iter: int = 500
+    tol: float = 1e-10
+
+    def __post_init__(self):
+        for name, rule, message in (("lam", FINITE_GE0, "lam must be finite and >= 0"),
+                                    ("max_iter", INT_GE1, "max_iter must be >= 1 and an integer"),
+                                    ("tol", FINITE_GE0, "tol must be finite and >= 0")):
+            object.__setattr__(self, name, rule.require(getattr(self, name), message))
+
+
+def solve_fista(h, g, lam, max_iter=FistaParams.max_iter, tol=FistaParams.tol, on_iteration=None):
     """Accelerated proximal gradient, driven by ``linop.run_iterations``; returns (u, trace).
 
-    The step is 1 / L with L = ||H||_2^2, computed exactly from the smaller
-    Gram of H. Records the objective and the step norm; the rule holds once
-    the relative objective change drops below tol. H x is carried along with
-    x and H y extrapolated from it as y is, so an iteration is one
-    ``linop.prox_step`` of y on g - H y and the supports of x and the last x
-    (their union holds y's), equal to y - grad / L but for the sign of a zero.
+    The arguments are checked as one FistaParams. The step is 1 / L with
+    L = ||H||_2^2, computed exactly from the smaller Gram of H (1.0 for
+    H = 0) and floored at LIPSCHITZ_FLOOR. Records the objective and the
+    step norm; the rule holds once the relative objective change drops below
+    tol. H x is carried along with x and H y extrapolated from it as y is,
+    so an iteration is one ``linop.prox_step`` of y on g - H y and the
+    supports of x and the last x (their union holds y's), equal to
+    y - grad / L but for the sign of a zero.
     """
-    return fista_setup(h, g, lam, max_iter, tol)(on_iteration)
+    return fista_setup(h, g, FistaParams(lam, max_iter, tol))(on_iteration)
 
 
-def fista_setup(h, g, lam, max_iter, tol):
-    """``solve_fista``'s run, set up: a callable that takes ``on_iteration`` and returns (u, trace).
+def fista_setup(h, g, params):
+    """``solve_fista``'s run with the FistaParams ``params``, set up.
 
-    Every refusal of ``solve_fista`` is raised here, before any iteration.
+    Returns a callable that takes ``on_iteration`` and returns (u, trace).
+    Every refusal of ``solve_fista`` is raised by its FistaParams or here,
+    before any iteration.
     """
-    op, b, _, lam = lasso_inputs(h, g, lam)
-    max_iter = INT_GE1.require(max_iter, "max_iter must be >= 1 and an integer")
-    tol = FINITE_GE0.require(tol, "tol must be finite and >= 0")
-    lips = op.norm_squared() or 1.0
+    op, b, _, lam = lasso_inputs(h, g, params.lam)
+    lips = max(op.norm_squared() or 1.0, LIPSCHITZ_FLOOR)
     if not math.isfinite(lips):
         raise DivergenceError(f"||H||^2 is not finite: {lips}")
 
@@ -146,10 +177,10 @@ def fista_setup(h, g, lam, max_iter, tol):
             y_supports = (support, x_support)
             x, h_x, t, x_support = x_new, h_x_new, t_new, support
             yield x, obj, step, 0.0, (prev_obj is not None
-                                      and abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-300))
+                                      and abs(prev_obj - obj) < params.tol * max(abs(prev_obj), 1e-300))
             prev_obj = obj
 
-    return lambda on_iteration: run_iterations(op, steps, max_iter, on_iteration)
+    return lambda on_iteration: run_iterations(op, steps, params.max_iter, on_iteration)
 
 
 def _norm(a):

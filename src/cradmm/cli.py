@@ -183,7 +183,7 @@ def _run_admm(cfg, op, g, params, trace_path):
 
 def _run_fista(cfg, op, g, params, trace_path):
     # as for ADMM, the set-up runs before the trace opens, so a refused set-up writes no trace
-    run = baselines.fista_setup(op, g, cfg.fista_lam, cfg.fista_max_iter, cfg.fista_tol)
+    run = baselines.fista_setup(op, g, cfg.fista)
     with fileio.TraceCsvWriter(trace_path) as writer:
         estimate, trace = run(writer.write_row)
     return estimate, trace, {}
@@ -196,7 +196,7 @@ def _run_pinv(cfg, op, g, params, trace_path):
 Method = collections.namedtuple("Method", "own_keys run")
 METHODS = {
     "admm": Method(lambda cfg, params: {"lambda": params.lam, "rho": params.rho, "N": cfg.admm_blocks}, _run_admm),
-    "fista": Method(lambda cfg, params: {"lambda": cfg.fista_lam}, _run_fista),
+    "fista": Method(lambda cfg, params: {"lambda": cfg.fista.lam}, _run_fista),
     "pinv": Method(lambda cfg, params: {}, _run_pinv),
 }
 

@@ -6,20 +6,22 @@ null (both meaning noiseless). ``targets`` is a list of
 {"box": [[x0,x1],[y0,y1],[z0,z1]], "amplitude": [re, im] or a number}, and
 the optional ``sweep`` holds the "lambda" and "rho" lists of a compare sweep.
 Every other key is a scalar field listed, with its default and its check, in
-FIELDS below; the README's "Config schema" shows them all. Validation is
-strict: unknown keys and every out-of-range field are reported together in
-one ConfigError. The value rules live in ``scene``, shared with the library;
-only JSON shapes (objects, lists, pairs, strings) are checked here.
+FIELDS below; the README's "Config schema" shows them all. The admm and
+fista sections become one ``AdmmParams`` and one ``FistaParams``, the
+settings the solvers take. Validation is strict: unknown keys and every
+out-of-range field are reported together in one ConfigError, and a file
+with an object that repeats a key is refused as it is read. The value
+rules live in ``scene``, shared with the library; only JSON shapes
+(objects, lists, pairs, strings) are checked here.
 """
 
 import dataclasses
 import functools
-import inspect
 import json
 import math
 
 from .admm import AdmmParams
-from .baselines import solve_fista, solve_pseudoinverse
+from .baselines import PINV_TRUNC_REL_TOL, FistaParams
 from .errors import ConfigError
 from .scene import (FINITE_GE0, FINITE_GT0, IN_UNIT, INT_GE0, INT_GE1, SNR_DB, Check, ScenarioConfig,
                     block_count, is_integer, is_real, target_violations)
@@ -33,9 +35,7 @@ class ExperimentConfig:
     targets: tuple
     admm: AdmmParams
     admm_blocks: int
-    fista_lam: float
-    fista_max_iter: int
-    fista_tol: float
+    fista: FistaParams
     pinv_trunc_rel_tol: float
     sweep_lambdas: tuple
     sweep_rhos: tuple
@@ -55,9 +55,8 @@ NONEMPTY_STR = Check(lambda x: isinstance(x, str) and x != "", "must be a nonemp
 # ExperimentConfig.admm.lam. The two cross-section rules are the Nones:
 # fista.lambda defaults to the ADMM lambda, and admm.n_blocks must lie in
 # [1, rows] for the scenario's row count (measurement count). Each default of a
-# solver setting is the library's: ADMM's from AdmmParams, FISTA's and pinv's
-# from the signatures of solve_fista and solve_pseudoinverse.
-_FISTA, _PINV = (inspect.signature(solve).parameters for solve in (solve_fista, solve_pseudoinverse))
+# solver setting is the library's: ADMM's from AdmmParams, FISTA's from
+# FistaParams and pinv's from baselines.PINV_TRUNC_REL_TOL.
 FIELDS = {
     "admm": (
         ("lambda", "admm.lam", 0.01, FINITE_GE0),
@@ -68,11 +67,11 @@ FIELDS = {
         ("n_blocks", "admm_blocks", 31, None),
     ),
     "fista": (
-        ("lambda", "fista_lam", None, FINITE_GE0),
-        ("max_iter", "fista_max_iter", _FISTA["max_iter"].default, INT_GE1),
-        ("tol", "fista_tol", _FISTA["tol"].default, FINITE_GE0),
+        ("lambda", "fista.lam", None, FINITE_GE0),
+        ("max_iter", "fista.max_iter", FistaParams.max_iter, INT_GE1),
+        ("tol", "fista.tol", FistaParams.tol, FINITE_GE0),
     ),
-    "pinv": (("trunc_rel_tol", "pinv_trunc_rel_tol", _PINV["trunc_rel_tol"].default, IN_UNIT),),
+    "pinv": (("trunc_rel_tol", "pinv_trunc_rel_tol", PINV_TRUNC_REL_TOL, IN_UNIT),),
     "": (
         ("output_dir", "output_dir", "out", NONEMPTY_STR),
         ("noise_seed", "noise_seed", 0, INT_GE0),
@@ -87,11 +86,12 @@ def load_experiment_config(path):
     """Parse and validate the JSON config file at ``path``.
 
     A file that is missing or cannot be read as UTF-8 JSON (a directory, say)
-    is a ConfigError.
+    is a ConfigError, and so is an object that repeats a key: plain JSON
+    parsing would keep the last value and drop the first unchecked.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config file is not valid JSON: {exc}"]) from None
     except UnicodeDecodeError as exc:
@@ -99,6 +99,16 @@ def load_experiment_config(path):
     except OSError as exc:
         raise ConfigError([f"config file {path} cannot be read: {exc.strerror}"]) from None
     return experiment_config_from_dict(raw)
+
+
+def _unique_keys(pairs):
+    """The dict of one JSON object's (key, value) pairs; a key given twice is a ConfigError."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError([f"config file repeats the key {key!r} in one object"])
+        out[key] = value
+    return out
 
 
 def experiment_config_from_dict(raw):
@@ -119,8 +129,9 @@ def experiment_config_from_dict(raw):
 
     if errors:
         raise ConfigError(errors)
-    admm = AdmmParams(**{f.name: got.pop(f"admm.{f.name}") for f in dataclasses.fields(AdmmParams)})
-    return ExperimentConfig(scenario=scenario, targets=targets, admm=admm,
+    for name, params in (("admm", AdmmParams), ("fista", FistaParams)):
+        got[name] = params(**{f.name: got.pop(f"{name}.{f.name}") for f in dataclasses.fields(params)})
+    return ExperimentConfig(scenario=scenario, targets=targets,
                             sweep_lambdas=sweep["lambda"], sweep_rhos=sweep["rho"], **got)
 
 

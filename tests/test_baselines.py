@@ -20,7 +20,7 @@ from cradmm import (
     solve_pseudoinverse,
 )
 from cradmm import baselines, linop
-from cradmm.baselines import GRAM_COND_LIMIT, TRUNCATION_MARGIN
+from cradmm.baselines import GRAM_COND_LIMIT, LIPSCHITZ_FLOOR, TRUNCATION_MARGIN, FistaParams
 from cradmm.linop import triangular_factor
 
 
@@ -252,6 +252,8 @@ class TestPseudoinverseRoute:
 
 BAD_LAMBDAS = [math.nan, math.inf, -math.inf, 10**400, -0.1]
 BAD_TOLERANCES = [math.nan, math.inf, -1e-3]
+# FISTA's two entry points that check its arguments: the solver, and the FistaParams it builds
+FISTA_ENTRIES = [lambda lam, **kwargs: solve_fista(np.eye(2), np.ones(2), lam, **kwargs), FistaParams]
 
 
 class TestFista:
@@ -342,41 +344,50 @@ class TestFista:
         with pytest.raises(DivergenceError, match=rf"^\|\|H\|\|\^2 is not finite: {norm}$"):
             solve_fista(h, np.ones(len(h)), 0.1)
 
-    def test_step_that_overflows_raises_without_a_warning(self, rng):
-        # ||H||^2 is subnormal, so the first step's divide by it, a product with 1 / ||H||^2, overflows
-        # (lam / ||H||^2 is inf too, but a threshold at inf only zeroes); the inf and nan it gives
-        # reach the record, not a RuntimeWarning
+    def test_subnormal_lipschitz_constant_is_floored_and_certified_without_a_warning(self, rng):
+        # ||H||^2 is subnormal, so the step's divide by it, a product with 1 / ||H||^2, would overflow;
+        # the set-up floors it at the least L whose reciprocal is finite, and the run then certifies
+        with np.errstate(over="ignore"):
+            assert np.isfinite(1.0 / LIPSCHITZ_FLOOR) and np.isinf(1.0 / np.nextafter(LIPSCHITZ_FLOOR, 0.0))
         h = 1e-160 * rand_complex(rng, 6, 20)
-        assert 0.0 < SensingOperator(h).norm_squared() < np.finfo(float).tiny
+        assert 0.0 < SensingOperator(h).norm_squared() < LIPSCHITZ_FLOOR
+        g = rand_complex(rng, 6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DivergenceError, match=r"^non-finite iterate at iteration 0$"):
-                solve_fista(h, rand_complex(rng, 6), 0.1)
+            u, trace = solve_fista(h, g, 0.1)
+            assert trace.stop_reason == "converged"
+            assert np.all(np.isfinite(u)) and np.all(np.isfinite(trace.column("objective")))
+            assert check_lasso_kkt(h, g, 0.1, u, 1e-2 * 0.1).passed
 
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ValueError, match="shapes"):
             solve_fista(rand_complex(rng, 3, 4), rand_complex(rng, 4), 0.1)
 
+    # each argument check below is made through both entry points in FISTA_ENTRIES
     @pytest.mark.parametrize("lam", BAD_LAMBDAS)
     def test_lambda_not_finite_and_nonnegative_raises_value_error(self, lam):
         # a bad argument, not a solver failure: no DivergenceError
-        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
-            solve_fista(np.eye(2), np.ones(2), lam)
+        for entry in FISTA_ENTRIES:
+            with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+                entry(lam)
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_budget_below_one_raises_value_error(self, max_iter):
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            solve_fista(np.eye(2), np.ones(2), 0.1, max_iter=max_iter)
+        for entry in FISTA_ENTRIES:
+            with pytest.raises(ValueError, match="max_iter must be >= 1"):
+                entry(0.1, max_iter=max_iter)
 
     @pytest.mark.parametrize("max_iter", [2.5, True])
     def test_budget_that_is_not_an_integer_raises_value_error(self, max_iter):
-        with pytest.raises(ValueError, match="max_iter must be >= 1 and an integer"):
-            solve_fista(np.eye(2), np.ones(2), 0.1, max_iter=max_iter)
+        for entry in FISTA_ENTRIES:
+            with pytest.raises(ValueError, match="max_iter must be >= 1 and an integer"):
+                entry(0.1, max_iter=max_iter)
 
     @pytest.mark.parametrize("tol", BAD_TOLERANCES)
     def test_tolerance_not_finite_and_nonnegative_raises_value_error(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-            solve_fista(np.eye(2), np.ones(2), 0.1, tol=tol)
+        for entry in FISTA_ENTRIES:
+            with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+                entry(0.1, tol=tol)
 
 
 class TestKkt:

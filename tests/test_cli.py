@@ -151,6 +151,20 @@ class TestConfigParsing:
         assert main(["generate", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: config file {path} cannot be read: {reason}\n"
 
+    @pytest.mark.parametrize("admm, output_dirs, key", [
+        ('{"n_blocks": 3, "rho": -1, "rho": 2.0}', ("a", "b"), "rho"),
+        ('{"n_blocks": 3, "rho": 2.0}', ("a", "b"), "output_dir"),
+        ('{"n_blocks": 3, "rho": -1, "rho": 2.0}', ("a",), "rho"),
+    ], ids=["both", "root", "section"])
+    def test_a_key_repeated_in_one_object_exits_2(self, tmp_path, capsys, admm, output_dirs, key):
+        # plain JSON parsing keeps the last value and drops the first unchecked, rho = -1 included
+        path, _ = write_config(tmp_path, drop=["admm", "output_dir"])
+        dirs = "".join(f', "output_dir": "{tmp_path / name}"' for name in output_dirs)
+        path.write_text(path.read_text()[:-1] + f', "admm": {admm}{dirs}}}')
+        assert main(["generate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: config file repeats the key '{key}' in one object\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_bytes(b'{"scenario": "\xff"}')
@@ -636,30 +650,43 @@ class TestSolve:
         write_vector(out / "g.cvec", np.array([1e308 + 0.0j]))
         assert main(["solve", "--config", str(path), "--method", "admm"]) == 3
 
-    @pytest.mark.parametrize("method, rho, g_scale, h_scale",
-                             [("admm", 1e-310, 1.0, 1.0), ("admm", 1e-300, 1e10, 1.0), ("fista", 1.0, 1e-160, 1e-160)],
-                             ids=["setup", "step", "fista"])
-    def test_rho_that_overflows_exits_3_with_one_line(self, tmp_path, capsys, method, rho, g_scale, h_scale):
-        # G_ii / rho overflows as S is formed, or (g - H z) / rho in ADMM's first step, or, with the problem
-        # scaled by 1e-160, the divide by ||H||^2 in FISTA's (numpy divides by it as a product with
-        # 1 / ||H||^2, which overflows): one solver error, no numpy warning (which the test run would raise
-        # as an error)
+    @pytest.mark.parametrize("rho, g_scale", [(1e-310, 1.0), (1e-300, 1e10)], ids=["setup", "step"])
+    def test_rho_that_overflows_exits_3_with_one_line(self, tmp_path, capsys, rho, g_scale):
+        # G_ii / rho overflows as S is formed, or (g - H z) / rho in ADMM's first step: one solver error, no
+        # numpy warning (which the test run would raise as an error)
         path, out = write_config(tmp_path, overrides={"admm": {"rho": rho}})
         assert main(["generate", "--config", str(path)]) == 0
         write_vector(out / "g.cvec", g_scale * read_vector(out / "g.cvec"))
-        write_matrix(out / "H.cmat", h_scale * read_matrix(out / "H.cmat"))
         capsys.readouterr()
-        assert main(["solve", "--config", str(path), "--method", method]) == 3
+        assert main(["solve", "--config", str(path), "--method", "admm"]) == 3
         expected = ("Woodbury inverse (I + G_ii / rho)^-1 is not finite at rho 1e-310" if rho == 1e-310
                     else "non-finite iterate at iteration 0")
         assert capsys.readouterr().err == f"solver error: {expected}\n"
-        assert not (out / f"estimate_{method}.cvec").exists()
+        assert not (out / "estimate_admm.cvec").exists()
         # S is refused at set-up, before the trace opens
-        assert (out / f"trace_{method}.csv").exists() == (rho != 1e-310)
+        assert (out / "trace_admm.csv").exists() == (rho != 1e-310)
         assert main(["compare", "--config", str(path)]) == 0
         rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
-        statuses = {"admm": "ok", "fista": "ok", "pinv": "ok", method: f"error: {expected}"}
-        assert [(row[0], row[-1]) for row in rows] == list(statuses.items())
+        assert [(row[0], row[-1]) for row in rows] == [("admm", f"error: {expected}"), ("fista", "ok"), ("pinv", "ok")]
+
+    def test_fista_of_a_problem_rewritten_at_1e_160_exits_0(self, tmp_path, capsys):
+        # H and g scaled by 1e-160 make ||H||^2 subnormal, whose reciprocal overflows; FISTA's set-up floors
+        # it at the least L with a finite reciprocal, so the run converges and certifies with no numpy
+        # warning (which the test run would raise as an error)
+        path, out = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        write_vector(out / "g.cvec", 1e-160 * read_vector(out / "g.cvec"))
+        write_matrix(out / "H.cmat", 1e-160 * read_matrix(out / "H.cmat"))
+        capsys.readouterr()
+        assert main(["solve", "--config", str(path), "--method", "fista"]) == 0
+        assert capsys.readouterr().err == ""
+        record = json.loads((out / "metrics_fista.json").read_text())
+        assert record["stop_reason"] == "converged"
+        assert record["kkt_violation"] <= 1e-2 * record["lambda"]
+        assert np.all(np.isfinite(read_vector(out / "estimate_fista.cvec")))
+        assert main(["compare", "--config", str(path)]) == 0
+        rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[-1]) for row in rows] == [("admm", "ok"), ("fista", "ok"), ("pinv", "ok")]
 
     def test_pinv_of_h_alone_rewritten_at_1e_160_exits_0(self, tmp_path, capsys):
         # the streamed QR route solves relative to sigma_max, so the estimate, about 1e160 times the toy's,
@@ -675,25 +702,35 @@ class TestSolve:
         row = next(row for row in csv.DictReader((out / "summary.csv").open()) if row["method"] == "pinv")
         assert (row["status"], row["nmse"]) == ("ok", "inf")
 
-    @pytest.mark.parametrize("method, warnings_as_errors", [("admm", False), ("admm", True), ("fista", False),
-                                                            ("fista", True)],
-                             ids=["default", "error", "fista-default", "fista-error"])
-    def test_rho_that_overflows_exits_3_from_the_console(self, tmp_path, method, warnings_as_errors):
-        # ADMM's S overflows at rho = 1e-310, FISTA's first step on H rewritten at 1e-160 times its entries
-        path, out = write_config(tmp_path, overrides={"admm": {"rho": 1e-310 if method == "admm" else 1.0}})
+    @pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["default", "error"])
+    def test_rho_that_overflows_exits_3_from_the_console(self, tmp_path, warnings_as_errors):
+        # ADMM's S overflows at rho = 1e-310
+        path, out = write_config(tmp_path, overrides={"admm": {"rho": 1e-310}})
         assert main(["generate", "--config", str(path)]) == 0
-        if method == "fista":
-            write_matrix(out / "H.cmat", 1e-160 * read_matrix(out / "H.cmat"))
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
-        env["PYTHONPATH"] = str(Path(scene.__file__).parents[1])
-        if warnings_as_errors:
-            env["PYTHONWARNINGS"] = "error::RuntimeWarning"
-        done = subprocess.run([sys.executable, "-m", "cradmm", "solve", "--config", str(path), "--method", method],
-                              env=env, capture_output=True, text=True)
+        done = run_console(["solve", "--config", str(path), "--method", "admm"], warnings_as_errors)
         assert done.returncode == 3
-        expected = ("Woodbury inverse (I + G_ii / rho)^-1 is not finite at rho 1e-310" if method == "admm"
-                    else "non-finite iterate at iteration 0")
-        assert done.stderr == f"solver error: {expected}\n"
+        assert done.stderr == "solver error: Woodbury inverse (I + G_ii / rho)^-1 is not finite at rho 1e-310\n"
+
+    @pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["default", "error"])
+    def test_fista_of_h_rewritten_at_1e_160_exits_0_from_the_console(self, tmp_path, warnings_as_errors):
+        # H alone scaled by 1e-160: ||H||^2 is floored in FISTA's set-up, and the run certifies x = 0
+        path, out = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        write_matrix(out / "H.cmat", 1e-160 * read_matrix(out / "H.cmat"))
+        done = run_console(["solve", "--config", str(path), "--method", "fista"], warnings_as_errors)
+        assert (done.returncode, done.stderr) == (0, "")
+        record = json.loads((out / "metrics_fista.json").read_text())
+        assert record["stop_reason"] == "converged"
+        assert record["kkt_violation"] <= 1e-2 * record["lambda"]
+
+
+def run_console(args, warnings_as_errors):
+    """``python -m cradmm *args`` in a fresh process, with numerical RuntimeWarnings raised as errors if asked."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(scene.__file__).parents[1])
+    if warnings_as_errors:
+        env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    return subprocess.run([sys.executable, "-m", "cradmm", *args], env=env, capture_output=True, text=True)
 
 
 class TestCompare:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import rand_complex
 from cradmm import DivergenceError, check_lasso_kkt, solve_fista
 from cradmm.admm import lasso_objective, prox_step, run_iterations, soft_threshold_support
-from cradmm.baselines import _norm
+from cradmm.baselines import LIPSCHITZ_FLOOR, _norm
 from cradmm.linop import SPARSE_FRACTION, SupportProducts, adjoint, lasso_inputs
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None,
@@ -53,7 +53,7 @@ def reference_prox_step(products, base, supports, r, divisor, kappa):
 def reference_fista(h, g, lam, max_iter):
     """``solve_fista`` with tol = 0 as its iteration was written before, on ``reference_prox_step``."""
     op, b, _, _ = lasso_inputs(h, g, lam)
-    lips = op.norm_squared() or 1.0
+    lips = max(op.norm_squared() or 1.0, LIPSCHITZ_FLOOR)  # the set-up's floor, which the forms below share
     if not math.isfinite(lips):
         raise DivergenceError(f"||H||^2 is not finite: {lips}")
 
